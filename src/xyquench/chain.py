@@ -33,32 +33,16 @@ class DegeneratePointError(ValueError):
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Chain geometry and couplings: N spins, anisotropy alpha, rotation angle phi."""
+    """Chain geometry and couplings: N spins and anisotropy alpha."""
 
     n_sites: int
     alpha: float
-    phi: float = 0.0
 
     def __post_init__(self):
         if self.n_sites < 2 or self.n_sites % 2 != 0:
             raise ValueError(f"n_sites must be a positive even integer, got {self.n_sites}")
         if not self.alpha >= 0.0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-
-
-@dataclass(frozen=True)
-class Mode:
-    """One positive momentum with its gap Lambda_k and Bogoliubov angle cos(theta_k)."""
-
-    k: float
-    lambda_k: float
-    cos_theta_k: float
-
-    def __post_init__(self):
-        if not self.lambda_k >= 0.0:
-            raise ValueError(f"lambda_k must be >= 0, got {self.lambda_k}")
-        if abs(self.cos_theta_k) > 1.0:
-            raise ValueError(f"|cos_theta_k| must be <= 1, got {self.cos_theta_k}")
 
 
 def momentum_grid(spec: ChainSpec) -> np.ndarray:
@@ -71,9 +55,29 @@ def momentum_grid(spec: ChainSpec) -> np.ndarray:
     return (2 * m - 1) * np.pi / spec.n_sites
 
 
+def gap_kernel(k, B, alpha):
+    """(cos k - B, alpha sin k, Lambda_k, gapped) with gapped = Lambda_k != 0.
+
+    Every closed form divides by Lambda_k; callers either mask with
+    `gapped` or pass it to require_gapped.
+    """
+    c = np.cos(k) - B
+    s = alpha * np.sin(k)
+    lam = np.hypot(c, s)
+    return c, s, lam, lam != 0.0
+
+
+def require_gapped(k, B, alpha, gapped) -> None:
+    """Raise DegeneratePointError naming the first point where `gapped` is false."""
+    if not np.all(gapped):
+        k_b, B_b, a_b, ok_b = map(np.ravel, np.broadcast_arrays(k, B, alpha, gapped))
+        i = int(np.flatnonzero(~ok_b)[0])
+        raise DegeneratePointError(k_b[i], B_b[i], a_b[i])
+
+
 def dispersion(k, B, alpha):
     """Quasiparticle gap Lambda_k = sqrt((cos k - B)^2 + alpha^2 sin^2 k); >= 0 always."""
-    return np.hypot(np.cos(k) - B, alpha * np.sin(k))
+    return gap_kernel(k, B, alpha)[2]
 
 
 def bogoliubov_angle(k, B, alpha):
@@ -82,23 +86,6 @@ def bogoliubov_angle(k, B, alpha):
     Raises DegeneratePointError at gapless points; callers must mask or
     perturb rather than receive a sentinel.
     """
-    c = np.cos(k) - B
-    lam = np.hypot(c, alpha * np.sin(k))
-    if np.any(lam == 0.0):
-        k_b, B_b, a_b, lam_b = map(np.ravel, np.broadcast_arrays(k, B, alpha, lam))
-        i = int(np.flatnonzero(lam_b == 0.0)[0])
-        raise DegeneratePointError(k_b[i], B_b[i], a_b[i])
+    c, _, lam, gapped = gap_kernel(k, B, alpha)
+    require_gapped(k, B, alpha, gapped)
     return c / lam
-
-
-def mode_at(k: float, B: float, alpha: float) -> Mode:
-    """Mode record at a single gapped momentum."""
-    lam = float(dispersion(k, B, alpha))
-    if lam == 0.0:
-        raise DegeneratePointError(k, B, alpha)
-    return Mode(k=float(k), lambda_k=lam, cos_theta_k=float((np.cos(k) - B) / lam))
-
-
-def modes_on_grid(spec: ChainSpec, B: float) -> list[Mode]:
-    """Mode records for every positive grid momentum at field B."""
-    return [mode_at(float(k), B, spec.alpha) for k in momentum_grid(spec)]

@@ -83,7 +83,6 @@ DEFAULTS = {
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output CSV path (default <command>.csv)")
     p.add_argument("--seed", type=int, default=None, help="random seed for sampled cases")
-    p.add_argument("--threads", type=int, default=None, help="worker threads for grid cells")
     p.add_argument("--config", default=None, help="JSON config file; explicit flags win")
 
 
@@ -162,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _merge_options(args: argparse.Namespace) -> dict:
     cmd = args.command
     opts = dict(DEFAULTS[cmd])
-    opts.update({"out": f"{cmd}.csv", "seed": 0, "threads": 1})
+    opts.update({"out": f"{cmd}.csv", "seed": 0})
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -232,7 +231,7 @@ def _run_quench(o) -> int:
     modes, summary = sweeps.quench_grids(
         n_sites=o["nsites"], tau_qs=o["tauq"], safety_factor=o["safety_factor"],
         alpha=o["alpha"], evolve=o["evolve"], evolve_modes=o["evolve_modes"],
-        dt=o["dt"], b_start=o["b_start"], threads=o["threads"],
+        dt=o["dt"], b_start=o["b_start"],
     )
     sweeps.validate_bounds(modes, {"p_k": (0.0, 1.0)})
     modes.write_csv(o["out"])
@@ -291,7 +290,6 @@ def _run_oracle(o) -> int:
         seed=o["seed"], steps=o["steps"], grid_size=o["grid"], nsites=o["nsites"],
         k=o["k"], mode_tol=o["mode_tol"], loop_tol=o["loop_tol"],
         spectrum_tol=o["spectrum_tol"], spectrum_cases=o["spectrum_cases"],
-        threads=o["threads"],
     )
     grid.write_csv(o["out"])
     print(f"wrote {o['out']} ({len(grid.rows)} rows)")

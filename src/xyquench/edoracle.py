@@ -19,13 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import DegeneratePointError
+from .chain import gap_kernel, require_gapped
 
 MAX_SITES = 12  # dense eigensolves stay desk-scale below this
-
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 _RESIDUAL_TOL = 1e-8
 _DEGENERACY_TOL = 1e-8
@@ -55,39 +51,27 @@ class LoopResult:
     parity: float
 
 
-def _bond(n: int, a: np.ndarray, b: np.ndarray, j: int) -> np.ndarray:
-    if (j + 1) % n == 0:
-        # wrap bond (n-1, 0): b sits on site 0, a on site n-1
-        if n == 2:
-            return np.kron(b, a)
-        return np.kron(b, np.kron(np.eye(2 ** (n - 2), dtype=complex), a))
-    left = np.eye(2**j, dtype=complex)
-    right = np.eye(2 ** (n - j - 2), dtype=complex)
-    return np.kron(left, np.kron(np.kron(a, b), right))
+def _term_matrices(n_sites: int):
+    """Periodic-chain sums of sx sx, sy sy, (sx sy + sy sx) over bonds, and sz over sites.
 
-
-def _bond_sum(n: int, a: np.ndarray, b: np.ndarray, periodic: bool) -> np.ndarray:
-    last = n if periodic else n - 1
-    out = np.zeros((2**n, 2**n), dtype=complex)
-    for j in range(last):
-        out += _bond(n, a, b, j)
-    return out
-
-
-def _site_sum(n: int, a: np.ndarray) -> np.ndarray:
-    out = np.zeros((2**n, 2**n), dtype=complex)
-    for j in range(n):
-        out += np.kron(
-            np.eye(2**j, dtype=complex), np.kron(a, np.eye(2 ** (n - j - 1), dtype=complex))
-        )
-    return out
-
-
-def _term_matrices(n_sites: int, periodic: bool):
-    xx = _bond_sum(n_sites, _SX, _SX, periodic)
-    yy = _bond_sum(n_sites, _SY, _SY, periodic)
-    xy = _bond_sum(n_sites, _SX, _SY, periodic) + _bond_sum(n_sites, _SY, _SX, periodic)
-    z = _site_sum(n_sites, _SZ)
+    Site j is bit n-1-j of the basis index, with |0> the sz = +1 state.  A
+    bond term flips both of its bits; sy|b> = i(1 - 2b)|1-b> supplies the
+    sign of the yy and xy amplitudes from the spins s = 1 - 2b of the ket.
+    """
+    dim = 2**n_sites
+    idx = np.arange(dim)
+    shifts = n_sites - 1 - np.arange(n_sites)
+    spin = 1 - 2 * ((idx[:, None] >> shifts) & 1)
+    xx = np.zeros((dim, dim), dtype=complex)
+    yy = np.zeros((dim, dim), dtype=complex)
+    xy = np.zeros((dim, dim), dtype=complex)
+    for j in range(n_sites):
+        jj = (j + 1) % n_sites
+        flipped = idx ^ ((1 << int(shifts[j])) | (1 << int(shifts[jj])))
+        xx[flipped, idx] += 1.0
+        yy[flipped, idx] -= spin[:, j] * spin[:, jj]
+        xy[flipped, idx] += 1j * (spin[:, j] + spin[:, jj])
+    z = np.diag(spin.sum(axis=1).astype(complex))
     return xx, yy, xy, z
 
 
@@ -102,18 +86,13 @@ def _assemble(xx, yy, xy, z, alpha: float, B: float, phi: float) -> np.ndarray:
     )
 
 
-def build_hamiltonian(
-    n_sites: int, alpha: float, B: float, phi: float = 0.0, boundary: str = "periodic"
-) -> np.ndarray:
-    """Dense 2^N x 2^N Hamiltonian of the rotated chain; Hermitian by construction."""
+def build_hamiltonian(n_sites: int, alpha: float, B: float, phi: float = 0.0) -> np.ndarray:
+    """Dense 2^N x 2^N Hamiltonian of the rotated periodic chain; Hermitian by construction."""
     if not 2 <= n_sites <= MAX_SITES:
         raise ValueError(f"n_sites must lie in [2, {MAX_SITES}], got {n_sites}")
     if not alpha >= 0.0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if boundary not in ("periodic", "open"):
-        raise ValueError(f"boundary must be 'periodic' or 'open', got {boundary!r}")
-    terms = _term_matrices(n_sites, boundary == "periodic")
-    return _assemble(*terms, alpha, B, phi)
+    return _assemble(*_term_matrices(n_sites), alpha, B, phi)
 
 
 def ground_state(h: np.ndarray) -> GroundState:
@@ -147,16 +126,30 @@ def holonomy_phase(states) -> tuple[float, float]:
 
     Returns (-arg prod_j <psi_j|psi_{j+1}>, min |overlap|) with the product
     closing from the last state back to the first; gauge-invariant because
-    every eigenvector phase appears once bra-side and once ket-side.
+    every eigenvector phase appears once bra-side and once ket-side.  Any
+    iterable works; only the first and the previous state are kept.
     """
     prod = 1.0 + 0.0j
     ov_min = math.inf
-    m = len(states)
-    for j in range(m):
-        ov = complex(np.vdot(states[j], states[(j + 1) % m]))
-        prod *= ov
-        ov_min = min(ov_min, abs(ov))
+    first = prev = None
+    for psi in states:
+        if first is None:
+            first = psi
+        else:
+            ov = complex(np.vdot(prev, psi))
+            prod *= ov
+            ov_min = min(ov_min, abs(ov))
+        prev = psi
+    if first is None:
+        raise ValueError("a Wilson loop needs at least one state")
+    ov = complex(np.vdot(prev, first))
+    prod *= ov
+    ov_min = min(ov_min, abs(ov))
     return float((-np.angle(prod)) % (2.0 * math.pi)), float(ov_min)
+
+
+class _DegenerateLoop(Exception):
+    """A ground state on the loop is degenerate; its Berry phase is undefined."""
 
 
 def berry_phase_loop(n_sites: int, alpha: float, B: float, steps: int = 10000) -> LoopResult:
@@ -166,45 +159,38 @@ def berry_phase_loop(n_sites: int, alpha: float, B: float, steps: int = 10000) -
     sits in the even fermion-parity sector (parity +1); odd-sector ground
     states follow the integer momentum grid instead and are reported via
     the parity field rather than silently absorbed.  A degenerate ground
-    state anywhere on the loop invalidates the result.
+    state anywhere on the loop invalidates the result.  The ground states
+    are streamed into holonomy_phase, so memory stays flat in `steps`.
     """
     if steps < 100:
         raise ValueError(f"need steps >= 100 for a resolved loop, got {steps}")
     if not 2 <= n_sites <= MAX_SITES:
         raise ValueError(f"n_sites must lie in [2, {MAX_SITES}], got {n_sites}")
-    terms = _term_matrices(n_sites, periodic=True)
-
-    first = None
-    prev = None
+    terms = _term_matrices(n_sites)
     parity = 0.0
-    prod = 1.0 + 0.0j
-    ov_min = math.inf
-    for j in range(steps):
-        phi = j * math.pi / steps
-        gs = ground_state(_assemble(*terms, alpha, B, phi))
-        if gs.degenerate:
-            return LoopResult(
-                phi_steps=steps,
-                phase=math.nan,
-                overlaps_min=0.0,
-                valid=False,
-                degenerate=True,
-                under_resolved=False,
-                parity=state_parity(gs.vector),
-            )
-        if j == 0:
-            first = gs.vector
-            parity = state_parity(first)
-        else:
-            ov = complex(np.vdot(prev, gs.vector))
-            prod *= ov
-            ov_min = min(ov_min, abs(ov))
-        prev = gs.vector
-    ov = complex(np.vdot(prev, first))
-    prod *= ov
-    ov_min = min(ov_min, abs(ov))
 
-    phase = float((-np.angle(prod)) % (2.0 * math.pi))
+    def ground_states():
+        nonlocal parity
+        for j in range(steps):
+            gs = ground_state(_assemble(*terms, alpha, B, j * math.pi / steps))
+            if j == 0 or gs.degenerate:
+                parity = state_parity(gs.vector)
+            if gs.degenerate:
+                raise _DegenerateLoop
+            yield gs.vector
+
+    try:
+        phase, ov_min = holonomy_phase(ground_states())
+    except _DegenerateLoop:
+        return LoopResult(
+            phi_steps=steps,
+            phase=math.nan,
+            overlaps_min=0.0,
+            valid=False,
+            degenerate=True,
+            under_resolved=False,
+            parity=parity,
+        )
     under = ov_min < _OVERLAP_RESOLVED
     return LoopResult(
         phi_steps=steps,
@@ -230,11 +216,8 @@ def mode_berry_numeric(k: float, B: float, alpha: float, steps: int = 10000) -> 
     """
     if steps < 100:
         raise ValueError(f"need steps >= 100 for a resolved loop, got {steps}")
-    c = math.cos(k) - B
-    s = alpha * math.sin(k)
-    lam = math.hypot(c, s)
-    if lam == 0.0:
-        raise DegeneratePointError(k, B, alpha)
+    c, s, _, gapped = gap_kernel(k, B, alpha)
+    require_gapped(k, B, alpha, gapped)
     h0 = np.array([[-2.0 * c, -2.0j * s], [2.0j * s, 2.0 * c]], dtype=complex)
     _, v = np.linalg.eigh(h0)
     v0 = v[:, 0]

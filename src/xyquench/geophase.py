@@ -18,26 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainSpec, DegeneratePointError, bogoliubov_angle, momentum_grid
-
-TWO_PI = 2.0 * np.pi
-
-
-@dataclass(frozen=True)
-class ModePhaseRecord:
-    """Phase and field derivative of a single mode at one quench instant."""
-
-    k: float
-    t: float
-    B: float
-    gamma_k: float
-    dgamma_db: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.gamma_k <= TWO_PI:
-            raise ValueError(f"gamma_k out of [0, 2pi]: {self.gamma_k}")
-        if not self.dgamma_db >= 0.0:
-            raise ValueError(f"dgamma_db must be >= 0, got {self.dgamma_db}")
+from .chain import ChainSpec, bogoliubov_angle, gap_kernel, momentum_grid, require_gapped
 
 
 @dataclass(frozen=True)
@@ -55,28 +36,19 @@ def mode_phase(k, B, alpha):
     return np.pi * (1.0 - bogoliubov_angle(k, B, alpha))
 
 
-def mode_phase_at_time(k, t, tau_q, alpha):
-    """Gamma_k(t) under the linear schedule; identical to mode_phase at B = -t/tau_q."""
-    _check_schedule_args(t, tau_q)
-    return mode_phase(k, np.negative(t) / tau_q, alpha)
-
-
 def mode_phase_xx(k, t, tau_q):
     """Isotropic (alpha = 0) phase: a sharp 0 -> 2pi step where B crosses cos k.
 
     For the k -> 0 modes (cos k -> 1) this is the step 2pi * Theta(|t| - tau_q).
-    The exact edge B = cos k is gapless and raises instead of picking a
+    It is mode_phase at alpha = 0, where cos(theta_k) = sign(cos k - B)
+    exactly; the edge B = cos k is gapless and raises instead of picking a
     Heaviside convention.
     """
-    _check_schedule_args(t, tau_q)
-    B = np.negative(t) / tau_q
-    c = np.cos(k) - B
-    if np.any(c == 0.0):
-        k_b, B_b, c_b = map(np.ravel, np.broadcast_arrays(k, B, c))
-        i = int(np.flatnonzero(c_b == 0.0)[0])
-        raise DegeneratePointError(k_b[i], B_b[i], 0.0)
-    step = np.where(c < 0.0, TWO_PI, 0.0)
-    return float(step) if np.ndim(step) == 0 else step
+    if not tau_q > 0.0:
+        raise ValueError(f"tau_q must be > 0, got {tau_q}")
+    if np.any(np.asarray(t) > 0.0):
+        raise ValueError("quench times must satisfy t <= 0")
+    return mode_phase(k, np.negative(t) / tau_q, 0.0)
 
 
 def total_phase(spec: ChainSpec, B: float) -> float:
@@ -85,10 +57,8 @@ def total_phase(spec: ChainSpec, B: float) -> float:
     return float(np.sum(mode_phase(k, B, spec.alpha)))
 
 
-def critical_phase(spec: ChainSpec, tau_q: float | None = None) -> float:
+def critical_phase(spec: ChainSpec) -> float:
     """Chain phase at the critical point of the linear quench (t = -tau_q, B = 1)."""
-    if tau_q is not None and not tau_q > 0.0:
-        raise ValueError(f"tau_q must be > 0, got {tau_q}")
     return total_phase(spec, 1.0)
 
 
@@ -118,27 +88,17 @@ def dphase_db(k, t, tau_q, alpha):
     if not tau_q > 0.0:
         raise ValueError(f"tau_q must be > 0, got {tau_q}")
     B = np.negative(t) / tau_q
-    c = np.cos(k) - B
-    s = alpha * np.sin(k)
-    lam = np.hypot(c, s)
-    if np.any(lam == 0.0):
-        k_b, B_b, lam_b = map(np.ravel, np.broadcast_arrays(k, B, lam))
-        i = int(np.flatnonzero(lam_b == 0.0)[0])
-        raise DegeneratePointError(k_b[i], B_b[i], alpha)
-    out = np.pi * s * s / lam**3
+    _, s, lam, gapped = gap_kernel(k, B, alpha)
+    require_gapped(k, B, alpha, gapped)
+    out = phase_slope(s, lam)
     return float(out) if np.ndim(out) == 0 else out
 
 
-def mode_phase_record(k: float, t: float, tau_q: float, alpha: float) -> ModePhaseRecord:
-    """Bundle Gamma_k(t) and d(Gamma_k)/dB at one quench instant."""
-    B = -t / tau_q
-    return ModePhaseRecord(
-        k=float(k),
-        t=float(t),
-        B=float(B),
-        gamma_k=float(mode_phase(k, B, alpha)),
-        dgamma_db=float(dphase_db(k, t, tau_q, alpha)),
-    )
+def phase_slope(s, lam):
+    """pi s^2 / Lambda^3, NaN at Lambda = 0; pi (s/Lambda)^2 / Lambda where Lambda^3 underflows."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cube = lam**3
+        return np.where(cube > 0.0, np.pi * s * s / cube, np.pi * (s / lam) ** 2 / lam)
 
 
 def phase_summary(spec: ChainSpec, b_initial: float, excluded=()) -> PhaseSummary:
@@ -171,10 +131,3 @@ def noncontractibility_scan(field_b: float, alpha_sequence, size_sequence):
             m = spec.n_sites // 2
             rows.append((a, spec.n_sites, total_phase(spec, field_b) / m))
     return rows
-
-
-def _check_schedule_args(t, tau_q):
-    if not tau_q > 0.0:
-        raise ValueError(f"tau_q must be > 0, got {tau_q}")
-    if np.any(np.asarray(t) > 0.0):
-        raise ValueError("quench times must satisfy t <= 0")

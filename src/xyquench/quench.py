@@ -64,15 +64,6 @@ class EvolveResult:
     crossing_covered: bool
 
 
-def field_at(t, tau_q):
-    """B(t) = -t/tau_q for t <= 0; the ramp ends when the field reaches zero."""
-    if not tau_q > 0.0:
-        raise ValueError(f"tau_q must be > 0, got {tau_q}")
-    if np.any(np.asarray(t) > 0.0):
-        raise ValueError("the linear schedule is defined for t <= 0 only")
-    return np.negative(t) / tau_q
-
-
 def lz_probability(k, tau_q):
     """Landau-Zener excitation probability p_k ~ exp(-2 pi tau_q k^2), in (0, 1]."""
     if np.any(np.asarray(tau_q) < 0.0):

@@ -3,22 +3,20 @@
 Cells are plain values (float/int/str/bool) or None for points where the
 quantity is genuinely undefined (gapless cells stay empty rather than
 interpolated).  Floats print with 17 significant digits so that parsing
-the emitted text recovers them exactly; rows are assembled in index order
-regardless of how many workers computed them, so identical inputs give
+the emitted text recovers them exactly, and identical inputs give
 byte-identical files.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, momentum_grid
+from .chain import ChainSpec, gap_kernel, momentum_grid
 from .edoracle import berry_phase_loop, build_hamiltonian, mode_berry_numeric
-from .geophase import mode_phase, noncontractibility_scan, total_phase
+from .geophase import mode_phase, noncontractibility_scan, phase_slope, total_phase
 from .quench import QuenchSchedule, evolve_mode, kink_count
 from .rgflow import rg_flow, RGState
 
@@ -102,33 +100,21 @@ def validate_bounds(grid: SweepGrid, bounds: dict) -> None:
                 )
 
 
-def map_indexed(fn, items, threads: int = 1) -> list:
-    """Apply fn to items, gathering results in input order."""
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
-
-
 def _gamma_cells(k: float, b_values: np.ndarray, alpha: float):
     """Gamma_k over a field array; exact gapless points become None."""
-    c = np.cos(k) - b_values
-    s = alpha * np.sin(k)
-    lam = np.hypot(c, s)
-    ok = lam != 0.0
-    gam = np.empty_like(lam)
-    gam[ok] = np.pi * (1.0 - c[ok] / lam[ok])
-    return [float(g) if good else None for g, good in zip(gam, ok)]
+    c, _, lam, gapped = gap_kernel(k, b_values, alpha)
+    with np.errstate(invalid="ignore"):
+        return _masked(np.pi * (1.0 - c / lam), gapped)
 
 
 def _deriv_cells(k: float, b_values: np.ndarray, alpha: float):
-    c = np.cos(k) - b_values
-    s = alpha * np.sin(k)
-    lam = np.hypot(c, s)
-    ok = lam != 0.0
-    der = np.empty_like(lam)
-    der[ok] = np.pi * s * s / lam[ok] ** 3
-    return [float(d) if good else None for d, good in zip(der, ok)]
+    """d(Gamma_k)/dB over a field array; exact gapless points become None."""
+    _, s, lam, gapped = gap_kernel(k, b_values, alpha)
+    return _masked(phase_slope(s, lam), gapped)
+
+
+def _masked(values: np.ndarray, gapped: np.ndarray) -> list:
+    return [float(v) if good else None for v, good in zip(values, gapped)]
 
 
 def _time_axis(tmin: float, tmax: float, samples: int) -> np.ndarray:
@@ -200,7 +186,6 @@ def quench_grids(
     evolve_modes=4,
     dt=None,
     b_start=5.0,
-    threads=1,
 ):
     """Per-mode excitation table and per-tau_q kink summary.
 
@@ -218,19 +203,12 @@ def quench_grids(
         p_all = [rep.per_mode_p[float(k)] for k in k_all]
         evolved = {}
         if evolve:
-            targets = [float(k) for k in k_pos[: max(0, int(evolve_modes))]]
-
-            def _run(kk, _tq=tau_q):
-                return evolve_mode(kk, alpha, QuenchSchedule.from_field(_tq, b_start), dt=dt)
-
-            for kk, p in zip(targets, map_indexed(_run, targets, threads)):
-                evolved[kk] = p
+            schedule = QuenchSchedule.from_field(tau_q, b_start)
+            for kk in k_pos[: max(0, int(evolve_modes))]:
+                evolved[float(kk)] = evolve_mode(float(kk), alpha, schedule, dt=dt)
         for k, p in zip(k_all, p_all):
-            if evolve:
-                pe = evolved.get(abs(float(k)))
-                mode_rows.append((float(tau_q), float(k), float(p), pe))
-            else:
-                mode_rows.append((float(tau_q), float(k), float(p)))
+            row = (float(tau_q), float(k), float(p))
+            mode_rows.append(row + (evolved.get(abs(float(k))),) if evolve else row)
         summary_rows.append(
             (float(tau_q), rep.kink_count, rep.threshold, rep.safety_factor, rep.adiabatic)
         )
@@ -276,7 +254,6 @@ def oracle_report(
     loop_tol=1e-3,
     spectrum_tol=1e-10,
     spectrum_cases=20,
-    threads=1,
 ):
     """Analytic-vs-numeric equivalence suite; returns (report grid, failure count).
 
@@ -296,17 +273,9 @@ def oracle_report(
     failures = 0
 
     mode_points = [(float(bv), float(av)) for bv in b_vals for av in a_vals]
-
-    def _mode_case(point):
-        bv, av = point
+    for i, (bv, av) in enumerate(mode_points):
         analytic = float(mode_phase(k, bv, av))
         numeric = mode_berry_numeric(k, bv, av, steps=steps)
-        return analytic, numeric
-
-    for i, (point, (analytic, numeric)) in enumerate(
-        zip(mode_points, map_indexed(_mode_case, mode_points, threads))
-    ):
-        bv, av = point
         diff = abs(analytic - numeric)
         ok = diff <= mode_tol
         failures += 0 if ok else 1

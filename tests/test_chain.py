@@ -6,11 +6,8 @@ import pytest
 from xyquench import (
     ChainSpec,
     DegeneratePointError,
-    Mode,
     bogoliubov_angle,
     dispersion,
-    mode_at,
-    modes_on_grid,
     momentum_grid,
 )
 
@@ -110,29 +107,9 @@ def test_bogoliubov_bounded_random():
 
 
 def test_mode_invariant_consistency():
-    m = mode_at(math.pi / 2, 0.5, 0.5)
-    assert m.lambda_k >= 0.0
-    assert abs(m.cos_theta_k) <= 1.0
-    # cos_theta_k * lambda_k = cos k - B at gapped points
-    assert m.cos_theta_k * m.lambda_k == pytest.approx(math.cos(math.pi / 2) - 0.5, rel=1e-14)
-
-
-def test_mode_validation():
-    with pytest.raises(ValueError):
-        Mode(k=1.0, lambda_k=-0.1, cos_theta_k=0.0)
-    with pytest.raises(ValueError):
-        Mode(k=1.0, lambda_k=1.0, cos_theta_k=1.5)
-
-
-def test_mode_at_degenerate_raises():
-    with pytest.raises(DegeneratePointError):
-        mode_at(math.pi / 3, math.cos(math.pi / 3), 0.0)
-
-
-def test_modes_on_grid():
-    spec = ChainSpec(6, 0.8)
-    modes = modes_on_grid(spec, 0.4)
-    assert len(modes) == 3
-    ks = momentum_grid(spec)
-    for m, k in zip(modes, ks):
-        assert m.k == pytest.approx(float(k), rel=1e-15)
+    # cos(theta_k) * Lambda_k = cos k - B at gapped points
+    for k, B, a in ((math.pi / 2, 0.5, 0.5), (0.3, 0.9, 1.0), (2.5, -1.2, 0.1)):
+        c = bogoliubov_angle(k, B, a)
+        lam = dispersion(k, B, a)
+        assert lam >= 0.0 and abs(c) <= 1.0
+        assert c * lam == pytest.approx(math.cos(k) - B, rel=1e-14)

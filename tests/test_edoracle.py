@@ -55,16 +55,32 @@ def _circ_diff(a, b):
 # ------------------------------------------------------------ build_hamiltonian
 
 def test_two_site_ising_pair_spectrum():
-    h = build_hamiltonian(2, 1.0, 0.0, 0.0, boundary="open")
+    # the periodic N = 2 ring counts its one bond twice: H = 2 sx sx
+    h = build_hamiltonian(2, 1.0, 0.0, 0.0)
     w = np.linalg.eigvalsh(h)
-    assert np.allclose(w, [-1.0, -1.0, 1.0, 1.0], atol=1e-12)
+    assert np.allclose(w, [-2.0, -2.0, 2.0, 2.0], atol=1e-12)
 
 
 def test_phi_zero_reduces_to_plain_chain():
-    for n, a, B in ((3, 0.7, 0.4), (4, 0.0, 1.2), (5, 1.0, 0.0)):
+    cases = ((2, 0.3, 0.7), (3, 0.7, 0.4), (4, 0.0, 1.2), (5, 1.0, 0.0), (6, 0.8, 0.3),
+             (8, 0.5, 0.5))
+    for n, a, B in cases:
         got = build_hamiltonian(n, a, B, 0.0)
         ref = _reference_hamiltonian(n, a, B)
         assert np.max(np.abs(got - ref)) < 1e-14
+
+
+def test_rotated_family_is_unitary_conjugation():
+    # H(phi) = U H(0) U^dagger with U = diag(exp(i phi sum_j sz_j / 2)); this
+    # pins the sign of the xy cross term, which the spectrum cannot see
+    rng = np.random.default_rng(65)
+    for n in range(2, 7):
+        sz_total = n - 2.0 * np.array([bin(i).count("1") for i in range(2**n)])
+        for _ in range(3):
+            a, B, phi = rng.uniform(0, 1.5), rng.uniform(-2, 2), rng.uniform(0, math.pi)
+            u = np.exp(0.5j * phi * sz_total)
+            want = u[:, None] * build_hamiltonian(n, a, B, 0.0) * u.conj()[None, :]
+            assert np.max(np.abs(build_hamiltonian(n, a, B, phi) - want)) < 1e-14
 
 
 def test_hermiticity_exact():
@@ -91,19 +107,13 @@ def test_pi_periodic_in_phi():
         assert np.max(np.abs(h1 - h0)) < 1e-12
 
 
-def test_open_boundary_drops_wrap_bond():
-    h_open = build_hamiltonian(4, 1.0, 0.0, 0.0, boundary="open")
-    h_per = build_hamiltonian(4, 1.0, 0.0, 0.0, boundary="periodic")
-    assert np.max(np.abs(h_per - h_open)) > 0.1
-
-
 def test_size_cap_and_validation():
     with pytest.raises(ValueError):
         build_hamiltonian(13, 1.0, 0.0)
     with pytest.raises(ValueError):
         build_hamiltonian(1, 1.0, 0.0)
     with pytest.raises(ValueError):
-        build_hamiltonian(4, 1.0, 0.0, boundary="twisted")
+        build_hamiltonian(4, -0.1, 0.0)
 
 
 def test_ground_energy_regression_n8():

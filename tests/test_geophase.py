@@ -10,14 +10,13 @@ from xyquench import (
     dphase_db,
     final_phase,
     mode_phase,
-    mode_phase_at_time,
-    mode_phase_record,
     mode_phase_xx,
     momentum_grid,
     noncontractibility_scan,
     phase_summary,
     total_phase,
 )
+from xyquench.sweeps import _deriv_cells
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,6 +36,34 @@ def test_mode_phase_frozen_value():
     assert mode_phase(math.pi / 2, 0.5, 0.5) == pytest.approx(expected, rel=1e-14)
 
 
+# ------------------------------------------- phase at quench time t, B = -t/tau_q
+
+def test_at_time_numerator_vanishes():
+    # t = -tau_q cos k puts the mode on its crossing: gamma = pi
+    k, t, tau_q = 0.7, -5.0 * math.cos(0.7), 5.0
+    assert mode_phase(k, -t / tau_q, 0.9) == pytest.approx(math.pi, rel=1e-14)
+
+
+def test_at_time_ising_k_half_pi_t0():
+    assert mode_phase(math.pi / 2, -0.0 / 1.0, 1.0) == pytest.approx(math.pi, rel=1e-14)
+
+
+def test_at_time_frozen_value():
+    t, tau_q = -0.5 * 7.0, 7.0
+    assert mode_phase(math.pi / 2, -t / tau_q, 0.5) == pytest.approx(5.363034122668976, rel=1e-14)
+
+
+def test_mode_phase_ising_closed_form():
+    # alpha = 1 collapses the gap to sqrt(1 + x^2 + 2 x cos k), x = t/tau_q = -B
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        k = rng.uniform(0.05, math.pi - 0.05)
+        x = -rng.uniform(0.0, 3.0)
+        denom = math.sqrt(1.0 + x * x + 2.0 * x * math.cos(k))
+        expected = math.pi * (1.0 - (math.cos(k) + x) / denom)
+        assert mode_phase(k, -x, 1.0) == pytest.approx(expected, rel=1e-13)
+
+
 def test_mode_phase_range_random():
     rng = np.random.default_rng(21)
     gam = mode_phase(
@@ -53,50 +80,6 @@ def test_mode_phase_even_in_k():
     B = rng.uniform(-2.0, 2.0, 500)
     a = rng.uniform(0.1, 2.0, 500)
     assert np.array_equal(mode_phase(k, B, a), mode_phase(-k, B, a))
-
-
-# -------------------------------------------------------- mode_phase_at_time
-
-def test_at_time_equals_field_form_exactly():
-    rng = np.random.default_rng(23)
-    k = rng.uniform(0.0, math.pi, 10000)
-    t = -rng.uniform(0.0, 3.0, 10000)
-    tau = rng.uniform(0.1, 50.0, 10000)
-    a = rng.uniform(0.05, 2.0, 10000)
-    lhs = np.array([mode_phase_at_time(ki, ti, qi, ai) for ki, ti, qi, ai in zip(k, t, tau, a)])
-    rhs = np.array([mode_phase(ki, -ti / qi, ai) for ki, ti, qi, ai in zip(k, t, tau, a)])
-    assert np.array_equal(lhs, rhs)
-
-
-def test_at_time_numerator_vanishes():
-    # t = -tau_q cos k puts the mode on its crossing: gamma = pi
-    k = 0.7
-    assert mode_phase_at_time(k, -5.0 * math.cos(k), 5.0, 0.9) == pytest.approx(math.pi, rel=1e-14)
-
-
-def test_at_time_ising_k_half_pi_t0():
-    assert mode_phase_at_time(math.pi / 2, 0.0, 1.0, 1.0) == pytest.approx(math.pi, rel=1e-14)
-
-
-def test_at_time_frozen_value():
-    got = mode_phase_at_time(math.pi / 2, -0.5 * 7.0, 7.0, 0.5)
-    assert got == pytest.approx(5.363034122668976, rel=1e-14)
-
-
-def test_at_time_rejects_positive_t():
-    with pytest.raises(ValueError):
-        mode_phase_at_time(1.0, 0.5, 1.0, 1.0)
-
-
-def test_at_time_ising_closed_form_matches():
-    # alpha = 1 collapses the gap to sqrt(1 + x^2 + 2 x cos k), x = t/tau_q
-    rng = np.random.default_rng(24)
-    for _ in range(200):
-        k = rng.uniform(0.05, math.pi - 0.05)
-        x = -rng.uniform(0.0, 3.0)
-        denom = math.sqrt(1.0 + x * x + 2.0 * x * math.cos(k))
-        expected = math.pi * (1.0 - (math.cos(k) + x) / denom)
-        assert mode_phase_at_time(k, x * 4.0, 4.0, 1.0) == pytest.approx(expected, rel=1e-13)
 
 
 # ------------------------------------------------------------ mode_phase_xx
@@ -118,6 +101,11 @@ def test_xx_step_at_k_to_zero_is_theta_of_t():
 def test_xx_exact_edge_raises():
     with pytest.raises(DegeneratePointError):
         mode_phase_xx(math.pi / 3, -math.cos(math.pi / 3), 1.0)  # B lands exactly on cos k
+
+
+def test_xx_rejects_positive_t():
+    with pytest.raises(ValueError):
+        mode_phase_xx(1.0, 0.5, 1.0)
 
 
 def test_xx_matches_general_formula_at_alpha_zero():
@@ -193,11 +181,6 @@ def test_critical_phase_large_alpha_per_mode_pi():
     assert critical_phase(spec) == pytest.approx(3 * math.pi, rel=1e-7)
 
 
-def test_critical_phase_validates_tau_q():
-    with pytest.raises(ValueError):
-        critical_phase(ChainSpec(4, 1.0), tau_q=-1.0)
-
-
 # -------------------------------------------------------------- final_phase
 
 def test_final_phase_no_exclusions_is_total_at_zero_field():
@@ -241,6 +224,14 @@ def test_dphase_on_crossing_value():
     assert dphase_db(math.pi / 2, -0.0, 1.0, 1.0) == pytest.approx(math.pi, rel=1e-14)
 
 
+def test_dphase_tiny_gap_does_not_underflow():
+    # at B = cos k = 1 the gap is alpha sin k = 1e-110, whose cube underflows
+    assert dphase_db(1e-110, -1.0, 1.0, 1.0) == pytest.approx(math.pi * 1e110, rel=1e-14)
+    assert dphase_db(2.2e-309, -1.0, 1.0, 1.0) == math.inf  # pi / 2.2e-309 overflows
+    cells = _deriv_cells(1e-110, np.array([1.0, 0.0]), 1.0)
+    assert cells[0] == pytest.approx(math.pi * 1e110, rel=1e-14)
+
+
 def test_dphase_nonnegative_random():
     rng = np.random.default_rng(31)
     k = rng.uniform(0.0, math.pi, 2000)
@@ -272,14 +263,7 @@ def test_dphase_degenerate_raises():
         dphase_db(math.pi / 3, -math.cos(math.pi / 3), 1.0, 0.0)
 
 
-# -------------------------------------------------------------- record/summary
-
-def test_mode_phase_record_fields():
-    rec = mode_phase_record(math.pi / 2, -0.5, 1.0, 0.5)
-    assert rec.B == pytest.approx(0.5, rel=1e-15)
-    assert rec.gamma_k == pytest.approx(5.363034122668976, rel=1e-13)
-    assert rec.dgamma_db >= 0.0
-
+# ------------------------------------------------------------------ summary
 
 def test_phase_summary_final_drop_matches():
     spec = ChainSpec(8, 1.0)

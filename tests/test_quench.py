@@ -8,7 +8,6 @@ from xyquench import (
     QuenchSchedule,
     adiabatic_threshold,
     evolve_mode,
-    field_at,
     kink_count,
     lz_probability,
     momentum_grid,
@@ -16,31 +15,6 @@ from xyquench import (
 
 
 # ------------------------------------------------------------------ schedule
-
-def test_field_at_examples():
-    assert field_at(-7.0, 7.0) == 1.0
-    assert field_at(0.0, 3.0) == 0.0
-    assert field_at(-2.5, 5.0) == 0.5
-
-
-def test_field_at_rejects_positive_time():
-    with pytest.raises(ValueError):
-        field_at(0.1, 1.0)
-
-
-def test_field_at_rejects_bad_tau():
-    with pytest.raises(ValueError):
-        field_at(-1.0, 0.0)
-
-
-def test_field_exactly_linear():
-    rng = np.random.default_rng(41)
-    t1 = -rng.uniform(0.0, 10.0, 1000)
-    t2 = -rng.uniform(0.0, 10.0, 1000)
-    lhs = field_at(t1, 2.0) + field_at(t2, 2.0)
-    rhs = 2.0 * field_at((t1 + t2) / 2.0, 2.0)
-    assert np.allclose(lhs, rhs, rtol=1e-15, atol=1e-15)
-
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
@@ -54,7 +28,7 @@ def test_schedule_validation():
 def test_schedule_from_field():
     s = QuenchSchedule.from_field(4.0, b_start=5.0)
     assert s.t_start == -20.0
-    assert field_at(s.t_start, s.tau_q) == 5.0
+    assert -s.t_start / s.tau_q == 5.0  # B(t_start) = b_start
 
 
 # ------------------------------------------------------------ lz_probability

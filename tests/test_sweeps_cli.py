@@ -9,7 +9,6 @@ from xyquench.sweeps import (
     InvariantViolation,
     fig1_grid,
     fig2_grids,
-    map_indexed,
     noncontract_grid,
     oracle_report,
     quench_grids,
@@ -60,11 +59,6 @@ def test_validate_bounds_raises():
     with pytest.raises(InvariantViolation):
         validate_bounds(grid, {"gamma": (0.0, TWO_PI)})
     validate_bounds(SweepGrid(columns=("gamma",), rows=[(1.0,), (None,)]), {"gamma": (0.0, TWO_PI)})
-
-
-def test_map_indexed_threaded_order():
-    items = list(range(200))
-    assert map_indexed(lambda x: x * x, items, threads=4) == [x * x for x in items]
 
 
 # ------------------------------------------------------------------- fig grids
@@ -314,8 +308,3 @@ def test_mode_phase_matches_fig1_cells():
     for x, tq, a, g in grid.rows:
         assert g == pytest.approx(float(mode_phase(0.5, abs(x), 0.7)), rel=1e-14)
 
-
-def test_oracle_report_threads_do_not_change_bytes():
-    g1, f1 = oracle_report(seed=5, steps=1000, grid_size=3, spectrum_cases=2, threads=1)
-    g2, f2 = oracle_report(seed=5, steps=1000, grid_size=3, spectrum_cases=2, threads=3)
-    assert (f1, g1.csv_text()) == (f2, g2.csv_text())
