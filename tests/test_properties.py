@@ -36,7 +36,7 @@ def test_cells_match_scalar_api_and_mask_exactly_the_raises(k, b, alpha):
     gapped = []
     for bi, g, d in zip(b, gcells, dcells):
         try:
-            mode_phase(k, bi, alpha)
+            gamma = mode_phase(k, bi, alpha)
         except DegeneratePointError:
             assert g is None and d is None
             with pytest.raises(DegeneratePointError):
@@ -44,11 +44,12 @@ def test_cells_match_scalar_api_and_mask_exactly_the_raises(k, b, alpha):
             gapped.append(False)
         else:
             assert g is not None and d is not None
+            # a scalar call gives the same bits as its cell
+            assert float(gamma) == g
+            assert dphase_db(k, -bi, 1.0, alpha) == d
             gapped.append(True)
     gapped = np.array(gapped)
     if gapped.any():
-        # compare array paths: numpy's vectorised power can differ from its
-        # scalar power in the last bit, which is no fault of the kernel
         kept = b[gapped]
         assert np.array_equal(mode_phase(k, kept, alpha), [g for g in gcells if g is not None])
         assert np.array_equal(dphase_db(k, -kept, 1.0, alpha), [d for d in dcells if d is not None])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from xyquench import (
     lz_probability,
     momentum_grid,
 )
+from xyquench.quench import _quat_mul
 
 
 # ------------------------------------------------------------------ schedule
@@ -157,3 +159,75 @@ def test_evolve_float_and_full_output_agree():
     p = evolve_mode(math.pi / 30, 1.0, sched)
     res = evolve_mode(math.pi / 30, 1.0, sched, full_output=True)
     assert p == res.probability
+
+
+# ------------------------------------------------- evolve_mode vs. step loop
+
+def _reference_evolve(k, alpha, schedule):
+    """The per-step midpoint loop that evolve_mode replaced: (probability, n_steps)."""
+    c0, s = math.cos(k), alpha * math.sin(k)
+    b_start = -schedule.t_start / schedule.tau_q
+    b_end = -schedule.t_end / schedule.tau_q
+    h_max = 2.0 * math.hypot(abs(c0) + max(b_start, b_end), s)
+    span = schedule.t_end - schedule.t_start
+    n = int(math.ceil(span / (0.05 / h_max)))
+    dt = span / n
+
+    def eigenvector(b, excited):
+        h = np.array([[-2.0 * (c0 - b), 2.0 * s], [2.0 * s, 2.0 * (c0 - b)]])
+        return np.linalg.eigh(h)[1][:, 1 if excited else 0].astype(complex)
+
+    psi0, psi1 = eigenvector(b_start, excited=False)
+    cx = 2.0 * s
+    for i in range(n):
+        cz = -2.0 * (c0 - (-(schedule.t_start + (i + 0.5) * dt)) / schedule.tau_q)
+        lam = math.hypot(cz, cx)
+        ca, sa = math.cos(lam * dt), math.sin(lam * dt)
+        nz, nx = (cz / lam, cx / lam) if lam > 0.0 else (0.0, 0.0)
+        a0, a1 = psi0, psi1
+        psi0 = ca * a0 - 1j * sa * (nz * a0 + nx * a1)
+        psi1 = ca * a1 - 1j * sa * (nx * a0 - nz * a1)
+    e = eigenvector(b_end, excited=True)
+    return abs(np.vdot(e, [psi0, psi1])) ** 2, n
+
+
+@pytest.mark.parametrize("k", [math.pi / 100, math.pi / 50, math.pi / 4])
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+@pytest.mark.parametrize("tau_q", [1.0, 10.0, 100.0])
+def test_evolve_matches_per_step_loop(k, alpha, tau_q):
+    sched = QuenchSchedule.from_field(tau_q)
+    res = evolve_mode(k, alpha, sched, full_output=True)
+    p_ref, n_ref = _reference_evolve(k, alpha, sched)
+    assert res.n_steps == n_ref
+    assert abs(res.probability - p_ref) <= 1e-12
+
+
+def _su2_matrix(q):
+    w, x, y, z = q
+    return np.array([[w - 1j * z, -y - 1j * x], [y - 1j * x, w + 1j * z]])
+
+
+def test_quaternion_product_is_matrix_product():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        # two midpoint steps exp(-i a (nx X + nz Z)) and one general SU(2) element
+        steps = []
+        for _ in range(2):
+            a, phi = rng.uniform(0.0, 0.1), rng.uniform(0.0, 2.0 * math.pi)
+            steps.append(np.array([math.cos(a), math.sin(a) * math.cos(phi), 0.0,
+                                   math.sin(a) * math.sin(phi)]))
+        v = rng.normal(size=4)
+        steps.append(v / np.linalg.norm(v))
+        for later, earlier in ((steps[1], steps[0]), (steps[2], steps[1])):
+            prod = _su2_matrix(_quat_mul(later, earlier))
+            assert np.max(np.abs(prod - _su2_matrix(later) @ _su2_matrix(earlier))) <= 1e-15
+
+
+def test_evolve_memory_does_not_grow_with_tau_q():
+    tracemalloc.start()
+    try:
+        evolve_mode(math.pi / 100, 1.0, QuenchSchedule.from_field(1000.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6  # bytes; the per-step loop peaked at 211 MB
