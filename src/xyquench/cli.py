@@ -202,7 +202,7 @@ def _run_fig1(o) -> int:
     )
     sweeps.validate_bounds(grid, {"gamma_k": (0.0, TWO_PI)})
     grid.write_csv(o["out"])
-    print(f"wrote {o['out']} ({len(grid.rows)} rows)")
+    print(f"wrote {o['out']} ({len(grid)} rows)")
     return 0
 
 
@@ -222,8 +222,8 @@ def _run_fig2(o) -> int:
     p_path, d_path = _fig2_paths(o["out"])
     phase.write_csv(p_path)
     deriv.write_csv(d_path)
-    print(f"wrote {p_path} ({len(phase.rows)} rows)")
-    print(f"wrote {d_path} ({len(deriv.rows)} rows)")
+    print(f"wrote {p_path} ({len(phase)} rows)")
+    print(f"wrote {d_path} ({len(deriv)} rows)")
     return 0
 
 
@@ -235,10 +235,10 @@ def _run_quench(o) -> int:
     )
     sweeps.validate_bounds(modes, {"p_k": (0.0, 1.0)})
     modes.write_csv(o["out"])
-    print(f"wrote {o['out']} ({len(modes.rows)} rows)")
+    print(f"wrote {o['out']} ({len(modes)} rows)")
     if o["summary"]:
         summary.write_csv(o["summary"])
-        print(f"wrote {o['summary']} ({len(summary.rows)} rows)")
+        print(f"wrote {o['summary']} ({len(summary)} rows)")
     spec = ChainSpec(n_sites=o["nsites"], alpha=o["alpha"])
     k0 = float(momentum_grid(spec)[0])
     for tau_q in o["tauq"]:
@@ -262,7 +262,7 @@ def _run_rg(o) -> int:
     initials = _parse_initial(o["initial"])
     grid = sweeps.rg_grid(initials, l_max=o["lmax"], dl=o["dl"], alpha_cap=o["alpha_cap"])
     grid.write_csv(o["out"])
-    print(f"wrote {o['out']} ({len(grid.rows)} rows)")
+    print(f"wrote {o['out']} ({len(grid)} rows)")
     if o["classify"]:
         for a0, k0 in initials:
             if k0 > 0.5 and a0 <= 0.0:
@@ -281,7 +281,7 @@ def _run_noncontract(o) -> int:
     grid = sweeps.noncontract_grid(field=o["field"], alphas=o["alpha"], sizes=o["nsites"])
     sweeps.validate_bounds(grid, {"gamma_g_over_m": (0.0, TWO_PI)})
     grid.write_csv(o["out"])
-    print(f"wrote {o['out']} ({len(grid.rows)} rows)")
+    print(f"wrote {o['out']} ({len(grid)} rows)")
     return 0
 
 
@@ -292,11 +292,15 @@ def _run_oracle(o) -> int:
         spectrum_tol=o["spectrum_tol"], spectrum_cases=o["spectrum_cases"],
     )
     grid.write_csv(o["out"])
-    print(f"wrote {o['out']} ({len(grid.rows)} rows)")
+    print(f"wrote {o['out']} ({len(grid)} rows)")
     if failures:
-        for row in grid.rows:
-            if row[-1] in ("fail", "degenerate"):
-                print(f"FAIL {row[0]}: |diff|={row[8]!r} tol={row[9]!r}", file=sys.stderr)
+        # each family's tolerance as given: a float tol column would print an int one as 1.0
+        tols = {"mode": o["mode_tol"], "loop": o["loop_tol"], "spectrum": o["spectrum_tol"]}
+        cols = (grid.columns[c].tolist() for c in ("case", "abs_diff", "status"))
+        for case, diff, status in zip(*cols):
+            if status in ("fail", "degenerate"):
+                tol = tols[case.split("_")[0]]
+                print(f"FAIL {case}: |diff|={diff!r} tol={tol!r}", file=sys.stderr)
         print(f"oracle: {failures} case(s) breached tolerance", file=sys.stderr)
         return 1
     print("oracle: all cases within tolerance")

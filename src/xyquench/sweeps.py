@@ -1,10 +1,13 @@
 """Deterministic sweep grids and their CSV serialization.
 
-Cells are plain values (float/int/str/bool) or None for points where the
-quantity is genuinely undefined (gapless cells stay empty rather than
-interpolated).  Floats print with 17 significant digits so that parsing
-the emitted text recovers them exactly, and identical inputs give
-byte-identical files.
+A grid is an ordered dict of named numpy columns of equal length.  Cells
+where the quantity is genuinely undefined are masked with numpy.ma
+(gapless points stay empty rather than interpolated, as do modes that
+were not evolved and oracle fields that do not apply to a row).  Each
+column is formatted once, by its dtype: floats with 17 significant
+digits so that parsing the text recovers them exactly, ints and strings
+with str, bools as true/false, masked cells as "".  Identical inputs
+give byte-identical files.
 """
 
 from __future__ import annotations
@@ -22,99 +25,66 @@ from .rgflow import rg_flow, RGState
 
 TWO_PI = 2.0 * math.pi
 
+# cell text by dtype kind; anything else (ints, strings) prints with str
+_FORMATS = {"f": "{:.17g}".format, "b": lambda v: "true" if v else "false"}
+
 
 class InvariantViolation(RuntimeError):
     """An emitted value broke a hard output invariant; the run must abort."""
 
 
-def _format_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.17g}"
-    return str(v)
+def _column_text(col) -> list:
+    fmt = _FORMATS.get(col.dtype.kind, str)
+    return ["" if v is None else fmt(v) for v in col.tolist()]  # masked cells list as None
 
 
-def _parse_cell(text: str):
-    if text == "":
-        return None
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-@dataclass
+@dataclass(eq=False)
 class SweepGrid:
-    """Rectangular table of scalar results destined for CSV."""
+    """Named 1-d columns of equal length, in CSV order; masked cells are undefined."""
 
-    columns: tuple
-    rows: list
+    columns: dict
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+    @property
+    def rows(self) -> list:
+        """Row tuples, None where a cell is masked (a derived view; not stored)."""
+        return list(zip(*(col.tolist() for col in self.columns.values())))
 
     def csv_text(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(_format_cell(v) for v in row))
-        return "\n".join(lines) + "\n"
+        cells = zip(*(_column_text(col) for col in self.columns.values()))
+        return "\n".join([",".join(self.columns), *map(",".join, cells)]) + "\n"
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="ascii", newline="") as fh:
             fh.write(self.csv_text())
 
-    @classmethod
-    def parse_csv(cls, text: str) -> "SweepGrid":
-        lines = [ln for ln in text.split("\n") if ln != ""]
-        header = tuple(lines[0].split(","))
-        rows = [tuple(_parse_cell(c) for c in ln.split(",")) for ln in lines[1:]]
-        return cls(columns=header, rows=rows)
-
-    @classmethod
-    def read_csv(cls, path) -> "SweepGrid":
-        with open(path, "r", encoding="ascii", newline="") as fh:
-            return cls.parse_csv(fh.read())
-
 
 def validate_bounds(grid: SweepGrid, bounds: dict) -> None:
-    """Abort if any emitted value leaves its allowed interval (None cells skipped)."""
+    """Abort if an emitted value is NaN or leaves its allowed interval; masked cells are skipped."""
     for col, (lo, hi) in bounds.items():
-        j = grid.columns.index(col)
-        for i, row in enumerate(grid.rows):
-            v = row[j]
-            if v is None:
-                continue
-            if not (lo <= v <= hi) or v != v:
-                raise InvariantViolation(
-                    f"column {col!r} row {i}: value {v!r} outside [{lo}, {hi}]"
-                )
+        values = grid.columns[col]
+        data = np.ma.getdata(values)
+        bad = ~((lo <= data) & (data <= hi)) & ~np.ma.getmaskarray(values)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise InvariantViolation(
+                f"column {col!r} row {i}: value {data[i].item()!r} outside [{lo}, {hi}]"
+            )
 
 
-def _gamma_cells(k: float, b_values: np.ndarray, alpha: float):
-    """Gamma_k over a field array; exact gapless points become None."""
+def _gamma_cells(k: float, b_values: np.ndarray, alpha):
+    """Gamma_k over a field array (broadcast against alpha); gapless points masked."""
     c, _, lam, gapped = gap_kernel(k, b_values, alpha)
     with np.errstate(invalid="ignore"):
-        return _masked(np.pi * (1.0 - c / lam), gapped)
+        return np.ma.masked_array(np.pi * (1.0 - c / lam), mask=~gapped)
 
 
-def _deriv_cells(k: float, b_values: np.ndarray, alpha: float):
-    """d(Gamma_k)/dB over a field array; exact gapless points become None."""
+def _deriv_cells(k: float, b_values: np.ndarray, alpha):
+    """d(Gamma_k)/dB over a field array (broadcast against alpha); gapless points masked."""
     _, s, lam, gapped = gap_kernel(k, b_values, alpha)
-    return _masked(phase_slope(s, lam), gapped)
-
-
-def _masked(values: np.ndarray, gapped: np.ndarray) -> list:
-    return [float(v) if good else None for v, good in zip(values, gapped)]
+    return np.ma.masked_array(phase_slope(s, lam), mask=~gapped)
 
 
 def _time_axis(tmin: float, tmax: float, samples: int) -> np.ndarray:
@@ -128,16 +98,18 @@ def _time_axis(tmin: float, tmax: float, samples: int) -> np.ndarray:
 def fig1_grid(k, alphas, tau_qs, tmin=-3.0, tmax=0.0, samples=600) -> SweepGrid:
     """Gamma_k(t) series over t/tau_q for each anisotropy and quench time."""
     x = _time_axis(tmin, tmax, samples)
-    b = np.abs(x)
-    rows = []
-    for alpha in alphas:
-        cells = _gamma_cells(k, b, alpha)
-        for tau_q in tau_qs:
-            if not tau_q > 0.0:
-                raise ValueError(f"tau_q must be > 0, got {tau_q}")
-            for xi, gi in zip(x, cells):
-                rows.append((float(xi), float(tau_q), float(alpha), gi))
-    return SweepGrid(columns=("t_over_tauq", "tau_q", "alpha", "gamma_k"), rows=rows)
+    for tau_q in tau_qs:
+        if not tau_q > 0.0:
+            raise ValueError(f"tau_q must be > 0, got {tau_q}")
+    a = np.asarray(alphas, dtype=float)
+    taus = np.asarray(tau_qs, dtype=float)
+    gamma = _gamma_cells(k, np.abs(x), a[:, None])  # (alpha, t)
+    return SweepGrid({
+        "t_over_tauq": np.tile(x, a.size * taus.size),
+        "tau_q": np.tile(np.repeat(taus, x.size), a.size),
+        "alpha": np.repeat(a, taus.size * x.size),
+        "gamma_k": gamma.repeat(taus.size, axis=0).ravel(),
+    })
 
 
 def fig2_grids(
@@ -163,18 +135,13 @@ def fig2_grids(
     if not 0.0 <= alpha_min < alpha_max:
         raise ValueError(f"need 0 <= alpha_min < alpha_max, got [{alpha_min}, {alpha_max}]")
     x = _time_axis(tmin, tmax, samples)
-    b = np.abs(x)
     alphas = np.linspace(alpha_min, alpha_max, alpha_samples)
-    phase_rows = []
-    deriv_rows = []
-    for alpha in alphas:
-        gcells = _gamma_cells(k, b, float(alpha))
-        dcells = _deriv_cells(k, b, float(alpha))
-        for xi, gi, di in zip(x, gcells, dcells):
-            phase_rows.append((float(alpha), float(xi), gi))
-            deriv_rows.append((float(alpha), float(xi), di))
-    cols = ("alpha", "t_over_tauq", "value")
-    return SweepGrid(columns=cols, rows=phase_rows), SweepGrid(columns=cols, rows=deriv_rows)
+    axes = {"alpha": np.repeat(alphas, x.size), "t_over_tauq": np.tile(x, alphas.size)}
+    b, a = np.abs(x), alphas[:, None]  # one (alpha, t) broadcast per surface
+    return (
+        SweepGrid({**axes, "value": _gamma_cells(k, b, a).ravel()}),
+        SweepGrid({**axes, "value": _deriv_cells(k, b, a).ravel()}),
+    )
 
 
 def quench_grids(
@@ -196,45 +163,57 @@ def quench_grids(
     spec = ChainSpec(n_sites=n_sites, alpha=alpha)
     k_pos = momentum_grid(spec)
     k_all = np.concatenate((-k_pos[::-1], k_pos))
-    mode_rows = []
-    summary_rows = []
+    n_evolved = min(max(0, int(evolve_modes)), k_pos.size)
+    reps, evolved = [], []
     for tau_q in tau_qs:
-        rep = kink_count(spec, tau_q, safety_factor=safety_factor)
-        p_all = [rep.per_mode_p[float(k)] for k in k_all]
-        evolved = {}
+        reps.append(kink_count(spec, tau_q, safety_factor=safety_factor))
         if evolve:
             schedule = QuenchSchedule.from_field(tau_q, b_start)
-            for kk in k_pos[: max(0, int(evolve_modes))]:
-                evolved[float(kk)] = evolve_mode(float(kk), alpha, schedule, dt=dt)
-        for k, p in zip(k_all, p_all):
-            row = (float(tau_q), float(k), float(p))
-            mode_rows.append(row + (evolved.get(abs(float(k))),) if evolve else row)
-        summary_rows.append(
-            (float(tau_q), rep.kink_count, rep.threshold, rep.safety_factor, rep.adiabatic)
-        )
-    mode_cols = ("tau_q", "k", "p_k") + (("p_evolved",) if evolve else ())
-    summary_cols = ("tau_q", "kink_count", "threshold", "safety_factor", "adiabatic")
-    return (
-        SweepGrid(columns=mode_cols, rows=mode_rows),
-        SweepGrid(columns=summary_cols, rows=summary_rows),
-    )
+            evolved.append([evolve_mode(float(kk), alpha, schedule, dt=dt)
+                            for kk in k_pos[:n_evolved]])
+    taus = np.asarray(tau_qs, dtype=float)
+    modes = {
+        "tau_q": np.repeat(taus, k_all.size),
+        "k": np.tile(k_all, taus.size),
+        "p_k": np.array([p for rep in reps for p in rep.per_mode_p.values()], dtype=float),
+    }
+    if evolve:
+        # one value per +/-k pair; the modes past evolve_modes stay masked
+        half = np.ma.masked_all((taus.size, k_pos.size))
+        half[:, :n_evolved] = np.reshape(evolved, (taus.size, n_evolved))
+        modes["p_evolved"] = np.ma.hstack((half[:, ::-1], half)).ravel()
+    summary = {
+        "tau_q": taus,
+        "kink_count": np.array([r.kink_count for r in reps], dtype=float),
+        "threshold": np.array([r.threshold for r in reps], dtype=float),
+        "safety_factor": np.array([r.safety_factor for r in reps], dtype=float),
+        "adiabatic": np.array([r.adiabatic for r in reps], dtype=bool),
+    }
+    return SweepGrid(modes), SweepGrid(summary)
 
 
 def rg_grid(initials, l_max=5.0, dl=1e-3, alpha_cap=1e3) -> SweepGrid:
     """One RK4 trajectory per initial (alpha, K), serialized row-per-step."""
-    rows = []
-    for idx, (alpha0, k0) in enumerate(initials):
-        traj = rg_flow(RGState(alpha=alpha0, K=k0), l_max=l_max, dl=dl, alpha_cap=alpha_cap)
-        for st in traj.states:
-            rows.append((idx, st.l, st.alpha, st.K, traj.status))
-    return SweepGrid(columns=("traj", "l", "alpha", "K", "status"), rows=rows)
+    trajs = [rg_flow(RGState(alpha=a0, K=k0), l_max=l_max, dl=dl, alpha_cap=alpha_cap)
+             for a0, k0 in initials]
+    steps = [len(t.states) for t in trajs]
+    states = [st for t in trajs for st in t.states]
+    return SweepGrid({
+        "traj": np.repeat(np.arange(len(trajs)), steps),
+        "l": np.array([st.l for st in states], dtype=float),
+        "alpha": np.array([st.alpha for st in states], dtype=float),
+        "K": np.array([st.K for st in states], dtype=float),
+        "status": np.repeat(np.array([t.status for t in trajs], dtype=str), steps),
+    })
 
 
 def noncontract_grid(field=0.5, alphas=(10.0, 1.0, 0.1, 0.01, 1e-3, 1e-4), sizes=(100, 1000, 10000)) -> SweepGrid:
-    rows = [
-        (a, n, g) for a, n, g in noncontractibility_scan(field, alphas, sizes)
-    ]
-    return SweepGrid(columns=("alpha", "n_sites", "gamma_g_over_m"), rows=rows)
+    rows = noncontractibility_scan(field, alphas, sizes)
+    return SweepGrid({
+        "alpha": np.repeat(np.asarray(alphas, dtype=float), len(sizes)),
+        "n_sites": np.tile(np.asarray([int(n) for n in sizes], dtype=int), len(alphas)),
+        "gamma_g_over_m": np.array([g for _, _, g in rows], dtype=float),
+    })
 
 
 _LOOP_CASES = ((4, 0.5, 0.0), (4, 1.0, 0.5), (6, 1.0, 0.5), (6, 0.8, 0.3))
@@ -269,45 +248,34 @@ def oracle_report(
     a_vals = rng.uniform(0.05, 2.0, int(grid_size))
     spec_draws = rng.uniform(0.0, 1.0, (int(spectrum_cases), 3))
 
-    rows = []
-    failures = 0
-
+    records = []
     mode_points = [(float(bv), float(av)) for bv in b_vals for av in a_vals]
     for i, (bv, av) in enumerate(mode_points):
         analytic = float(mode_phase(k, bv, av))
         numeric = mode_berry_numeric(k, bv, av, steps=steps)
         diff = abs(analytic - numeric)
-        ok = diff <= mode_tol
-        failures += 0 if ok else 1
-        rows.append(
-            (f"mode_{i:04d}", None, float(k), av, bv, None, analytic, numeric, diff,
-             mode_tol, "ok" if ok else "fail")
-        )
+        records.append(dict(
+            case=f"mode_{i:04d}", k=float(k), alpha=av, field=bv, analytic=analytic,
+            numeric=numeric, abs_diff=diff, tol=mode_tol,
+            status="ok" if diff <= mode_tol else "fail",
+        ))
 
     loop_cases = [c for c in _LOOP_CASES if c[0] in set(int(n) for n in nsites)]
     for i, (n, av, bv) in enumerate(loop_cases):
-        spec = ChainSpec(n_sites=n, alpha=av)
-        analytic = total_phase(spec, bv) % TWO_PI
+        analytic = total_phase(ChainSpec(n_sites=n, alpha=av), bv) % TWO_PI
         res = berry_phase_loop(n, av, bv, steps=steps)
-        if res.degenerate:
-            rows.append(
-                (f"loop_{i:02d}", n, None, av, bv, None, analytic, None, None,
-                 loop_tol, "degenerate")
-            )
-            failures += 1
-            continue
-        diff = _circular_diff(analytic, res.phase)
-        if res.parity < 0.0:
-            status = "odd_sector"
-        elif diff <= loop_tol and res.valid:
-            status = "ok"
-        else:
-            status = "fail"
-            failures += 1
-        rows.append(
-            (f"loop_{i:02d}", n, None, av, bv, None, analytic, res.phase, diff,
-             loop_tol, status)
-        )
+        row = dict(case=f"loop_{i:02d}", n_sites=n, alpha=av, field=bv, analytic=analytic,
+                   tol=loop_tol, status="degenerate")
+        if not res.degenerate:
+            diff = _circular_diff(analytic, res.phase)
+            if res.parity < 0.0:
+                status = "odd_sector"
+            elif diff <= loop_tol and res.valid:
+                status = "ok"
+            else:
+                status = "fail"
+            row.update(numeric=res.phase, abs_diff=diff, status=status)
+        records.append(row)
 
     for i in range(int(spectrum_cases)):
         av = 1.5 * spec_draws[i, 0]
@@ -316,16 +284,17 @@ def oracle_report(
         w0 = np.linalg.eigvalsh(build_hamiltonian(6, av, bv, 0.0))
         w1 = np.linalg.eigvalsh(build_hamiltonian(6, av, bv, phi))
         drift = float(np.max(np.abs(w1 - w0)))
-        ok = drift <= spectrum_tol
-        failures += 0 if ok else 1
-        rows.append(
-            (f"spectrum_{i:02d}", 6, None, av, bv, phi, 0.0, drift, drift,
-             spectrum_tol, "ok" if ok else "fail")
-        )
+        records.append(dict(
+            case=f"spectrum_{i:02d}", n_sites=6, alpha=av, field=bv, phi=phi, analytic=0.0,
+            numeric=drift, abs_diff=drift, tol=spectrum_tol,
+            status="ok" if drift <= spectrum_tol else "fail",
+        ))
 
-    grid = SweepGrid(
-        columns=("case", "n_sites", "k", "alpha", "field", "phi", "analytic",
-                 "numeric", "abs_diff", "tol", "status"),
-        rows=rows,
-    )
-    return grid, failures
+    # a field that does not apply to a row is masked there
+    grid = SweepGrid({
+        name: np.ma.masked_array([r.get(name, 0) for r in records],
+                                 mask=[name not in r for r in records])
+        for name in ("case", "n_sites", "k", "alpha", "field", "phi", "analytic",
+                     "numeric", "abs_diff", "tol", "status")
+    })
+    return grid, sum(r["status"] in ("fail", "degenerate") for r in records)

@@ -4,6 +4,8 @@ Criteria 1 and 8 are split into their two sub-claims.  Two sub-claims
 (1b and 8b) pin aspirational bounds that the exact closed forms do not
 meet at the stated parameters; they are implemented faithfully and left
 red as documentation of the discrepancy rather than loosened to pass.
+Time bounds count the CPU time of this process (time.process_time), so
+other load on the host cannot fail them.
 """
 
 import math
@@ -45,9 +47,9 @@ def _circ_diff(a: float, b: float) -> float:
 
 def test_criterion_01a_xx_step_bracketed_in_one_cell():
     k = math.pi / 100
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     grid = fig1_grid(k=k, alphas=[0.5, 0.0], tau_qs=[1.0, 2.0, 5.0, 10.0], samples=600)
-    elapsed = time.perf_counter() - t0
+    elapsed = time.process_time() - t0
     series = [(x, g) for x, tq, a, g in grid.rows if a == 0.0 and tq == 1.0]
     vals = [g for _, g in series]
     jumps = [i for i in range(len(vals) - 1) if vals[i] != vals[i + 1]]
@@ -60,7 +62,7 @@ def test_criterion_01a_xx_step_bracketed_in_one_cell():
         "1a",
         ok,
         f"alpha=0 step 0->2pi bracketed in [{b_lo:.5f}, {b_hi:.5f}] around cos k = "
-        f"{math.cos(k):.5f}; sweep took {elapsed:.3f} s",
+        f"{math.cos(k):.5f}; sweep took {elapsed:.3f} s CPU",
     )
     assert ok
 
@@ -118,7 +120,7 @@ def test_criterion_02_derivative_ridge_and_divergence():
 def test_criterion_03_derivative_matches_finite_difference():
     rng = np.random.default_rng(1003)
     h = 1e-6
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     worst = 0.0
     n_checked = 0
     while n_checked < 10000:
@@ -136,19 +138,19 @@ def test_criterion_03_derivative_matches_finite_difference():
         rel = np.abs(fd - analytic) / np.abs(analytic)
         worst = max(worst, float(rel.max()))
         n_checked += int(k.size)
-    elapsed = time.perf_counter() - t0
+    elapsed = time.process_time() - t0
     ok = worst < 1e-5 and elapsed < 1.0
     _report(
         "3",
         ok,
         f"worst relative error {worst:.2e} over 10^4 gapped points (bound 1e-5); "
-        f"{elapsed:.3f} s",
+        f"{elapsed:.3f} s CPU",
     )
     assert ok
 
 
 def test_criterion_04_oracle_equivalence():
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     rng = np.random.default_rng(1004)
     k = math.pi / 2
     b_vals = rng.uniform(-1.5, 1.5, 20)
@@ -163,14 +165,14 @@ def test_criterion_04_oracle_equivalence():
         res = berry_phase_loop(n, av, bv, steps=10000)
         analytic = total_phase(ChainSpec(n, av), bv) % TWO_PI
         loop_results.append((n, res.valid, res.parity, _circ_diff(res.phase, analytic)))
-    elapsed = time.perf_counter() - t0
+    elapsed = time.process_time() - t0
     modes_ok = worst_mode < 1e-4
     loops_ok = all(valid and parity > 0 and d < 1e-3 for _, valid, parity, d in loop_results)
     ok = modes_ok and loops_ok and elapsed < 120.0
     detail = (
         f"mode grid worst |diff| = {worst_mode:.2e} (bound 1e-4); many-body "
         + ", ".join(f"N={n}: |diff mod 2pi| = {d:.2e}" for n, _, _, d in loop_results)
-        + f" (bound 1e-3); {elapsed:.1f} s"
+        + f" (bound 1e-3); {elapsed:.1f} s CPU"
     )
     _report("4", ok, detail)
     assert ok
@@ -194,7 +196,7 @@ def test_criterion_05_spectrum_invariance():
 
 
 def test_criterion_06_landau_zener_oracle():
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     cases = []
     for k in (math.pi / 100, math.pi / 50):
         for tau_q in (1.0, 10.0, 100.0):
@@ -211,13 +213,13 @@ def test_criterion_06_landau_zener_oracle():
     mono_k = all(
         np.all(np.diff(lz_probability(ks, t)) <= 0.0) for t in taus
     )
-    elapsed = time.perf_counter() - t0
+    elapsed = time.process_time() - t0
     ok = worst < 0.10 and mono_tau and mono_k and elapsed < 60.0
     _report(
         "6",
         ok,
         f"worst relative deviation from exp(-2 pi tau_q k^2) = {worst:.3%} (bound 10%); "
-        f"monotonicity in tau_q and k holds exactly; {elapsed:.1f} s",
+        f"monotonicity in tau_q and k holds exactly; {elapsed:.1f} s CPU",
     )
     assert ok
 

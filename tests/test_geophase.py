@@ -228,7 +228,7 @@ def test_dphase_tiny_gap_does_not_underflow():
     # at B = cos k = 1 the gap is alpha sin k = 1e-110, whose cube underflows
     assert dphase_db(1e-110, -1.0, 1.0, 1.0) == pytest.approx(math.pi * 1e110, rel=1e-14)
     assert dphase_db(2.2e-309, -1.0, 1.0, 1.0) == math.inf  # pi / 2.2e-309 overflows
-    cells = _deriv_cells(1e-110, np.array([1.0, 0.0]), 1.0)
+    cells = _deriv_cells(1e-110, np.array([1.0, 0.0]), 1.0).tolist()
     assert cells[0] == pytest.approx(math.pi * 1e110, rel=1e-14)
 
 

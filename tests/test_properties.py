@@ -31,8 +31,8 @@ field_lists = st.lists(st.one_of(fields, st.just(1.0), st.just(-1.0)), min_size=
 @given(k=momenta, b=field_lists, alpha=st.one_of(st.just(0.0), anisotropies))
 def test_cells_match_scalar_api_and_mask_exactly_the_raises(k, b, alpha):
     b = np.array(b + [math.cos(k)])
-    gcells = _gamma_cells(k, b, alpha)
-    dcells = _deriv_cells(k, b, alpha)
+    gcells = _gamma_cells(k, b, alpha).tolist()
+    dcells = _deriv_cells(k, b, alpha).tolist()
     gapped = []
     for bi, g, d in zip(b, gcells, dcells):
         try:
