@@ -10,6 +10,17 @@ a -(alpha/2) sin 2phi cross term on (sx sy + sy sx), and the field B sz.
 H(phi) is pi-periodic and isospectral in phi.  Geometric phases come from
 the gauge-invariant product of consecutive ground-state overlaps around
 the closed phi in [0, pi) loop, never from the analytic angle.
+
+H(phi) commutes with the translation T and with the parity prod_j sz_j
+at every phi, so the loop solves it in translation x parity sectors:
+each sector column is the discrete Fourier transform of one T-orbit of
+basis indices, labelled (popcount mod 2, momentum).  The four term
+matrices are projected into each sector once per loop; the phi steps are
+then walked in chunks whose size follows the byte budget _CHUNK_BYTES,
+with one batched eigvalsh per sector and chunk for the levels.  At each
+step the sector holding the lowest level over all sectors is solved by
+ground_state, and its vector is embedded back into the full 2^N space,
+where it must pass the same residual check as a dense eigensolve.
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ MAX_SITES = 12  # dense eigensolves stay desk-scale below this
 _RESIDUAL_TOL = 1e-8
 _DEGENERACY_TOL = 1e-8
 _OVERLAP_RESOLVED = 1e-6
+_CHUNK_BYTES = 1 << 18  # working set of one chunk of loop steps; memory does not grow with steps
 
 
 @dataclass(frozen=True)
@@ -75,15 +87,54 @@ def _term_matrices(n_sites: int):
     return xx, yy, xy, z
 
 
-def _assemble(xx, yy, xy, z, alpha: float, B: float, phi: float) -> np.ndarray:
+def _weights(alpha: float, B: float, phi: float) -> tuple:
+    """(wx, wy, wxy, wz) with H(phi) = wx xx + wy yy - wxy xy + wz z."""
     c2 = math.cos(2.0 * phi)
     s2 = math.sin(2.0 * phi)
-    return (
-        0.5 * (1.0 + alpha * c2) * xx
-        + 0.5 * (1.0 - alpha * c2) * yy
-        - 0.5 * alpha * s2 * xy
-        + B * z
-    )
+    return 0.5 * (1.0 + alpha * c2), 0.5 * (1.0 - alpha * c2), 0.5 * alpha * s2, B
+
+
+def _assemble(xx, yy, xy, z, alpha: float, B: float, phi: float) -> np.ndarray:
+    wx, wy, wxy, wz = _weights(alpha, B, phi)
+    return wx * xx + wy * yy - wxy * xy + wz * z
+
+
+def _sectors(terms, n_sites: int) -> list:
+    """The term matrices projected into each translation x parity sector.
+
+    Returns (rows, cols, amps, blocks) per non-empty sector: the sector's
+    isometry V has V[rows, cols] = amps and is zero elsewhere, and
+    blocks[t] = V^dagger terms[t] V.  Column c is the discrete Fourier
+    transform (1/sqrt L) sum_s exp(-2 pi i m s / N) |T^s r> over the T-orbit
+    of length L of a representative r; it exists when m L = 0 mod N and
+    belongs to sector (popcount(r) mod 2, m).  Every basis index lies in
+    one orbit, so within a sector `rows` holds no index twice.
+    """
+    dim = 2**n_sites
+    orbit = [np.arange(dim)]  # orbit[s][i] = T^s i, T rotating the sites by one
+    for _ in range(n_sites - 1):
+        prev = orbit[-1]
+        orbit.append((prev >> 1) | ((prev & 1) << (n_sites - 1)))
+    orbit = np.array(orbit)
+    columns = {}
+    for r in np.flatnonzero(orbit.min(axis=0) == orbit[0]):
+        back = np.flatnonzero(orbit[1:, r] == r)
+        length = int(back[0]) + 1 if back.size else n_sites
+        shifts = np.arange(length)
+        for m in range(0, n_sites, n_sites // length):
+            amps = np.exp(-2j * math.pi * m * shifts / n_sites) / math.sqrt(length)
+            columns.setdefault((bin(int(r)).count("1") % 2, m), []).append(
+                (orbit[:length, r], amps))
+    sectors = []
+    for key in sorted(columns):
+        cols = columns[key]
+        v = np.zeros((dim, len(cols)), dtype=complex)
+        for c, (rows, amps) in enumerate(cols):
+            v[rows, c] = amps
+        rows, cols = np.nonzero(v)
+        blocks = np.array([v.conj().T @ t @ v for t in terms])
+        sectors.append((rows, cols, v[rows, cols], blocks))
+    return sectors
 
 
 def build_hamiltonian(n_sites: int, alpha: float, B: float, phi: float = 0.0) -> np.ndarray:
@@ -95,6 +146,13 @@ def build_hamiltonian(n_sites: int, alpha: float, B: float, phi: float = 0.0) ->
     return _assemble(*_term_matrices(n_sites), alpha, B, phi)
 
 
+def _residual_error(residual: float, scale: float) -> ArithmeticError:
+    return ArithmeticError(
+        f"eigensolve residual {residual:g} exceeds {_RESIDUAL_TOL:g} * |H| = "
+        f"{_RESIDUAL_TOL * scale:g}"
+    )
+
+
 def ground_state(h: np.ndarray) -> GroundState:
     """Lowest eigenpair of a dense Hermitian matrix, with residual and gap checks."""
     w, v = np.linalg.eigh(h)
@@ -103,10 +161,7 @@ def ground_state(h: np.ndarray) -> GroundState:
     scale = float(max(abs(w[0]), abs(w[-1]), 1e-300))
     residual = float(np.linalg.norm(h @ vec - energy * vec))
     if residual > _RESIDUAL_TOL * scale:
-        raise ArithmeticError(
-            f"eigensolve residual {residual:g} exceeds {_RESIDUAL_TOL:g} * |H| = "
-            f"{_RESIDUAL_TOL * scale:g}"
-        )
+        raise _residual_error(residual, scale)
     gap = float(w[1] - w[0]) if w.size > 1 else math.inf
     return GroundState(
         energy=energy, vector=vec, gap=gap, degenerate=bool(gap < _DEGENERACY_TOL * scale)
@@ -152,6 +207,25 @@ class _DegenerateLoop(Exception):
     """A ground state on the loop is degenerate; its Berry phase is undefined."""
 
 
+def _sector_levels(sectors, coef: np.ndarray):
+    """Sector Hamiltonians at each row of `coef` and the levels that pick the ground state.
+
+    Returns (stacks, ground, gap, scale): stacks[s][i] = coef[i] @ blocks of
+    sector s, the sector holding the lowest level over all sectors, the
+    distance from that level to the second-lowest, and max(|E_min|,
+    |E_max|).  Exact ties between sectors go to the later one; such a row
+    is degenerate, and its vector only sets the reported parity.
+    """
+    stacks = [np.tensordot(coef, blocks, axes=1) for *_, blocks in sectors]
+    levels = [np.linalg.eigvalsh(h) for h in stacks]
+    lowest = np.stack([w[:, 0] for w in levels], axis=1)
+    ground = lowest.shape[1] - 1 - np.argmin(lowest[:, ::-1], axis=1)
+    two = np.sort(np.concatenate([w[:, :2] for w in levels], axis=1), axis=1)
+    top = np.max(np.stack([w[:, -1] for w in levels], axis=1), axis=1)
+    scale = np.maximum(np.maximum(np.abs(two[:, 0]), np.abs(top)), 1e-300)
+    return stacks, ground, two[:, 1] - two[:, 0], scale
+
+
 def berry_phase_loop(n_sites: int, alpha: float, B: float, steps: int = 10000) -> LoopResult:
     """Many-body Berry phase of the ground state around phi in [0, pi).
 
@@ -159,25 +233,68 @@ def berry_phase_loop(n_sites: int, alpha: float, B: float, steps: int = 10000) -
     sits in the even fermion-parity sector (parity +1); odd-sector ground
     states follow the integer momentum grid instead and are reported via
     the parity field rather than silently absorbed.  A degenerate ground
-    state anywhere on the loop invalidates the result.  The ground states
-    are streamed into holonomy_phase, so memory stays flat in `steps`.
+    state anywhere on the loop invalidates the result.
+
+    H(phi) is solved in its translation x parity sectors (see _sectors):
+    the term matrices are projected into each sector once, and the steps
+    are walked in chunks sized so that one chunk's arrays stay near
+    _CHUNK_BYTES.  One batched eigvalsh per sector and chunk gives the
+    levels: the gap is the second-lowest over all sectors minus the
+    lowest, with the same degeneracy test as ground_state.  Each step then
+    calls ground_state on the block of the sector holding the lowest level
+    and embeds its vector into the full space, where it must pass the
+    full-space residual check.  The ground states are streamed row by row
+    into holonomy_phase, so memory stays flat in `steps`.
     """
     if steps < 100:
         raise ValueError(f"need steps >= 100 for a resolved loop, got {steps}")
     if not 2 <= n_sites <= MAX_SITES:
         raise ValueError(f"n_sites must lie in [2, {MAX_SITES}], got {n_sites}")
     terms = _term_matrices(n_sites)
+    sectors = _sectors(terms, n_sites)
+    dim = 2**n_sites
+    # complex numbers per step: psi, H psi - E psi and one term's product in
+    # the full space, every sector's Hamiltonian, and one eigvalsh work copy
+    sizes = [blocks.shape[-1] for *_, blocks in sectors]
+    per_step = 3 * dim + sum(d * d for d in sizes) + max(sizes) ** 2
+    chunk = max(1, _CHUNK_BYTES // (16 * per_step))
     parity = 0.0
 
     def ground_states():
         nonlocal parity
-        for j in range(steps):
-            gs = ground_state(_assemble(*terms, alpha, B, j * math.pi / steps))
-            if j == 0 or gs.degenerate:
-                parity = state_parity(gs.vector)
-            if gs.degenerate:
+        for lo in range(0, steps, chunk):
+            # H(phi_j) = coef[j] @ terms: _weights gives the xy weight without its sign
+            coef = np.array([_weights(alpha, B, j * math.pi / steps)
+                             for j in range(lo, min(lo + chunk, steps))]) * (1.0, 1.0, -1.0, 1.0)
+            stacks, ground, gap, scale = _sector_levels(sectors, coef)
+            degenerate = gap < _DEGENERACY_TOL * scale
+            # a step-by-step walk stops at the first degenerate step
+            n = int(np.argmax(degenerate)) + 1 if degenerate.any() else coef.shape[0]
+            psi = np.zeros((n, dim), dtype=complex)
+            energy = np.empty(n)
+            for i in range(n):
+                # the ground sector's block goes through the one dense eigensolver
+                rows, cols, amps, _ = sectors[ground[i]]
+                gs = ground_state(stacks[ground[i]][i])
+                psi[i, rows] = gs.vector[cols] * amps
+                energy[i] = gs.energy
+            # full-space residual from the term matrices, without a dense H
+            r = psi * -energy[:, None]
+            for c, t in zip(coef[:n].T, terms):
+                t_psi = psi @ t.T
+                t_psi *= c[:n, None]
+                r += t_psi
+            residual = np.linalg.norm(r, axis=1)
+            if lo == 0:
+                parity = state_parity(psi[0])
+            failed = residual > _RESIDUAL_TOL * scale[:n]
+            if failed.any():
+                j = int(np.argmax(failed))
+                raise _residual_error(float(residual[j]), float(scale[j]))
+            if degenerate.any():
+                parity = state_parity(psi[-1])
                 raise _DegenerateLoop
-            yield gs.vector
+            yield from psi
 
     try:
         phase, ov_min = holonomy_phase(ground_states())

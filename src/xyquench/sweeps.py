@@ -241,8 +241,18 @@ def oracle_report(
     the chain phase sum modulo 2pi (odd-parity ground states are reported
     as odd_sector rows, not failures); spectrum invariance of the rotated
     Hamiltonian at N = 6.  All randomness is drawn once from the seed, so
-    a fixed seed gives a byte-identical report.
+    a fixed seed gives a byte-identical report.  `nsites` picks the loop
+    cases by size; a size with no loop case raises ValueError rather than
+    dropping the many-body family.
     """
+    sizes = {int(n) for n in nsites}
+    supported = sorted({c[0] for c in _LOOP_CASES})
+    unknown = sorted(sizes - set(supported))
+    if unknown:
+        raise ValueError(
+            f"no many-body loop case for nsites {', '.join(map(str, unknown))}; "
+            f"the supported sizes are {', '.join(map(str, supported))}"
+        )
     rng = np.random.default_rng(seed)
     b_vals = rng.uniform(-1.5, 1.5, int(grid_size))
     a_vals = rng.uniform(0.05, 2.0, int(grid_size))
@@ -260,7 +270,7 @@ def oracle_report(
             status="ok" if diff <= mode_tol else "fail",
         ))
 
-    loop_cases = [c for c in _LOOP_CASES if c[0] in set(int(n) for n in nsites)]
+    loop_cases = [c for c in _LOOP_CASES if c[0] in sizes]
     for i, (n, av, bv) in enumerate(loop_cases):
         analytic = total_phase(ChainSpec(n_sites=n, alpha=av), bv) % TWO_PI
         res = berry_phase_loop(n, av, bv, steps=steps)

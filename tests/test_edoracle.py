@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from xyquench import (
     ChainSpec,
     DegeneratePointError,
+    LoopResult,
     berry_phase_loop,
     build_hamiltonian,
     ground_state,
@@ -15,6 +17,7 @@ from xyquench import (
     state_parity,
     total_phase,
 )
+from xyquench.edoracle import _sectors, _term_matrices
 
 TWO_PI = 2.0 * math.pi
 
@@ -209,6 +212,95 @@ def test_loop_overlap_quality():
 def test_loop_rejects_coarse_discretization():
     with pytest.raises(ValueError):
         berry_phase_loop(4, 1.0, 0.5, steps=10)
+
+
+def _reference_loop(n, alpha, B, steps):
+    """The per-step loop the sector solve replaced: one dense eigh of H(phi) per step."""
+    parity = 0.0
+    states = []
+    for j in range(steps):
+        gs = ground_state(build_hamiltonian(n, alpha, B, j * math.pi / steps))
+        if j == 0 or gs.degenerate:
+            parity = state_parity(gs.vector)
+        if gs.degenerate:
+            return LoopResult(steps, math.nan, 0.0, False, True, False, parity)
+        states.append(gs.vector)
+    phase, ov_min = holonomy_phase(states)
+    under = ov_min < 1e-6
+    return LoopResult(steps, phase, ov_min, ov_min > 0.0 and not under, False, under, parity)
+
+
+@pytest.mark.parametrize("n,alpha,B,steps", [
+    (2, 0.3, 0.7, 200),
+    (3, 0.7, 0.4, 200),  # odd N: orbits of unequal length
+    (4, 0.5, 0.0, 400),
+    (5, 1.0, 0.3, 200),
+    (6, 1.0, 0.5, 400),
+    (6, 0.8, 0.3, 100),  # the smallest allowed steps
+    (8, 1.0, 0.5, 100),
+    (8, 0.35, 0.375, 100),  # odd-parity ground state
+    (4, 1.0, 0.0, 128),  # Ising point: even and odd sectors degenerate
+    (4, 0.0, 0.5, 200),  # XX: H(phi) does not depend on phi
+])
+def test_sector_loop_matches_dense_reference(n, alpha, B, steps):
+    got = berry_phase_loop(n, alpha, B, steps=steps)
+    ref = _reference_loop(n, alpha, B, steps)
+    assert got.phi_steps == ref.phi_steps
+    assert (got.valid, got.degenerate, got.under_resolved) == (
+        ref.valid, ref.degenerate, ref.under_resolved)
+    assert got.parity == pytest.approx(ref.parity, abs=1e-12)
+    assert abs(got.overlaps_min - ref.overlaps_min) <= 1e-12
+    if ref.degenerate:
+        assert math.isnan(got.phase)
+    else:
+        assert _circ_diff(got.phase, ref.phase) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_sector_bases_form_a_unitary_and_block_the_terms(n):
+    terms = _term_matrices(n)
+    sectors = _sectors(terms, n)
+    isometries = []
+    for rows, cols, amps, _ in sectors:
+        v = np.zeros((2**n, cols.max() + 1), dtype=complex)
+        v[rows, cols] = amps
+        isometries.append(v)
+    u = np.hstack(isometries)
+    assert u.shape == (2**n, 2**n)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(2**n))) < 1e-13
+    label = np.repeat(np.arange(len(sectors)), [v.shape[1] for v in isometries])
+    off_sector = label[:, None] != label[None, :]
+    for i, t in enumerate(terms):
+        rotated = u.conj().T @ t @ u
+        assert np.max(np.abs(rotated[off_sector]), initial=0.0) < 1e-13
+        for s, (*_, blocks) in enumerate(sectors):
+            on = label == s
+            assert np.max(np.abs(rotated[np.ix_(on, on)] - blocks[i])) < 1e-13
+
+
+def _loop_peak(*args):
+    tracemalloc.start()
+    try:
+        berry_phase_loop(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_loop_memory_does_not_grow_with_steps():
+    short = _loop_peak(6, 1.0, 0.5, 1000)
+    assert abs(_loop_peak(6, 1.0, 0.5, 20000) - short) <= 0.01 * short
+    assert short <= 2e6  # bytes; the per-step dense loop peaked at 0.59 MB
+    assert _loop_peak(8, 1.0, 0.5, 200) <= 8.4e6  # the per-step dense loop's peak
+
+
+@pytest.mark.parametrize("n,alpha,B", [(4, 1.0, 0.5), (6, 1.0, 0.5), (6, 0.8, 0.3)])
+def test_loop_second_order_convergence(n, alpha, B):
+    exact = total_phase(ChainSpec(n, alpha), B) % TWO_PI
+    errs = [_circ_diff(berry_phase_loop(n, alpha, B, steps=s).phase, exact)
+            for s in (250, 500, 1000)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 3.9 <= coarse / fine <= 4.1
 
 
 def test_holonomy_gauge_invariance():

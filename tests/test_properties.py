@@ -72,6 +72,8 @@ def test_phase_bounded_and_nondecreasing_in_field(k, B, alpha):
 @settings(max_examples=8, deadline=None)
 @given(n=st.sampled_from([2, 4]), alpha=st.floats(0.2, 1.5), B=st.floats(0.1, 1.5))
 def test_loop_equals_holonomy_of_explicit_ground_states(n, alpha, B):
+    # the loop solves the translation x parity sectors, so it agrees with the
+    # dense per-step ground states to rounding, not bit for bit
     steps = 100
     res = berry_phase_loop(n, alpha, B, steps=steps)
     assume(not res.degenerate)
@@ -79,4 +81,6 @@ def test_loop_equals_holonomy_of_explicit_ground_states(n, alpha, B):
         ground_state(build_hamiltonian(n, alpha, B, j * math.pi / steps)).vector
         for j in range(steps)
     ]
-    assert (res.phase, res.overlaps_min) == holonomy_phase(states)
+    phase, ov_min = holonomy_phase(states)
+    assert abs((res.phase - phase + math.pi) % TWO_PI - math.pi) <= 1e-12
+    assert abs(res.overlaps_min - ov_min) <= 1e-12

@@ -351,6 +351,24 @@ def test_cli_oracle_exit_codes(tmp_path):
     assert main(base + ["--mode-tol", "1e-12"]) == 1
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_oracle_refuses_nsites_without_loop_case(tmp_path, capsys, source):
+    # a size without a loop case must not silently drop the many-body family
+    out = tmp_path / "o.csv"
+    argv = ["oracle", "--out", str(out), "--steps", "1200", "--grid", "3",
+            "--spectrum-cases", "2"]
+    if source == "flag":
+        argv += ["--nsites", "8"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"oracle": {"nsites": [4, 8]}}))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "nsites 8" in err and "supported sizes are 4, 6" in err
+    assert not out.exists()
+
+
 def test_cli_config_file_flags_win(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"fig1": {"samples": 40, "tauq": [3.0]}}))
