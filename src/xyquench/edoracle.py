@@ -15,16 +15,19 @@ H(phi) commutes with the translation T and with the parity prod_j sz_j
 at every phi, so the loop solves it in translation x parity sectors:
 each sector column is the discrete Fourier transform of one T-orbit of
 basis indices, labelled (popcount mod 2, momentum).  The four term
-matrices are projected into each sector once per loop; the phi steps are
-then walked in chunks whose size follows the byte budget _CHUNK_BYTES,
-with one batched eigvalsh per sector and chunk for the levels.  At each
-step the sector holding the lowest level over all sectors is solved by
-ground_state, and its vector is embedded back into the full 2^N space,
-where it must pass the same residual check as a dense eigensolve.
+matrices are projected into each sector once per loop.  A T-orbit keeps
+its popcount, so U(phi) is one phase on each sector column and no sector
+level moves around the loop: one eigvalsh per sector at phi = 0 picks
+the ground sector and decides degeneracy.  Each phi step then solves only
+that sector's block with ground_state, checks that the ground energy
+stays at its phi = 0 value, and embeds the vector back into the full
+2^N space, where it must pass the same residual check as a dense
+eigensolve.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,7 +40,6 @@ MAX_SITES = 12  # dense eigensolves stay desk-scale below this
 _RESIDUAL_TOL = 1e-8
 _DEGENERACY_TOL = 1e-8
 _OVERLAP_RESOLVED = 1e-6
-_CHUNK_BYTES = 1 << 18  # working set of one chunk of loop steps; memory does not grow with steps
 
 
 @dataclass(frozen=True)
@@ -203,29 +205,6 @@ def holonomy_phase(states) -> tuple[float, float]:
     return float((-np.angle(prod)) % (2.0 * math.pi)), float(ov_min)
 
 
-class _DegenerateLoop(Exception):
-    """A ground state on the loop is degenerate; its Berry phase is undefined."""
-
-
-def _sector_levels(sectors, coef: np.ndarray):
-    """Sector Hamiltonians at each row of `coef` and the levels that pick the ground state.
-
-    Returns (stacks, ground, gap, scale): stacks[s][i] = coef[i] @ blocks of
-    sector s, the sector holding the lowest level over all sectors, the
-    distance from that level to the second-lowest, and max(|E_min|,
-    |E_max|).  Exact ties between sectors go to the later one; such a row
-    is degenerate, and its vector only sets the reported parity.
-    """
-    stacks = [np.tensordot(coef, blocks, axes=1) for *_, blocks in sectors]
-    levels = [np.linalg.eigvalsh(h) for h in stacks]
-    lowest = np.stack([w[:, 0] for w in levels], axis=1)
-    ground = lowest.shape[1] - 1 - np.argmin(lowest[:, ::-1], axis=1)
-    two = np.sort(np.concatenate([w[:, :2] for w in levels], axis=1), axis=1)
-    top = np.max(np.stack([w[:, -1] for w in levels], axis=1), axis=1)
-    scale = np.maximum(np.maximum(np.abs(two[:, 0]), np.abs(top)), 1e-300)
-    return stacks, ground, two[:, 1] - two[:, 0], scale
-
-
 def berry_phase_loop(n_sites: int, alpha: float, B: float, steps: int = 10000) -> LoopResult:
     """Many-body Berry phase of the ground state around phi in [0, pi).
 
@@ -233,18 +212,22 @@ def berry_phase_loop(n_sites: int, alpha: float, B: float, steps: int = 10000) -
     sits in the even fermion-parity sector (parity +1); odd-sector ground
     states follow the integer momentum grid instead and are reported via
     the parity field rather than silently absorbed.  A degenerate ground
-    state anywhere on the loop invalidates the result.
+    state invalidates the result.
 
-    H(phi) is solved in its translation x parity sectors (see _sectors):
-    the term matrices are projected into each sector once, and the steps
-    are walked in chunks sized so that one chunk's arrays stay near
-    _CHUNK_BYTES.  One batched eigvalsh per sector and chunk gives the
-    levels: the gap is the second-lowest over all sectors minus the
-    lowest, with the same degeneracy test as ground_state.  Each step then
-    calls ground_state on the block of the sector holding the lowest level
-    and embeds its vector into the full space, where it must pass the
-    full-space residual check.  The ground states are streamed row by row
-    into holonomy_phase, so memory stays flat in `steps`.
+    H(phi) is solved in its translation x parity sectors (see _sectors),
+    with the term matrices projected into each sector once.  U(phi) is
+    constant on every translation orbit, so each sector block at phi is a
+    diagonal phase conjugation of the block at phi = 0 and its levels do
+    not move around the loop.  One eigvalsh per sector at phi = 0 therefore
+    picks the ground sector (exact ties go to the later one) and gives the
+    gap, the second-lowest level over all sectors minus the lowest, with
+    the same degeneracy test as ground_state; a degenerate loop solves only
+    phi = 0, for the reported parity.  Each step calls ground_state on the
+    ground sector's block, checks that its energy stays within
+    _RESIDUAL_TOL * |H| of the phi = 0 level, and embeds its vector into
+    the full space, where it must pass the full-space residual check.  The
+    ground states are streamed one by one into holonomy_phase, so memory
+    stays flat in `steps`.
     """
     if steps < 100:
         raise ValueError(f"need steps >= 100 for a resolved loop, got {steps}")
@@ -252,53 +235,46 @@ def berry_phase_loop(n_sites: int, alpha: float, B: float, steps: int = 10000) -
         raise ValueError(f"n_sites must lie in [2, {MAX_SITES}], got {n_sites}")
     terms = _term_matrices(n_sites)
     sectors = _sectors(terms, n_sites)
+
+    def coef(j: int) -> np.ndarray:
+        # H(phi_j) = coef(j) @ terms: _weights gives the xy weight without its sign
+        return np.array(_weights(alpha, B, j * math.pi / steps)) * (1.0, 1.0, -1.0, 1.0)
+
+    levels = [np.linalg.eigvalsh(np.tensordot(coef(0), blocks, axes=1))
+              for *_, blocks in sectors]
+    # exact ties between sectors go to the later one
+    ground = len(levels) - 1 - int(np.argmin([w[0] for w in levels][::-1]))
+    two = np.sort(np.concatenate([w[:2] for w in levels]))
+    scale = float(max(abs(two[0]), abs(max(w[-1] for w in levels)), 1e-300))
+    rows, cols, amps, blocks = sectors[ground]
+    flat = blocks.reshape(len(terms), -1)
+    size = blocks.shape[-1]
     dim = 2**n_sites
-    # complex numbers per step: psi, H psi - E psi and one term's product in
-    # the full space, every sector's Hamiltonian, and one eigvalsh work copy
-    sizes = [blocks.shape[-1] for *_, blocks in sectors]
-    per_step = 3 * dim + sum(d * d for d in sizes) + max(sizes) ** 2
-    chunk = max(1, _CHUNK_BYTES // (16 * per_step))
-    parity = 0.0
+    xx, yy, xy, z = terms
+    sz = z.diagonal()
 
-    def ground_states():
-        nonlocal parity
-        for lo in range(0, steps, chunk):
-            # H(phi_j) = coef[j] @ terms: _weights gives the xy weight without its sign
-            coef = np.array([_weights(alpha, B, j * math.pi / steps)
-                             for j in range(lo, min(lo + chunk, steps))]) * (1.0, 1.0, -1.0, 1.0)
-            stacks, ground, gap, scale = _sector_levels(sectors, coef)
-            degenerate = gap < _DEGENERACY_TOL * scale
-            # a step-by-step walk stops at the first degenerate step
-            n = int(np.argmax(degenerate)) + 1 if degenerate.any() else coef.shape[0]
-            psi = np.zeros((n, dim), dtype=complex)
-            energy = np.empty(n)
-            for i in range(n):
-                # the ground sector's block goes through the one dense eigensolver
-                rows, cols, amps, _ = sectors[ground[i]]
-                gs = ground_state(stacks[ground[i]][i])
-                psi[i, rows] = gs.vector[cols] * amps
-                energy[i] = gs.energy
-            # full-space residual from the term matrices, without a dense H
-            r = psi * -energy[:, None]
-            for c, t in zip(coef[:n].T, terms):
-                t_psi = psi @ t.T
-                t_psi *= c[:n, None]
-                r += t_psi
-            residual = np.linalg.norm(r, axis=1)
-            if lo == 0:
-                parity = state_parity(psi[0])
-            failed = residual > _RESIDUAL_TOL * scale[:n]
-            if failed.any():
-                j = int(np.argmax(failed))
-                raise _residual_error(float(residual[j]), float(scale[j]))
-            if degenerate.any():
-                parity = state_parity(psi[-1])
-                raise _DegenerateLoop
-            yield from psi
+    def state(j: int) -> np.ndarray:
+        c = coef(j)
+        gs = ground_state((c @ flat).reshape(size, size))
+        shift = abs(gs.energy - two[0])
+        if shift > _RESIDUAL_TOL * scale:
+            raise ArithmeticError(
+                f"ground energy at step {j} moved {shift:g} from its phi = 0 value, "
+                f"more than {_RESIDUAL_TOL:g} * |H| = {_RESIDUAL_TOL * scale:g}"
+            )
+        psi = np.zeros(dim, dtype=complex)
+        psi[rows] = gs.vector[cols] * amps
+        # full-space residual from the term matrices (z is diagonal), without a dense H
+        r = c[0] * (xx @ psi) + c[1] * (yy @ psi) + c[2] * (xy @ psi)
+        r += (c[3] * sz - gs.energy) * psi
+        residual = float(np.linalg.norm(r))
+        if residual > _RESIDUAL_TOL * scale:
+            raise _residual_error(residual, scale)
+        return psi
 
-    try:
-        phase, ov_min = holonomy_phase(ground_states())
-    except _DegenerateLoop:
+    first = state(0)
+    parity = state_parity(first)
+    if two[1] - two[0] < _DEGENERACY_TOL * scale:
         return LoopResult(
             phi_steps=steps,
             phase=math.nan,
@@ -308,6 +284,7 @@ def berry_phase_loop(n_sites: int, alpha: float, B: float, steps: int = 10000) -
             under_resolved=False,
             parity=parity,
         )
+    phase, ov_min = holonomy_phase(itertools.chain([first], map(state, range(1, steps))))
     under = ov_min < _OVERLAP_RESOLVED
     return LoopResult(
         phi_steps=steps,

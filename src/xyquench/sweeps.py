@@ -284,7 +284,10 @@ def oracle_report(
                 status = "ok"
             else:
                 status = "fail"
-            row.update(numeric=res.phase, abs_diff=diff, status=status)
+            # the representative of the phase nearest analytic, so that
+            # abs_diff = |numeric - analytic| on either side of the 0/2pi cut
+            numeric = res.phase + TWO_PI * round((analytic - res.phase) / TWO_PI)
+            row.update(numeric=numeric, abs_diff=diff, status=status)
         records.append(row)
 
     for i in range(int(spectrum_cases)):

@@ -17,7 +17,8 @@ from xyquench import (
     state_parity,
     total_phase,
 )
-from xyquench.edoracle import _sectors, _term_matrices
+from xyquench import edoracle
+from xyquench.edoracle import _assemble, _sectors, _term_matrices
 
 TWO_PI = 2.0 * math.pi
 
@@ -276,6 +277,48 @@ def test_sector_bases_form_a_unitary_and_block_the_terms(n):
         for s, (*_, blocks) in enumerate(sectors):
             on = label == s
             assert np.max(np.abs(rotated[np.ix_(on, on)] - blocks[i])) < 1e-13
+    # U(phi) = exp(i phi sum sz / 2) is one phase on a column of a single
+    # popcount, so V^dagger U(phi) V is diagonal and no sector level moves
+    popcount = np.array([bin(i).count("1") for i in range(2**n)])
+    for rows, cols, _, blocks in sectors:
+        lo = np.full(cols.max() + 1, n)
+        hi = np.zeros(cols.max() + 1, dtype=int)
+        np.minimum.at(lo, cols, popcount[rows])
+        np.maximum.at(hi, cols, popcount[rows])
+        assert np.array_equal(lo, hi)
+        if n > 8:
+            continue
+        for alpha, B in ((1.0, 0.5), (0.35, 0.375), (0.8, 0.3), (0.0, 0.5)):
+            w0 = np.linalg.eigvalsh(_assemble(*blocks, alpha, B, 0.0))
+            for phi in (0.3, math.pi / 4, 1.1, math.pi / 2, 2.9):
+                w = np.linalg.eigvalsh(_assemble(*blocks, alpha, B, phi))
+                assert np.max(np.abs(w - w0)) < 1e-13
+
+
+def test_loop_calls_ground_state_once_per_step(monkeypatch):
+    # the benchmark's tracer and speed cut points count and time these calls;
+    # the phi = 0 levels that pick the ground sector take none of them
+    calls = []
+
+    def counted(h):
+        calls.append(h.shape)
+        return ground_state(h)
+
+    monkeypatch.setattr(edoracle, "ground_state", counted)
+    berry_phase_loop(4, 1.0, 0.5, 150)
+    assert len(calls) == 150
+    calls.clear()
+    assert berry_phase_loop(4, 1.0, 0.0, 128).degenerate
+    assert len(calls) == 1
+
+
+def test_loop_refuses_a_family_whose_levels_move(monkeypatch):
+    # the levels are taken once at phi = 0; every step must still find them
+    weights = edoracle._weights
+    monkeypatch.setattr(edoracle, "_weights",
+                        lambda alpha, B, phi: weights(alpha, B + 1e-3 * phi, phi))
+    with pytest.raises(ArithmeticError, match="from its phi = 0 value"):
+        berry_phase_loop(4, 1.0, 0.5, 150)
 
 
 def _loop_peak(*args):

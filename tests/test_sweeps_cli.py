@@ -351,6 +351,19 @@ def test_cli_oracle_exit_codes(tmp_path):
     assert main(base + ["--mode-tol", "1e-12"]) == 1
 
 
+@pytest.mark.parametrize("argv", [[], ["--seed", "3", "--steps", "2000"]])
+def test_cli_oracle_loop_numeric_nearest_analytic(tmp_path, argv):
+    # a phase that is 0 mod 2pi must not be written 2pi away from its analytic 0
+    out = tmp_path / "o.csv"
+    assert main(["oracle", "--out", str(out)] + argv) == 0
+    loops = [r for r in _read_csv(out) if r["case"].startswith("loop_")]
+    assert len(loops) == 4
+    for r in loops:
+        gap = abs(float(r["numeric"]) - float(r["analytic"]))
+        assert gap <= math.pi
+        assert abs(gap - float(r["abs_diff"])) <= 1e-15
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_cli_oracle_refuses_nsites_without_loop_case(tmp_path, capsys, source):
     # a size without a loop case must not silently drop the many-body family
