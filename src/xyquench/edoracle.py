@@ -302,11 +302,12 @@ def mode_berry_numeric(k: float, B: float, alpha: float, steps: int = 10000) -> 
 
     The (k, -k) pair block in span{|00>, |11>} is
     H = -2(cos k - B) Z + 2 alpha sin(k) Y; the rotation by phi multiplies
-    the |11> amplitude by exp(-2 i phi).  The loop is walked in that
-    explicitly smooth gauge and the per-step phase increments are summed
-    without reduction, so a full winding reports 2pi rather than 0.
-    Converges to pi*(1 - cos theta_k) as steps grow, second order in
-    1/steps.
+    the |11> amplitude by exp(-2 i phi).  In that explicitly smooth gauge
+    every overlap of the loop, the closing one included, is
+    |v0|^2 + |v1|^2 exp(-2 i pi/steps), so the steps phase increments are
+    summed in closed form, without reduction: a full winding reports 2pi
+    rather than 0.  Converges to pi*(1 - cos theta_k) as steps grow,
+    second order in 1/steps.
     """
     if steps < 100:
         raise ValueError(f"need steps >= 100 for a resolved loop, got {steps}")
@@ -314,12 +315,6 @@ def mode_berry_numeric(k: float, B: float, alpha: float, steps: int = 10000) -> 
     require_gapped(k, B, alpha, gapped)
     h0 = np.array([[-2.0 * c, -2.0j * s], [2.0j * s, 2.0 * c]], dtype=complex)
     _, v = np.linalg.eigh(h0)
-    v0 = v[:, 0]
-
-    phis = np.arange(steps) * (math.pi / steps)
-    amps = np.empty((steps, 2), dtype=complex)
-    amps[:, 0] = v0[0]
-    amps[:, 1] = v0[1] * np.exp(-2.0j * phis)
-    nxt = np.roll(amps, -1, axis=0)
-    overlaps = np.sum(np.conj(amps) * nxt, axis=1)
-    return float(-np.sum(np.angle(overlaps)))
+    w0, w1 = np.abs(v[:, 0]) ** 2
+    overlap = w0 + w1 * np.exp(-2.0j * math.pi / steps)
+    return float(-steps * np.angle(overlap))

@@ -34,7 +34,16 @@ class InvariantViolation(RuntimeError):
 
 
 def _column_text(col) -> list:
-    fmt = _FORMATS.get(col.dtype.kind, str)
+    kind = col.dtype.kind
+    if kind == "f":
+        # format each distinct value once, keyed on its bits: -0.0 and 0.0 print differently
+        data = np.ma.getdata(col).astype(np.float64)
+        bits, index = np.unique(data.view(np.int64), return_inverse=True)
+        text = np.array([_FORMATS["f"](v) for v in bits.view(np.float64).tolist()], dtype=object)
+        cells = text[index.reshape(-1)]
+        cells[np.ma.getmaskarray(col)] = ""
+        return cells.tolist()
+    fmt = _FORMATS.get(kind, str)
     return ["" if v is None else fmt(v) for v in col.tolist()]  # masked cells list as None
 
 

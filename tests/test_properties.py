@@ -1,4 +1,4 @@
-"""Property tests of the gap kernel, the closed forms built on it, and the Wilson loop."""
+"""Property tests of the gap kernel, the closed forms built on it, the Wilson loop and the pair integrator."""
 
 import math
 
@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from xyquench import (
     DegeneratePointError,
+    QuenchSchedule,
     berry_phase_loop,
     build_hamiltonian,
     dispersion,
     dphase_db,
+    evolve_mode,
     ground_state,
     holonomy_phase,
     mode_phase,
@@ -84,3 +86,19 @@ def test_loop_equals_holonomy_of_explicit_ground_states(n, alpha, B):
     phase, ov_min = holonomy_phase(states)
     assert abs((res.phase - phase + math.pi) % TWO_PI - math.pi) <= 1e-12
     assert abs(res.overlaps_min - ov_min) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.floats(0.02, 1.5), alpha=st.floats(0.1, 2.0), tau_q=st.floats(0.1, 20.0))
+def test_evolve_probability_symmetric_unitary_and_stepped_by_rule(k, alpha, tau_q):
+    sched = QuenchSchedule.from_field(tau_q)
+    res = evolve_mode(k, alpha, sched, full_output=True)
+    assert 0.0 <= res.probability <= 1.0
+    assert res.norm_drift < 1e-8
+    # -k flips the sign of the X and Y fields: a Z conjugation, which leaves p alone
+    mirrored = evolve_mode(-k, alpha, sched, full_output=True)
+    assert abs(mirrored.probability - res.probability) <= 1e-12
+    assert mirrored.n_steps == res.n_steps
+    h_max = 2.0 * math.hypot(abs(math.cos(k)) + 5.0, alpha * math.sin(k))
+    span = sched.t_end - sched.t_start
+    assert res.n_steps == math.ceil(span / (0.2 / h_max))

@@ -13,6 +13,7 @@ from xyquench import (
     lz_probability,
     momentum_grid,
 )
+from xyquench import quench
 from xyquench.quench import _quat_mul
 
 
@@ -154,6 +155,14 @@ def test_evolve_unstable_step_rejected():
         evolve_mode(math.pi / 50, 1.0, QuenchSchedule.from_field(5.0), dt=1.0)
 
 
+def test_evolve_refuses_a_ramp_over_the_step_budget():
+    # about 3e11 steps at tau_q = 1e9; refused from the estimate, never run
+    with pytest.raises(ValueError, match=r"about 3e\+11 steps per pair, above the budget of 1e\+08"):
+        evolve_mode(math.pi / 100, 1.0, QuenchSchedule.from_field(1e9))
+    with pytest.raises(ValueError, match="above the budget"):
+        evolve_mode(math.pi / 100, 1.0, QuenchSchedule.from_field(1.0), dt=1e-320)
+
+
 def test_evolve_float_and_full_output_agree():
     sched = QuenchSchedule.from_field(3.0)
     p = evolve_mode(math.pi / 30, 1.0, sched)
@@ -163,21 +172,28 @@ def test_evolve_float_and_full_output_agree():
 
 # ------------------------------------------------- evolve_mode vs. step loop
 
-def _reference_evolve(k, alpha, schedule):
-    """The per-step midpoint loop that evolve_mode replaced: (probability, n_steps)."""
+def _midpoint_steps(k, alpha, schedule):
+    """(h_max, span, n): the midpoint rule's step count at its old dt * max|H| = 0.05."""
     c0, s = math.cos(k), alpha * math.sin(k)
     b_start = -schedule.t_start / schedule.tau_q
     b_end = -schedule.t_end / schedule.tau_q
     h_max = 2.0 * math.hypot(abs(c0) + max(b_start, b_end), s)
     span = schedule.t_end - schedule.t_start
-    n = int(math.ceil(span / (0.05 / h_max)))
+    return h_max, span, int(math.ceil(span / (0.05 / h_max)))
+
+
+def _eigenvector(k, alpha, b, excited):
+    c0, s = math.cos(k), alpha * math.sin(k)
+    h = np.array([[-2.0 * (c0 - b), 2.0 * s], [2.0 * s, 2.0 * (c0 - b)]])
+    return np.linalg.eigh(h)[1][:, 1 if excited else 0].astype(complex)
+
+
+def _reference_evolve(k, alpha, schedule):
+    """The per-step midpoint loop that evolve_mode replaced: (probability, n_steps)."""
+    c0, s = math.cos(k), alpha * math.sin(k)
+    _, span, n = _midpoint_steps(k, alpha, schedule)
     dt = span / n
-
-    def eigenvector(b, excited):
-        h = np.array([[-2.0 * (c0 - b), 2.0 * s], [2.0 * s, 2.0 * (c0 - b)]])
-        return np.linalg.eigh(h)[1][:, 1 if excited else 0].astype(complex)
-
-    psi0, psi1 = eigenvector(b_start, excited=False)
+    psi0, psi1 = _eigenvector(k, alpha, -schedule.t_start / schedule.tau_q, excited=False)
     cx = 2.0 * s
     for i in range(n):
         cz = -2.0 * (c0 - (-(schedule.t_start + (i + 0.5) * dt)) / schedule.tau_q)
@@ -187,8 +203,56 @@ def _reference_evolve(k, alpha, schedule):
         a0, a1 = psi0, psi1
         psi0 = ca * a0 - 1j * sa * (nz * a0 + nx * a1)
         psi1 = ca * a1 - 1j * sa * (nx * a0 - nz * a1)
-    e = eigenvector(b_end, excited=True)
+    e = _eigenvector(k, alpha, -schedule.t_end / schedule.tau_q, excited=True)
     return abs(np.vdot(e, [psi0, psi1])) ** 2, n
+
+
+def _su2_evolve(k, alpha, schedule, n, rule):
+    """Excitation probability after n steps of `rule`, "midpoint" or "magnus4".
+
+    A vectorized reference in complex arithmetic, sharing no code with
+    evolve_mode: each step is exp(-i dt g.sigma) = [[a, -b*], [b, a*]].  The
+    magnus4 generator is the general two-Gauss-point form
+    g = (h_1 + h_2)/2 + (sqrt(3) dt/6) h_2 x h_1 with the cross product taken
+    numerically, not the ramp's closed form.
+    """
+    c0, s = math.cos(k), alpha * math.sin(k)
+    span = schedule.t_end - schedule.t_start
+    dt = span / n
+
+    def field(t):
+        return np.stack([np.full(t.size, 2.0 * s), np.zeros(t.size),
+                         -2.0 * (c0 + t / schedule.tau_q)], axis=1)
+
+    psi = _eigenvector(k, alpha, -schedule.t_start / schedule.tau_q, excited=False)
+    for lo in range(0, n, 1 << 15):
+        t0 = schedule.t_start + np.arange(lo, min(n, lo + (1 << 15))) * dt
+        if rule == "midpoint":
+            g = field(t0 + 0.5 * dt)
+        else:
+            h1 = field(t0 + (0.5 - math.sqrt(3.0) / 6.0) * dt)
+            h2 = field(t0 + (0.5 + math.sqrt(3.0) / 6.0) * dt)
+            g = 0.5 * (h1 + h2) + (math.sqrt(3.0) * dt / 6.0) * np.cross(h2, h1)
+        lam = np.linalg.norm(g, axis=1)
+        u = np.sin(lam * dt) / lam
+        a = np.cos(lam * dt) - 1j * u * g[:, 2]
+        b = u * g[:, 1] - 1j * u * g[:, 0]
+        while a.size > 1:
+            if a.size % 2:
+                a, b = np.append(a, 1.0), np.append(b, 0.0)
+            # each odd entry acts after the even entry before it
+            a1, b1, a2, b2 = a[0::2], b[0::2], a[1::2], b[1::2]
+            a, b = a2 * a1 - b2.conj() * b1, b2 * a1 + a2.conj() * b1
+        a, b = a[0], b[0]
+        psi = np.array([[a, -b.conjugate()], [b, a.conjugate()]]) @ psi
+    e = _eigenvector(k, alpha, -schedule.t_end / schedule.tau_q, excited=True)
+    return abs(np.vdot(e, psi)) ** 2
+
+
+def _magnus_reference(k, alpha, schedule):
+    """p_ref: evolve_mode's Magnus-4 step at 4x the midpoint rule's step count."""
+    _, span, n = _midpoint_steps(k, alpha, schedule)
+    return evolve_mode(k, alpha, schedule, dt=span / (4 * n))
 
 
 @pytest.mark.parametrize("k", [math.pi / 100, math.pi / 50, math.pi / 4])
@@ -197,9 +261,44 @@ def _reference_evolve(k, alpha, schedule):
 def test_evolve_matches_per_step_loop(k, alpha, tau_q):
     sched = QuenchSchedule.from_field(tau_q)
     res = evolve_mode(k, alpha, sched, full_output=True)
-    p_ref, n_ref = _reference_evolve(k, alpha, sched)
-    assert res.n_steps == n_ref
-    assert abs(res.probability - p_ref) <= 1e-12
+    p_loop, n_loop = _reference_evolve(k, alpha, sched)
+    p_ref = _magnus_reference(k, alpha, sched)
+    assert abs(res.probability - p_ref) <= abs(p_loop - p_ref)
+    # the vectorized references the error table uses, pinned to the loop and to evolve_mode
+    assert abs(_su2_evolve(k, alpha, sched, n_loop, "midpoint") - p_loop) <= 1e-12
+    assert abs(_su2_evolve(k, alpha, sched, res.n_steps, "magnus4") - res.probability) <= 1e-12
+
+
+# the four smallest momenta of the CLI default N = 100, and two far from the critical point
+@pytest.mark.parametrize("k", [math.pi / 100, 3 * math.pi / 100, 5 * math.pi / 100,
+                               7 * math.pi / 100, math.pi / 4, math.pi / 2])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.95, 1.0, 1.5])
+@pytest.mark.parametrize("tau_q", [1.0, 10.0, 100.0, 1000.0])
+def test_evolve_error_table(k, alpha, tau_q):
+    # The default Magnus-4 step and _MAX_STABLE_STEP are no looser than the
+    # midpoint rule at its old default 0.05 and its old limit 0.1.
+    sched = QuenchSchedule.from_field(tau_q)
+    h_max, span, n = _midpoint_steps(k, alpha, sched)
+    p_ref = _magnus_reference(k, alpha, sched)
+    err_mid = abs(_su2_evolve(k, alpha, sched, n, "midpoint") - p_ref)
+    assert abs(evolve_mode(k, alpha, sched) - p_ref) <= err_mid
+    if tau_q <= 100.0:  # p_ref is converged: the midpoint rule approaches it
+        assert abs(_su2_evolve(k, alpha, sched, 4 * n, "midpoint") - p_ref) <= err_mid
+    n_old_limit = int(span * h_max / 0.1) + 1  # fewest midpoint steps with dt*max|H| < 0.1
+    p_limit = evolve_mode(k, alpha, sched, dt=quench._MAX_STABLE_STEP * (1.0 - 1e-12) / h_max)
+    assert abs(p_limit - p_ref) <= abs(
+        _su2_evolve(k, alpha, sched, n_old_limit, "midpoint") - p_ref)
+
+
+def test_max_stable_step_is_the_largest_on_the_table():
+    # the next step on the 0.1 grid is worse than the old midpoint limit at one table case
+    k, alpha, sched = math.pi / 4, 0.3, QuenchSchedule.from_field(10.0)
+    h_max, span, _ = _midpoint_steps(k, alpha, sched)
+    p_ref = _magnus_reference(k, alpha, sched)
+    step = quench._MAX_STABLE_STEP + 0.1
+    p_next = _su2_evolve(k, alpha, sched, int(span * h_max / step) + 1, "magnus4")
+    p_old = _su2_evolve(k, alpha, sched, int(span * h_max / 0.1) + 1, "midpoint")
+    assert abs(p_next - p_ref) > abs(p_old - p_ref)
 
 
 def _su2_matrix(q):

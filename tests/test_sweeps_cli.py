@@ -102,6 +102,10 @@ _SMALL_GRIDS = {
     # n_sites, k and phi do not apply to every family
     "oracle": (lambda: [oracle_report(seed=3, steps=300, grid_size=2, spectrum_cases=2)[0]],
                {None, int, float, str}),
+    # -0.0 and 0.0 compare equal but print as -0 and 0; repeats and a masked 0.0 besides
+    "signed_zero": (lambda: [SweepGrid({"x": np.ma.masked_array(
+        [0.0, -0.0, 0.1, -0.0, 0.0, 0.1, np.nan, -np.inf],
+        mask=[False, False, False, False, True, False, False, False])})], {None, float}),
 }
 
 
@@ -379,6 +383,13 @@ def test_cli_oracle_refuses_nsites_without_loop_case(tmp_path, capsys, source):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "nsites 8" in err and "supported sizes are 4, 6" in err
+    assert not out.exists()
+
+
+def test_cli_quench_refuses_a_ramp_over_the_step_budget(tmp_path, capsys):
+    out = tmp_path / "q.csv"
+    assert main(["quench", "--out", str(out), "--tauq", "1e9", "--evolve"]) == 2
+    assert "above the budget" in capsys.readouterr().err
     assert not out.exists()
 
 
