@@ -2,8 +2,15 @@
 
 Every command writes RFC-4180-style CSV (header row, LF endings, '.'
 decimal, 17 significant digits) and is deterministic: identical options
-and seed give byte-identical files.  Exit codes: 0 success, 1 oracle or
-output-invariant failure, 2 bad arguments.
+give byte-identical files (`oracle` alone samples, from `--seed`).  Exit
+codes: 0 success, 1 oracle or output-invariant failure, 2 bad arguments.
+
+`--config` takes a JSON object, sectioned by command if any top-level key
+names one (then only that section applies and every top-level key must be
+a command), else flat.  Each key must be an option of the command and each
+value of its `COMMANDS` default's kind (an int passes for a float, null
+only where the default is null); values are checked, not converted, and
+explicit flags win.  A breach, or a float option that is not finite, exits 2.
 """
 
 from __future__ import annotations
@@ -22,68 +29,41 @@ from .sweeps import InvariantViolation
 
 TWO_PI = 2.0 * math.pi
 
-DEFAULTS = {
-    "fig1": {
-        "k": math.pi / 100,
-        "alpha": [0.5, 0.0],
-        "tauq": [1.0, 2.0, 5.0, 10.0],
-        "tmin": -3.0,
-        "tmax": 0.0,
-        "samples": 600,
-    },
-    "fig2": {
-        "k": math.pi / 2,
-        "tauq": 1.0,
-        "alpha_min": 0.0,
-        "alpha_max": 1.0,
-        "alpha_samples": 200,
-        "tmin": -3.0,
-        "tmax": 0.0,
-        "samples": 200,
-    },
-    "quench": {
-        "nsites": 100,
-        "tauq": [1.0, 10.0, 100.0, 1000.0],
-        "safety_factor": 10.0,
-        "alpha": 1.0,
-        "evolve": False,
-        "evolve_modes": 4,
-        "dt": None,
-        "b_start": 5.0,
-        "summary": None,
-    },
-    "rg": {
-        "initial": ["0.1,1.0", "0.1,0.3", "0.0,0.3"],
-        "lmax": 5.0,
-        "dl": 1e-3,
-        "alpha_cap": 1e3,
-        "classify": False,
-        "field": 0.0,
-        "cutoff": 1.0,
-        "band": 0.5,
-    },
-    "noncontract": {
-        "field": 0.5,
-        "alpha": [10.0, 1.0, 0.1, 0.01, 1e-3, 1e-4],
-        "nsites": [100, 1000, 10000],
-    },
-    "oracle": {
-        "steps": 10000,
-        "grid": 20,
-        "nsites": [4, 6],
-        "k": math.pi / 2,
-        "mode_tol": 1e-4,
-        "loop_tol": 1e-3,
-        "spectrum_tol": 1e-10,
-        "spectrum_cases": 20,
-    },
+# command -> (help line, options in flag order).  The type of a default sets
+# the flag's converter: a list makes it repeatable, False makes a switch.
+COMMANDS = {
+    "fig1": ("Gamma_k(t) series for a tau_q list (plus alpha=0 inset)", dict(
+        k=math.pi / 100, alpha=[0.5, 0.0], tauq=[1.0, 2.0, 5.0, 10.0], tmin=-3.0, tmax=0.0,
+        samples=600, out="fig1.csv")),
+    "fig2": ("Gamma_k and dGamma_k/dB surfaces over (alpha, t)", dict(
+        k=math.pi / 2, tauq=1.0, alpha_min=0.0, alpha_max=1.0, alpha_samples=200, tmin=-3.0,
+        tmax=0.0, samples=200, out="fig2.csv")),
+    "quench": ("kink statistics and adiabaticity per tau_q", dict(
+        nsites=100, tauq=[1.0, 10.0, 100.0, 1000.0], safety_factor=10.0, alpha=1.0,
+        evolve=False, evolve_modes=4, dt=None, b_start=5.0, summary=None, out="quench.csv")),
+    "rg": ("RG trajectories (and optional phase classification)", dict(
+        initial=["0.1,1.0", "0.1,0.3", "0.0,0.3"], lmax=5.0, dl=1e-3, alpha_cap=1e3,
+        classify=False, field=0.0, cutoff=1.0, band=0.5, out="rg.csv")),
+    "noncontract": ("Gamma_g/M ladder over anisotropies and sizes", dict(
+        field=0.5, alpha=[10.0, 1.0, 0.1, 0.01, 1e-3, 1e-4], nsites=[100, 1000, 10000],
+        out="noncontract.csv")),
+    "oracle": ("analytic-vs-numeric equivalence suite", dict(
+        steps=10000, grid=20, nsites=[4, 6], k=math.pi / 2, mode_tol=1e-4, loop_tol=1e-3,
+        spectrum_tol=1e-10, spectrum_cases=20, out="oracle.csv", seed=0)),
 }
 
+# The kind of each option whose default is None; `config` is a flag of every command.
+_NONE_KINDS = {"dt": float, "summary": str, "config": str}
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default=None, help="output CSV path (default <command>.csv)")
-    p.add_argument("--seed", type=int, default=None, help="random seed for sampled cases")
-    p.add_argument("--config", default=None, help="JSON config file; explicit flags win")
+_FLAG_EXTRAS = {
+    "evolve": {"help": "add a real-time cross-check column for the smallest modes"},
+    "summary": {"help": "also write the per-tau_q summary CSV here"},
+    "initial": {"metavar": "ALPHA,K"},
+    "classify": {"help": "print the phase label for each initial condition at --field"},
+    "out": {"help": "output CSV path (default <command>.csv)"},
+    "seed": {"help": "random seed for sampled cases"},
+    "config": {"help": "JSON config file; explicit flags win"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,92 +72,72 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum phases and quench dynamics of the anisotropic XY chain",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fig1", help="Gamma_k(t) series for a tau_q list (plus alpha=0 inset)")
-    p.add_argument("--k", type=float, default=None)
-    p.add_argument("--alpha", type=float, action="append", default=None)
-    p.add_argument("--tauq", type=float, action="append", default=None)
-    p.add_argument("--tmin", type=float, default=None)
-    p.add_argument("--tmax", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("fig2", help="Gamma_k and dGamma_k/dB surfaces over (alpha, t)")
-    p.add_argument("--k", type=float, default=None)
-    p.add_argument("--tauq", type=float, default=None)
-    p.add_argument("--alpha-min", type=float, default=None)
-    p.add_argument("--alpha-max", type=float, default=None)
-    p.add_argument("--alpha-samples", type=int, default=None)
-    p.add_argument("--tmin", type=float, default=None)
-    p.add_argument("--tmax", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("quench", help="kink statistics and adiabaticity per tau_q")
-    p.add_argument("--nsites", type=int, default=None)
-    p.add_argument("--tauq", type=float, action="append", default=None)
-    p.add_argument("--safety-factor", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--evolve", action="store_true", default=False,
-                   help="add a real-time cross-check column for the smallest modes")
-    p.add_argument("--evolve-modes", type=int, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--b-start", type=float, default=None)
-    p.add_argument("--summary", default=None, help="also write the per-tau_q summary CSV here")
-    _add_common(p)
-
-    p = sub.add_parser("rg", help="RG trajectories (and optional phase classification)")
-    p.add_argument("--initial", action="append", default=None, metavar="ALPHA,K")
-    p.add_argument("--lmax", type=float, default=None)
-    p.add_argument("--dl", type=float, default=None)
-    p.add_argument("--alpha-cap", type=float, default=None)
-    p.add_argument("--classify", action="store_true", default=False,
-                   help="print the phase label for each initial condition at --field")
-    p.add_argument("--field", type=float, default=None)
-    p.add_argument("--cutoff", type=float, default=None)
-    p.add_argument("--band", type=float, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("noncontract", help="Gamma_g/M ladder over anisotropies and sizes")
-    p.add_argument("--field", type=float, default=None)
-    p.add_argument("--alpha", type=float, action="append", default=None)
-    p.add_argument("--nsites", type=int, action="append", default=None)
-    _add_common(p)
-
-    p = sub.add_parser("oracle", help="analytic-vs-numeric equivalence suite")
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--nsites", type=int, action="append", default=None)
-    p.add_argument("--k", type=float, default=None)
-    p.add_argument("--mode-tol", type=float, default=None)
-    p.add_argument("--loop-tol", type=float, default=None)
-    p.add_argument("--spectrum-tol", type=float, default=None)
-    p.add_argument("--spectrum-cases", type=int, default=None)
-    _add_common(p)
-
+    for cmd, (help_line, options) in COMMANDS.items():
+        p = sub.add_parser(cmd, help=help_line)
+        for name, default in {**options, "config": None}.items():
+            kw = dict(_FLAG_EXTRAS.get(name, {}))
+            if isinstance(default, list):
+                kw.update(action="append", type=type(default[0]))
+            elif default is False:
+                kw["action"] = "store_true"
+            else:
+                kw["type"] = _NONE_KINDS.get(name, type(default))
+            # None marks a flag not given, so the config and table values show through
+            p.add_argument("--" + name.replace("_", "-"), default=None, **kw)
     return parser
+
+
+def _fits(val, kind: type) -> bool:
+    """Whether `val` is a scalar of `kind`: an int counts as a float, a bool as neither."""
+    if isinstance(val, bool) and kind is not bool:
+        return False
+    return isinstance(val, (int, float) if kind is float else kind)
+
+
+def _config_values(cfg, cmd: str) -> dict:
+    """The option values a parsed JSON config gives `cmd`, checked against the table."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{cmd} config must be a JSON object, got {type(cfg).__name__}")
+    if any(key in COMMANDS for key in cfg):
+        for key in cfg:
+            if key not in COMMANDS:
+                raise ValueError(f"{cmd} config is sectioned, but key {key!r} is not a command")
+        if not isinstance(cfg.get(cmd), dict):
+            raise ValueError(f"{cmd} config has sections {list(cfg)} but no {cmd!r} object")
+        cfg = cfg[cmd]
+    options = COMMANDS[cmd][1]
+    values = {}
+    for key, val in cfg.items():
+        name = key.replace("-", "_")
+        if name not in options:
+            raise ValueError(f"config key {key!r} is not an option of {cmd}")
+        default = options[name]
+        kind = _NONE_KINDS.get(name, type(default))
+        if kind is list:
+            item = type(default[0])  # `initial` items are checked by _parse_initial
+            ok = isinstance(val, list) and (item is str or all(_fits(v, item) for v in val))
+        else:
+            ok = _fits(val, kind) or (default is None and val is None)
+        if not ok:
+            null = " or null" if default is None else ""
+            raise ValueError(f"config key {key!r} of {cmd} must be {kind.__name__}{null}, "
+                             f"got {val!r}")
+        values[name] = val
+    return values
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
     cmd = args.command
-    opts = dict(DEFAULTS[cmd])
-    opts.update({"out": f"{cmd}.csv", "seed": 0})
+    options = COMMANDS[cmd][1]
+    opts = dict(options)
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-        section = cfg.get(cmd, cfg)
-        if not isinstance(section, dict):
-            raise ValueError(f"config section for {cmd!r} must be an object")
-        for key, val in section.items():
-            opts[key.replace("-", "_")] = val
-    for key, val in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if val is None:
-            continue
-        if val is False and key in ("evolve", "classify"):
-            continue  # store_true flags only override when given
-        opts[key] = val
+            opts.update(_config_values(json.load(fh), cmd))
+    opts.update({k: v for k, v in vars(args).items() if k in options and v is not None})
+    for key, val in opts.items():
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (val if isinstance(val, list) else [val])):
+            raise ValueError(f"{cmd} option {key!r} must be finite, got {val!r}")
     return opts
 
 
@@ -185,12 +145,16 @@ def _parse_initial(items) -> list:
     out = []
     for item in items:
         if isinstance(item, (list, tuple)):
+            if len(item) != 2 or not all(_fits(v, float) for v in item):
+                raise ValueError(f"initial expects [alpha, K] pairs, got {item!r}")
             a, k = float(item[0]), float(item[1])
         else:
             parts = str(item).split(",")
             if len(parts) != 2:
                 raise ValueError(f"--initial expects 'alpha,K', got {item!r}")
             a, k = float(parts[0]), float(parts[1])
+        if not (math.isfinite(a) and math.isfinite(k)):
+            raise ValueError(f"initial (alpha, K) must be finite, got {item!r}")
         out.append((a, k))
     return out
 

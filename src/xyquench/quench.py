@@ -75,7 +75,7 @@ class EvolveResult:
 
 def lz_probability(k, tau_q):
     """Landau-Zener excitation probability p_k ~ exp(-2 pi tau_q k^2), in (0, 1]."""
-    if np.any(np.asarray(tau_q) < 0.0):
+    if not np.all(np.asarray(tau_q) >= 0.0):  # also refuses NaN
         raise ValueError(f"tau_q must be >= 0, got {tau_q}")
     return np.exp(-2.0 * np.pi * np.asarray(tau_q) * np.square(k))
 

@@ -40,6 +40,12 @@ def test_lz_instant_quench_saturates():
     assert lz_probability(0.3, 0.0) == 1.0
 
 
+@pytest.mark.parametrize("tau_q", [-1.0, math.nan, np.array([1.0, math.nan])])
+def test_lz_refuses_negative_or_nan_tau_q(tau_q):
+    with pytest.raises(ValueError, match="tau_q must be >= 0"):
+        lz_probability(0.3, tau_q)
+
+
 def test_lz_frozen_value():
     expected = math.exp(-2.0 * math.pi * 10.0 * (math.pi / 100.0) ** 2)
     assert expected == pytest.approx(0.9398710881763459, rel=1e-15)

@@ -420,6 +420,85 @@ def test_cli_empty_tables_write_header_only(tmp_path, cmd, section, header):
     assert out.read_text(encoding="ascii") == header + "\n"
 
 
+@pytest.mark.parametrize("cfg,named", [
+    ({"fig1": {"sample": 5}}, "'sample'"),  # unknown key
+    ({"fig2": {"samples": 5}}, "'fig2'"),  # only another command's section
+    ([{"samples": 5}], "JSON object"),  # top-level list
+    ({"fig1": {"samples": "20"}}, "'samples'"),  # string for an int
+    ({"fig1": {"tauq": 3.0}}, "'tauq'"),  # scalar for a list
+    ({"k": True}, "'k'"),  # bool for a float
+    ({"fig1": {"samples": 5}, "samples": 5}, "'samples'"),  # stray key in a sectioned file
+])
+def test_cli_config_refusals_exit_2(tmp_path, capsys, cfg, named):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "f.csv"
+    assert main(["fig1", "--out", str(out), "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "fig1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["quench", "--tauq", "nan"], "'tauq'"),
+    (["quench", "--tauq", "inf"], "'tauq'"),
+    (["fig1", "--k", "nan"], "'k'"),
+    (["rg", "--lmax", "inf"], "'lmax'"),
+    (["rg", "--initial", "0.1,inf"], "initial"),
+    (["fig2", "--config", "{cfg}"], "'tmin'"),  # json reads NaN
+])
+def test_cli_non_finite_floats_exit_2(tmp_path, capsys, argv, option):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fig2": {"tmin": float("nan")}}))
+    out = tmp_path / "x.csv"
+    argv = [a.format(cfg=cfg) for a in argv] + ["--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert option in err and "finite" in err
+    assert not list(tmp_path.glob("x*.csv"))
+
+
+@pytest.mark.parametrize("item", [[0.1], [0.1, 1.0, 7], [True, 1.0]])
+def test_cli_rg_config_initial_needs_pairs(tmp_path, capsys, item):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rg": {"initial": [[0.1, 1.0], item]}}))
+    out = tmp_path / "rg.csv"
+    assert main(["rg", "--out", str(out), "--config", str(cfg)]) == 2
+    assert "[alpha, K] pairs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_config_ints_reach_the_output_unconverted(tmp_path, capsys):
+    # config values are checked, not converted: an int stays an int in stdout and stderr
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"oracle": {"mode_tol": 0, "loop_tol": 0, "spectrum_tol": 0}}))
+    argv = ["oracle", "--out", str(tmp_path / "o.csv"), "--steps", "1200", "--grid", "3",
+            "--spectrum-cases", "2", "--config", str(cfg)]
+    assert main(argv) == 1
+    fails = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("FAIL")]
+    assert fails and all(ln.endswith(" tol=0") for ln in fails)
+    cfg.write_text(json.dumps({"tauq": [10]}))
+    argv = ["quench", "--out", str(tmp_path / "q.csv"), "--nsites", "10", "--config", str(cfg)]
+    assert main(argv) == 0
+    assert '"tau_q": 10,' in capsys.readouterr().out
+
+
+def test_cli_seed_only_on_oracle(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["fig1", "--seed", "1", "--out", str(tmp_path / "f.csv")])
+    assert exc.value.code == 2
+    sizes = ["--steps", "1200", "--grid", "3", "--spectrum-cases", "2"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3}))
+    for name, extra in (("flag", ["--seed", "3"]), ("config", ["--config", str(cfg)])):
+        assert main(["oracle", "--out", str(tmp_path / f"{name}.csv")] + sizes + extra) == 0
+    grid, _ = oracle_report(seed=3, steps=1200, grid_size=3, spectrum_cases=2)
+    seeded = grid.csv_text().encode("ascii")
+    assert (tmp_path / "flag.csv").read_bytes() == (tmp_path / "config.csv").read_bytes() == seeded
+    unseeded, _ = oracle_report(seed=0, steps=1200, grid_size=3, spectrum_cases=2)
+    assert unseeded.csv_text() != grid.csv_text()
+
+
 def test_cli_bad_subcommand_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
