@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 from . import sweeps
 from .chain import ChainSpec, momentum_grid
@@ -192,11 +193,15 @@ def _run_fig2(o) -> int:
 
 
 def _run_quench(o) -> int:
-    modes, summary = sweeps.quench_grids(
-        n_sites=o["nsites"], tau_qs=o["tauq"], safety_factor=o["safety_factor"],
-        alpha=o["alpha"], evolve=o["evolve"], evolve_modes=o["evolve_modes"],
-        dt=o["dt"], b_start=o["b_start"],
-    )
+    # each library warning becomes one plain stderr line, free of source paths
+    with warnings.catch_warnings(record=True) as caught:
+        modes, summary = sweeps.quench_grids(
+            n_sites=o["nsites"], tau_qs=o["tauq"], safety_factor=o["safety_factor"],
+            alpha=o["alpha"], evolve=o["evolve"], evolve_modes=o["evolve_modes"],
+            dt=o["dt"], b_start=o["b_start"],
+        )
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     sweeps.validate_bounds(modes, {"p_k": (0.0, 1.0)})
     modes.write_csv(o["out"])
     print(f"wrote {o['out']} ({len(modes)} rows)")

@@ -11,23 +11,23 @@ H(phi) is pi-periodic and isospectral in phi.  Geometric phases come from
 the gauge-invariant product of consecutive ground-state overlaps around
 the closed phi in [0, pi) loop, never from the analytic angle.
 
-H(phi) commutes with the translation T and with the parity prod_j sz_j
-at every phi, so the loop solves it in translation x parity sectors:
-each sector column is the discrete Fourier transform of one T-orbit of
-basis indices, labelled (popcount mod 2, momentum).  The four term
-matrices are projected into each sector once per loop.  A T-orbit keeps
-its popcount, so U(phi) is one phase on each sector column and no sector
-level moves around the loop: one eigvalsh per sector at phi = 0 picks
-the ground sector and decides degeneracy.  Each phi step then solves only
-that sector's block with ground_state, checks that the ground energy
-stays at its phi = 0 value, and embeds the vector back into the full
-2^N space, where it must pass the same residual check as a dense
-eigensolve.
+Because the family is a unitary conjugation, the ground state at phi is
+U(phi) psi_0 and every overlap of the discrete loop is the same number,
+<psi_0| U(pi/steps) |psi_0>: the loop is a closed form of the phi = 0
+ground state, and no phi is solved past phi = 0 (Carollo & Pachos,
+PRL 95, 157203, 2005).  H(0) commutes with the translation T and with the
+parity prod_j sz_j, so it is solved in translation x parity sectors: each
+sector column is the discrete Fourier transform of one T-orbit of basis
+indices, labelled (popcount mod 2, momentum).  A T-orbit keeps its
+popcount, so U(phi) is one phase on each sector column, which the loop
+checks once.  One eigvalsh per sector picks the ground sector and decides
+degeneracy, ground_state solves that sector's block, and the vector is
+embedded back into the full 2^N space, where it must pass the same
+residual check as a dense eigensolve.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -110,7 +110,9 @@ def _sectors(terms, n_sites: int) -> list:
     transform (1/sqrt L) sum_s exp(-2 pi i m s / N) |T^s r> over the T-orbit
     of length L of a representative r; it exists when m L = 0 mod N and
     belongs to sector (popcount(r) mod 2, m).  Every basis index lies in
-    one orbit, so within a sector `rows` holds no index twice.
+    one orbit, so within a sector `rows` holds no index twice.  The blocks
+    are scatter-added over the terms' nonzeros (at most N + 1 per column),
+    conj(V[f, c']) T[f, i] V[i, c] into entry (c', c), never as dense products.
     """
     dim = 2**n_sites
     orbit = [np.arange(dim)]  # orbit[s][i] = T^s i, T rotating the sites by one
@@ -127,15 +129,29 @@ def _sectors(terms, n_sites: int) -> list:
             amps = np.exp(-2j * math.pi * m * shifts / n_sites) / math.sqrt(length)
             columns.setdefault((bin(int(r)).count("1") % 2, m), []).append(
                 (orbit[:length, r], amps))
+    f, i = np.nonzero(np.logical_or.reduce([t != 0 for t in terms]))
+    values = [t[f, i] for t in terms]
     sectors = []
+    pos = np.empty(dim, dtype=int)
     for key in sorted(columns):
-        cols = columns[key]
-        v = np.zeros((dim, len(cols)), dtype=complex)
-        for c, (rows, amps) in enumerate(cols):
-            v[rows, c] = amps
-        rows, cols = np.nonzero(v)
-        blocks = np.array([v.conj().T @ t @ v for t in terms])
-        sectors.append((rows, cols, v[rows, cols], blocks))
+        orbits = columns[key]
+        size = len(orbits)
+        rows = np.concatenate([r for r, _ in orbits])
+        cols = np.repeat(np.arange(size), [r.size for r, _ in orbits])
+        amps = np.concatenate([a for _, a in orbits])
+        pos.fill(-1)
+        pos[rows] = np.arange(rows.size)
+        at_f, at_i = pos[f], pos[i]
+        on = (at_f >= 0) & (at_i >= 0)
+        at_f, at_i = at_f[on], at_i[on]
+        cell = cols[at_f] * size + cols[at_i]
+        amp = amps[at_f].conj() * amps[at_i]
+        blocks = np.empty((len(terms), size, size), dtype=complex)
+        for block, v in zip(blocks, values):
+            w = amp * v[on]
+            block.flat = (np.bincount(cell, w.real, size * size)
+                          + 1j * np.bincount(cell, w.imag, size * size))
+        sectors.append((rows, cols, amps, blocks))
     return sectors
 
 
@@ -214,20 +230,24 @@ def berry_phase_loop(n_sites: int, alpha: float, B: float, steps: int = 10000) -
     the parity field rather than silently absorbed.  A degenerate ground
     state invalidates the result.
 
-    H(phi) is solved in its translation x parity sectors (see _sectors),
-    with the term matrices projected into each sector once.  U(phi) is
-    constant on every translation orbit, so each sector block at phi is a
-    diagonal phase conjugation of the block at phi = 0 and its levels do
-    not move around the loop.  One eigvalsh per sector at phi = 0 therefore
-    picks the ground sector (exact ties go to the later one) and gives the
-    gap, the second-lowest level over all sectors minus the lowest, with
-    the same degeneracy test as ground_state; a degenerate loop solves only
-    phi = 0, for the reported parity.  Each step calls ground_state on the
-    ground sector's block, checks that its energy stays within
-    _RESIDUAL_TOL * |H| of the phi = 0 level, and embeds its vector into
-    the full space, where it must pass the full-space residual check.  The
-    ground states are streamed one by one into holonomy_phase, so memory
-    stays flat in `steps`.
+    H(phi) = U(phi) H(0) U(phi)^dagger, so the ground state at phi_j =
+    j pi / steps is U(phi_j) psi_0 and the discrete Wilson loop is a closed
+    function of the phi = 0 ground state psi_0 alone.  Every step overlap
+    is ov = <psi_0| U(delta) |psi_0> with delta = pi / steps, and the
+    closing overlap adds U(-pi) psi_0 = (-i)^N P psi_0, P the parity of
+    psi_0.  Hence phase = -(steps arg ov + arg((-i)^N P)) mod 2pi and
+    overlaps_min = |ov|; arg ov is multiplied by steps, never ov raised to
+    the power steps, which would underflow once |ov| < 1.
+
+    H(0) is solved in its translation x parity sectors (see _sectors).  One
+    eigvalsh per sector picks the ground sector (exact ties go to the later
+    one) and gives the gap, the second-lowest level over all sectors minus
+    the lowest, with the same degeneracy test as ground_state.
+    ground_state then solves the ground sector's block once, and its vector
+    is embedded into the full space, where it must pass the full-space
+    residual check.  U(phi) is one phase on a sector column only if the
+    column covers a single popcount; a ground sector that breaks this
+    premise raises ArithmeticError.
     """
     if steps < 100:
         raise ValueError(f"need steps >= 100 for a resolved loop, got {steps}")
@@ -235,45 +255,35 @@ def berry_phase_loop(n_sites: int, alpha: float, B: float, steps: int = 10000) -
         raise ValueError(f"n_sites must lie in [2, {MAX_SITES}], got {n_sites}")
     terms = _term_matrices(n_sites)
     sectors = _sectors(terms, n_sites)
-
-    def coef(j: int) -> np.ndarray:
-        # H(phi_j) = coef(j) @ terms: _weights gives the xy weight without its sign
-        return np.array(_weights(alpha, B, j * math.pi / steps)) * (1.0, 1.0, -1.0, 1.0)
-
-    levels = [np.linalg.eigvalsh(np.tensordot(coef(0), blocks, axes=1))
-              for *_, blocks in sectors]
+    # H(0) = c @ terms: _weights gives the xy weight without its sign
+    c = np.array(_weights(alpha, B, 0.0)) * (1.0, 1.0, -1.0, 1.0)
+    hams = [np.tensordot(c, blocks, axes=1) for *_, blocks in sectors]
+    levels = [np.linalg.eigvalsh(h) for h in hams]
     # exact ties between sectors go to the later one
     ground = len(levels) - 1 - int(np.argmin([w[0] for w in levels][::-1]))
     two = np.sort(np.concatenate([w[:2] for w in levels]))
     scale = float(max(abs(two[0]), abs(max(w[-1] for w in levels)), 1e-300))
     rows, cols, amps, blocks = sectors[ground]
-    flat = blocks.reshape(len(terms), -1)
-    size = blocks.shape[-1]
-    dim = 2**n_sites
+    popcount = np.array([bin(int(r)).count("1") for r in rows])
+    column_popcount = np.empty(blocks.shape[-1], dtype=int)
+    column_popcount[cols] = popcount
+    if np.any(column_popcount[cols] != popcount):
+        raise ArithmeticError(
+            "a ground-sector column covers more than one popcount, so U(phi) is not "
+            "one phase on it"
+        )
+
+    gs = ground_state(hams[ground])
+    psi = np.zeros(2**n_sites, dtype=complex)
+    psi[rows] = gs.vector[cols] * amps
+    # full-space residual from the term matrices (z is diagonal), without a dense H
     xx, yy, xy, z = terms
-    sz = z.diagonal()
-
-    def state(j: int) -> np.ndarray:
-        c = coef(j)
-        gs = ground_state((c @ flat).reshape(size, size))
-        shift = abs(gs.energy - two[0])
-        if shift > _RESIDUAL_TOL * scale:
-            raise ArithmeticError(
-                f"ground energy at step {j} moved {shift:g} from its phi = 0 value, "
-                f"more than {_RESIDUAL_TOL:g} * |H| = {_RESIDUAL_TOL * scale:g}"
-            )
-        psi = np.zeros(dim, dtype=complex)
-        psi[rows] = gs.vector[cols] * amps
-        # full-space residual from the term matrices (z is diagonal), without a dense H
-        r = c[0] * (xx @ psi) + c[1] * (yy @ psi) + c[2] * (xy @ psi)
-        r += (c[3] * sz - gs.energy) * psi
-        residual = float(np.linalg.norm(r))
-        if residual > _RESIDUAL_TOL * scale:
-            raise _residual_error(residual, scale)
-        return psi
-
-    first = state(0)
-    parity = state_parity(first)
+    r = c[0] * (xx @ psi) + c[1] * (yy @ psi) + c[2] * (xy @ psi)
+    r += (c[3] * z.diagonal() - gs.energy) * psi
+    residual = float(np.linalg.norm(r))
+    if residual > _RESIDUAL_TOL * scale:
+        raise _residual_error(residual, scale)
+    parity = state_parity(psi)
     if two[1] - two[0] < _DEGENERACY_TOL * scale:
         return LoopResult(
             phi_steps=steps,
@@ -284,7 +294,12 @@ def berry_phase_loop(n_sites: int, alpha: float, B: float, steps: int = 10000) -
             under_resolved=False,
             parity=parity,
         )
-    phase, ov_min = holonomy_phase(itertools.chain([first], map(state, range(1, steps))))
+    # U(delta) is exp(i delta sz / 2) on a column of sz = N - 2 popcount
+    sz = n_sites - 2 * column_popcount
+    ov = complex(np.sum(np.abs(gs.vector) ** 2 * np.exp(0.5j * math.pi / steps * sz)))
+    closing = (-1j) ** n_sites * (1 - 2 * (int(popcount[0]) % 2))  # (-i)^N P
+    phase = float((-(steps * np.angle(ov) + np.angle(closing))) % (2.0 * math.pi))
+    ov_min = abs(ov)
     under = ov_min < _OVERLAP_RESOLVED
     return LoopResult(
         phi_steps=steps,

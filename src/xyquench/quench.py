@@ -51,6 +51,10 @@ class QuenchSchedule:
         """Window starting deep in the polarized regime, B(t_start) = b_start."""
         return cls(tau_q=tau_q, t_start=-b_start * tau_q, t_end=0.0)
 
+    def covers(self, k: float) -> bool:
+        """Whether the field window passes the pair's crossing B = cos k strictly inside."""
+        return -self.t_end / self.tau_q < math.cos(k) < -self.t_start / self.tau_q
+
 
 @dataclass(frozen=True)
 class KinkReport:
@@ -134,7 +138,7 @@ def evolve_mode(k, alpha, schedule: QuenchSchedule, dt=None, full_output=False):
     s = alpha * math.sin(k)
     b_start = -schedule.t_start / schedule.tau_q
     b_end = -schedule.t_end / schedule.tau_q
-    crossing_covered = b_end < c0 < b_start
+    crossing_covered = schedule.covers(k)
     if not crossing_covered:
         warnings.warn(
             f"window B in [{b_end:g}, {b_start:g}] does not cover the crossing at "

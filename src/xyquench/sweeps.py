@@ -13,6 +13,7 @@ give byte-identical files.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,19 +168,28 @@ def quench_grids(
 
     With evolve=True the evolve_modes smallest momentum pairs get a
     real-time cross-check column (alpha enters only there; the closed-form
-    p_k carries no anisotropy dependence).
+    p_k carries no anisotropy dependence).  A pair whose crossing B = cos k
+    the ramp window does not cover is not evolved: its cells stay masked,
+    and one UserWarning names every such k.
     """
     spec = ChainSpec(n_sites=n_sites, alpha=alpha)
     k_pos = momentum_grid(spec)
     k_all = np.concatenate((-k_pos[::-1], k_pos))
     n_evolved = min(max(0, int(evolve_modes)), k_pos.size)
-    reps, evolved = [], []
+    reps, evolved, uncovered = [], [], set()
     for tau_q in tau_qs:
         reps.append(kink_count(spec, tau_q, safety_factor=safety_factor))
         if evolve:
             schedule = QuenchSchedule.from_field(tau_q, b_start)
+            uncovered.update(float(kk) for kk in k_pos[:n_evolved] if not schedule.covers(kk))
             evolved.append([evolve_mode(float(kk), alpha, schedule, dt=dt)
-                            for kk in k_pos[:n_evolved]])
+                            if schedule.covers(kk) else math.nan for kk in k_pos[:n_evolved]])
+    if uncovered:
+        warnings.warn(
+            f"p_evolved left empty at k = {', '.join(f'+/-{kk:g}' for kk in sorted(uncovered))}: "
+            f"the ramp from B = {b_start:g} to 0 does not cover the crossing B = cos k",
+            stacklevel=2,
+        )
     taus = np.asarray(tau_qs, dtype=float)
     modes = {
         "tau_q": np.repeat(taus, k_all.size),
@@ -187,9 +197,9 @@ def quench_grids(
         "p_k": np.array([p for rep in reps for p in rep.per_mode_p.values()], dtype=float),
     }
     if evolve:
-        # one value per +/-k pair; the modes past evolve_modes stay masked
+        # one value per +/-k pair; the modes past evolve_modes or uncovered stay masked
         half = np.ma.masked_all((taus.size, k_pos.size))
-        half[:, :n_evolved] = np.reshape(evolved, (taus.size, n_evolved))
+        half[:, :n_evolved] = np.ma.masked_invalid(np.reshape(evolved, (taus.size, n_evolved)))
         modes["p_evolved"] = np.ma.hstack((half[:, ::-1], half)).ravel()
     summary = {
         "tau_q": taus,

@@ -242,6 +242,7 @@ def _reference_loop(n, alpha, B, steps):
     (8, 0.35, 0.375, 100),  # odd-parity ground state
     (4, 1.0, 0.0, 128),  # Ising point: even and odd sectors degenerate
     (4, 0.0, 0.5, 200),  # XX: H(phi) does not depend on phi
+    (4, 1.0, 0.5, 5000),  # a long loop: steps * arg(overlap) over many steps
 ])
 def test_sector_loop_matches_dense_reference(n, alpha, B, steps):
     got = berry_phase_loop(n, alpha, B, steps=steps)
@@ -295,9 +296,10 @@ def test_sector_bases_form_a_unitary_and_block_the_terms(n):
                 assert np.max(np.abs(w - w0)) < 1e-13
 
 
-def test_loop_calls_ground_state_once_per_step(monkeypatch):
+def test_loop_calls_ground_state_once_per_loop(monkeypatch):
     # the benchmark's tracer and speed cut points count and time these calls;
-    # the phi = 0 levels that pick the ground sector take none of them
+    # the phi = 0 levels that pick the ground sector take none of them, and
+    # the closed-form loop needs no state past phi = 0
     calls = []
 
     def counted(h):
@@ -306,19 +308,57 @@ def test_loop_calls_ground_state_once_per_step(monkeypatch):
 
     monkeypatch.setattr(edoracle, "ground_state", counted)
     berry_phase_loop(4, 1.0, 0.5, 150)
-    assert len(calls) == 150
+    assert len(calls) == 1
     calls.clear()
     assert berry_phase_loop(4, 1.0, 0.0, 128).degenerate
     assert len(calls) == 1
 
 
+def _mix_two_columns(sectors):
+    """Each sector rotated by a Hadamard on two columns of unequal popcount, if it has them.
+
+    The rotated bases still span the sectors and block the terms, so every
+    level is unchanged; only the single-popcount premise of the loop breaks.
+    """
+    out = []
+    for rows, cols, amps, blocks in sectors:
+        size = blocks.shape[-1]
+        popcount = np.zeros(size, dtype=int)
+        popcount[cols] = [bin(int(r)).count("1") for r in rows]
+        pair = [c for c in range(size) if popcount[c] != popcount[0]][:1]
+        if not pair:
+            out.append((rows, cols, amps, blocks))
+            continue
+        a, b = 0, pair[0]
+        rot = np.eye(size)
+        rot[np.ix_([a, b], [a, b])] = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        v = np.zeros((int(rows.max()) + 1, size), dtype=complex)
+        v[rows, cols] = amps
+        v = v @ rot
+        new_rows, new_cols = np.nonzero(v)
+        out.append((new_rows, new_cols, v[new_rows, new_cols], rot.T @ blocks @ rot))
+    return out
+
+
 def test_loop_refuses_a_family_whose_levels_move(monkeypatch):
-    # the levels are taken once at phi = 0; every step must still find them
-    weights = edoracle._weights
-    monkeypatch.setattr(edoracle, "_weights",
-                        lambda alpha, B, phi: weights(alpha, B + 1e-3 * phi, phi))
-    with pytest.raises(ArithmeticError, match="from its phi = 0 value"):
+    # U(phi) is one phase on a sector column only if the column has one
+    # popcount; otherwise the phi = 0 levels and state would not carry the loop
+    sectors = edoracle._sectors
+    monkeypatch.setattr(edoracle, "_sectors",
+                        lambda terms, n: _mix_two_columns(sectors(terms, n)))
+    with pytest.raises(ArithmeticError, match="more than one popcount"):
         berry_phase_loop(4, 1.0, 0.5, 150)
+
+
+def test_loop_overlap_is_the_rotated_ground_state_overlap():
+    # every step overlap is <psi_0| U(pi/steps) |psi_0>, from the dense phi = 0 state
+    for n, alpha, B, steps in ((3, 0.7, 0.4, 100), (4, 1.0, 0.5, 150), (6, 0.8, 0.3, 1000),
+                               (8, 0.35, 0.375, 100)):
+        psi = ground_state(build_hamiltonian(n, alpha, B, 0.0)).vector
+        sz_total = n - 2.0 * np.array([bin(i).count("1") for i in range(2**n)])
+        u = np.exp(0.5j * math.pi / steps * sz_total)
+        want = abs(np.vdot(psi, u * psi))
+        assert abs(berry_phase_loop(n, alpha, B, steps).overlaps_min - want) <= 1e-13
 
 
 def _loop_peak(*args):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from xyquench import SweepGrid, mode_phase
+from xyquench import QuenchSchedule, SweepGrid, evolve_mode, mode_phase
 from xyquench.cli import main
 from xyquench.sweeps import (
     InvariantViolation,
@@ -241,6 +241,16 @@ def test_quench_grid_evolve_column():
         assert pe == filled[-k]  # pair symmetry
 
 
+def test_quench_grid_masks_pairs_whose_crossing_the_ramp_misses():
+    # N = 10: the fourth pair k = 7 pi/10 has cos k < 0, below the ramp's end at B = 0
+    with pytest.warns(UserWarning, match=r"p_evolved left empty at k = \+/-2\.19911"):
+        modes, _ = quench_grids(n_sites=10, tau_qs=(1.0, 2.0), evolve=True, evolve_modes=4)
+    k = modes.columns["k"]
+    masked = np.ma.getmaskarray(modes.columns["p_evolved"])
+    evolved = np.isclose(np.abs(k) % (2 * math.pi / 10), math.pi / 10) & (np.abs(k) < 2.0)
+    assert np.array_equal(masked, ~evolved)
+
+
 def test_quench_summary_flags():
     _, summary = quench_grids(n_sites=100, tau_qs=(1000.0, 2000.0))
     assert tuple(summary.columns) == (
@@ -324,6 +334,32 @@ def test_cli_quench_summary(tmp_path, capsys):
     assert payload["adiabatic"] is True
     assert payload["excluded_modes"] == [math.pi / 10]
     assert _read_csv(summ)[0]["adiabatic"] == "true"
+
+
+def test_cli_quench_evolve_names_uncovered_pairs_on_one_plain_line(tmp_path, capsys):
+    out = tmp_path / "q.csv"
+    assert main(["quench", "--out", str(out), "--nsites", "10", "--tauq", "1", "--evolve"]) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("warning: p_evolved left empty at k = ")
+    assert "2.19911" in err
+    assert ".py" not in err and "xyquench" not in err and "UserWarning" not in err
+    empty = {float(r["k"]) for r in _read_csv(out) if r["p_evolved"] == ""}
+    assert empty == {x * math.pi / 10 for x in (-9, -7, 7, 9)}
+
+
+def test_cli_quench_evolve_covered_pairs_unchanged(tmp_path, capsys):
+    # the benchmark's command line: at N = 100 all 4 evolved pairs cross B = cos k
+    out = tmp_path / "q.csv"
+    alpha = 0.97
+    assert main(["quench", "--evolve", "--alpha", repr(alpha), "--out", str(out),
+                 "--nsites", "100"]) == 0
+    assert capsys.readouterr().err == ""
+    rows = [r for r in _read_csv(out) if r["p_evolved"] != ""]
+    assert len(rows) == 4 * 2 * 4
+    for r in rows:
+        schedule = QuenchSchedule.from_field(float(r["tau_q"]))
+        want = evolve_mode(abs(float(r["k"])), alpha, schedule)
+        assert r["p_evolved"] == f"{want:.17g}"
 
 
 def test_cli_rg_classify(tmp_path, capsys):
