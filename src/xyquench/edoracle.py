@@ -15,15 +15,13 @@ Because the family is a unitary conjugation, the ground state at phi is
 U(phi) psi_0 and every overlap of the discrete loop is the same number,
 <psi_0| U(pi/steps) |psi_0>: the loop is a closed form of the phi = 0
 ground state, and no phi is solved past phi = 0 (Carollo & Pachos,
-PRL 95, 157203, 2005).  H(0) commutes with the translation T and with the
-parity prod_j sz_j, so it is solved in translation x parity sectors: each
-sector column is the discrete Fourier transform of one T-orbit of basis
-indices, labelled (popcount mod 2, momentum).  A T-orbit keeps its
-popcount, so U(phi) is one phase on each sector column, which the loop
-checks once.  One eigvalsh per sector picks the ground sector and decides
-degeneracy, ground_state solves that sector's block, and the vector is
-embedded back into the full 2^N space, where it must pass the same
-residual check as a dense eigensolve.
+PRL 95, 157203, 2005).  Every term of H(0) flips two spins or none, so it
+conserves the parity prod_j sz_j (Lieb, Schultz & Mattis, Ann. Phys. 16,
+407, 1961), which splits the basis by popcount into an even and an odd
+block.  One eigvalsh per block picks the ground block and decides
+degeneracy, ground_state solves that block, and the vector is embedded
+back into the full 2^N space, where it must pass the same residual check
+as a dense eigensolve.
 """
 
 from __future__ import annotations
@@ -89,70 +87,10 @@ def _term_matrices(n_sites: int):
     return xx, yy, xy, z
 
 
-def _weights(alpha: float, B: float, phi: float) -> tuple:
-    """(wx, wy, wxy, wz) with H(phi) = wx xx + wy yy - wxy xy + wz z."""
-    c2 = math.cos(2.0 * phi)
-    s2 = math.sin(2.0 * phi)
-    return 0.5 * (1.0 + alpha * c2), 0.5 * (1.0 - alpha * c2), 0.5 * alpha * s2, B
-
-
-def _assemble(xx, yy, xy, z, alpha: float, B: float, phi: float) -> np.ndarray:
-    wx, wy, wxy, wz = _weights(alpha, B, phi)
-    return wx * xx + wy * yy - wxy * xy + wz * z
-
-
-def _sectors(terms, n_sites: int) -> list:
-    """The term matrices projected into each translation x parity sector.
-
-    Returns (rows, cols, amps, blocks) per non-empty sector: the sector's
-    isometry V has V[rows, cols] = amps and is zero elsewhere, and
-    blocks[t] = V^dagger terms[t] V.  Column c is the discrete Fourier
-    transform (1/sqrt L) sum_s exp(-2 pi i m s / N) |T^s r> over the T-orbit
-    of length L of a representative r; it exists when m L = 0 mod N and
-    belongs to sector (popcount(r) mod 2, m).  Every basis index lies in
-    one orbit, so within a sector `rows` holds no index twice.  The blocks
-    are scatter-added over the terms' nonzeros (at most N + 1 per column),
-    conj(V[f, c']) T[f, i] V[i, c] into entry (c', c), never as dense products.
-    """
-    dim = 2**n_sites
-    orbit = [np.arange(dim)]  # orbit[s][i] = T^s i, T rotating the sites by one
-    for _ in range(n_sites - 1):
-        prev = orbit[-1]
-        orbit.append((prev >> 1) | ((prev & 1) << (n_sites - 1)))
-    orbit = np.array(orbit)
-    columns = {}
-    for r in np.flatnonzero(orbit.min(axis=0) == orbit[0]):
-        back = np.flatnonzero(orbit[1:, r] == r)
-        length = int(back[0]) + 1 if back.size else n_sites
-        shifts = np.arange(length)
-        for m in range(0, n_sites, n_sites // length):
-            amps = np.exp(-2j * math.pi * m * shifts / n_sites) / math.sqrt(length)
-            columns.setdefault((bin(int(r)).count("1") % 2, m), []).append(
-                (orbit[:length, r], amps))
-    f, i = np.nonzero(np.logical_or.reduce([t != 0 for t in terms]))
-    values = [t[f, i] for t in terms]
-    sectors = []
-    pos = np.empty(dim, dtype=int)
-    for key in sorted(columns):
-        orbits = columns[key]
-        size = len(orbits)
-        rows = np.concatenate([r for r, _ in orbits])
-        cols = np.repeat(np.arange(size), [r.size for r, _ in orbits])
-        amps = np.concatenate([a for _, a in orbits])
-        pos.fill(-1)
-        pos[rows] = np.arange(rows.size)
-        at_f, at_i = pos[f], pos[i]
-        on = (at_f >= 0) & (at_i >= 0)
-        at_f, at_i = at_f[on], at_i[on]
-        cell = cols[at_f] * size + cols[at_i]
-        amp = amps[at_f].conj() * amps[at_i]
-        blocks = np.empty((len(terms), size, size), dtype=complex)
-        for block, v in zip(blocks, values):
-            w = amp * v[on]
-            block.flat = (np.bincount(cell, w.real, size * size)
-                          + 1j * np.bincount(cell, w.imag, size * size))
-        sectors.append((rows, cols, amps, blocks))
-    return sectors
+def _popcount(n_sites: int) -> np.ndarray:
+    """Number of set bits (down spins) of every basis index 0 .. 2^N - 1."""
+    shifts = n_sites - 1 - np.arange(n_sites)
+    return ((np.arange(2**n_sites)[:, None] >> shifts) & 1).sum(axis=1)
 
 
 def build_hamiltonian(n_sites: int, alpha: float, B: float, phi: float = 0.0) -> np.ndarray:
@@ -161,7 +99,10 @@ def build_hamiltonian(n_sites: int, alpha: float, B: float, phi: float = 0.0) ->
         raise ValueError(f"n_sites must lie in [2, {MAX_SITES}], got {n_sites}")
     if not alpha >= 0.0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    return _assemble(*_term_matrices(n_sites), alpha, B, phi)
+    xx, yy, xy, z = _term_matrices(n_sites)
+    c2, s2 = math.cos(2.0 * phi), math.sin(2.0 * phi)
+    wx, wy, wxy = 0.5 * (1.0 + alpha * c2), 0.5 * (1.0 - alpha * c2), 0.5 * alpha * s2
+    return wx * xx + wy * yy - wxy * xy + B * z
 
 
 def _residual_error(residual: float, scale: float) -> ArithmeticError:
@@ -188,37 +129,8 @@ def ground_state(h: np.ndarray) -> GroundState:
 
 def state_parity(vector: np.ndarray) -> float:
     """Expectation of prod_j sz_j; +/-1 labels the fermion parity sector."""
-    dim = vector.size
-    idx = np.arange(dim)
-    signs = 1.0 - 2.0 * (np.array([bin(i).count("1") for i in idx]) % 2)
+    signs = 1.0 - 2.0 * (_popcount(vector.size.bit_length() - 1) % 2)
     return float(np.real(np.sum(np.abs(vector) ** 2 * signs)))
-
-
-def holonomy_phase(states) -> tuple[float, float]:
-    """Phase of a closed discretized Wilson loop over the given state sequence.
-
-    Returns (-arg prod_j <psi_j|psi_{j+1}>, min |overlap|) with the product
-    closing from the last state back to the first; gauge-invariant because
-    every eigenvector phase appears once bra-side and once ket-side.  Any
-    iterable works; only the first and the previous state are kept.
-    """
-    prod = 1.0 + 0.0j
-    ov_min = math.inf
-    first = prev = None
-    for psi in states:
-        if first is None:
-            first = psi
-        else:
-            ov = complex(np.vdot(prev, psi))
-            prod *= ov
-            ov_min = min(ov_min, abs(ov))
-        prev = psi
-    if first is None:
-        raise ValueError("a Wilson loop needs at least one state")
-    ov = complex(np.vdot(prev, first))
-    prod *= ov
-    ov_min = min(ov_min, abs(ov))
-    return float((-np.angle(prod)) % (2.0 * math.pi)), float(ov_min)
 
 
 def berry_phase_loop(n_sites: int, alpha: float, B: float, steps: int = 10000) -> LoopResult:
@@ -239,48 +151,28 @@ def berry_phase_loop(n_sites: int, alpha: float, B: float, steps: int = 10000) -
     overlaps_min = |ov|; arg ov is multiplied by steps, never ov raised to
     the power steps, which would underflow once |ov| < 1.
 
-    H(0) is solved in its translation x parity sectors (see _sectors).  One
-    eigvalsh per sector picks the ground sector (exact ties go to the later
-    one) and gives the gap, the second-lowest level over all sectors minus
-    the lowest, with the same degeneracy test as ground_state.
-    ground_state then solves the ground sector's block once, and its vector
-    is embedded into the full space, where it must pass the full-space
-    residual check.  U(phi) is one phase on a sector column only if the
-    column covers a single popcount; a ground sector that breaks this
-    premise raises ArithmeticError.
+    H(0) is sliced into its even- and odd-popcount blocks.  One eigvalsh per
+    block picks the ground block (exact ties go to the odd one) and gives
+    the gap, the second-lowest level over both blocks minus the lowest, with
+    the same degeneracy test as ground_state.  ground_state then solves the
+    ground block once, and its vector is embedded into the full space,
+    where it must pass the full-space residual check.
     """
     if steps < 100:
         raise ValueError(f"need steps >= 100 for a resolved loop, got {steps}")
-    if not 2 <= n_sites <= MAX_SITES:
-        raise ValueError(f"n_sites must lie in [2, {MAX_SITES}], got {n_sites}")
-    terms = _term_matrices(n_sites)
-    sectors = _sectors(terms, n_sites)
-    # H(0) = c @ terms: _weights gives the xy weight without its sign
-    c = np.array(_weights(alpha, B, 0.0)) * (1.0, 1.0, -1.0, 1.0)
-    hams = [np.tensordot(c, blocks, axes=1) for *_, blocks in sectors]
-    levels = [np.linalg.eigvalsh(h) for h in hams]
-    # exact ties between sectors go to the later one
-    ground = len(levels) - 1 - int(np.argmin([w[0] for w in levels][::-1]))
+    h = build_hamiltonian(n_sites, alpha, B)
+    popcount = _popcount(n_sites)
+    blocks = [np.flatnonzero(popcount % 2 == p) for p in (0, 1)]
+    levels = [np.linalg.eigvalsh(h[np.ix_(rows, rows)]) for rows in blocks]
+    odd = int(levels[1][0] <= levels[0][0])  # exact ties go to the odd block
     two = np.sort(np.concatenate([w[:2] for w in levels]))
     scale = float(max(abs(two[0]), abs(max(w[-1] for w in levels)), 1e-300))
-    rows, cols, amps, blocks = sectors[ground]
-    popcount = np.array([bin(int(r)).count("1") for r in rows])
-    column_popcount = np.empty(blocks.shape[-1], dtype=int)
-    column_popcount[cols] = popcount
-    if np.any(column_popcount[cols] != popcount):
-        raise ArithmeticError(
-            "a ground-sector column covers more than one popcount, so U(phi) is not "
-            "one phase on it"
-        )
+    rows = blocks[odd]
 
-    gs = ground_state(hams[ground])
+    gs = ground_state(h[np.ix_(rows, rows)])
     psi = np.zeros(2**n_sites, dtype=complex)
-    psi[rows] = gs.vector[cols] * amps
-    # full-space residual from the term matrices (z is diagonal), without a dense H
-    xx, yy, xy, z = terms
-    r = c[0] * (xx @ psi) + c[1] * (yy @ psi) + c[2] * (xy @ psi)
-    r += (c[3] * z.diagonal() - gs.energy) * psi
-    residual = float(np.linalg.norm(r))
+    psi[rows] = gs.vector
+    residual = float(np.linalg.norm(h @ psi - gs.energy * psi))
     if residual > _RESIDUAL_TOL * scale:
         raise _residual_error(residual, scale)
     parity = state_parity(psi)
@@ -294,10 +186,10 @@ def berry_phase_loop(n_sites: int, alpha: float, B: float, steps: int = 10000) -
             under_resolved=False,
             parity=parity,
         )
-    # U(delta) is exp(i delta sz / 2) on a column of sz = N - 2 popcount
-    sz = n_sites - 2 * column_popcount
+    # U(delta) is exp(i delta sz / 2) on a basis state of sz = N - 2 popcount
+    sz = n_sites - 2 * popcount[rows]
     ov = complex(np.sum(np.abs(gs.vector) ** 2 * np.exp(0.5j * math.pi / steps * sz)))
-    closing = (-1j) ** n_sites * (1 - 2 * (int(popcount[0]) % 2))  # (-i)^N P
+    closing = (-1j) ** n_sites * (1 - 2 * odd)  # (-i)^N P
     phase = float((-(steps * np.angle(ov) + np.angle(closing))) % (2.0 * math.pi))
     ov_min = abs(ov)
     under = ov_min < _OVERLAP_RESOLVED

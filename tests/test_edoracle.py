@@ -11,14 +11,13 @@ from xyquench import (
     berry_phase_loop,
     build_hamiltonian,
     ground_state,
-    holonomy_phase,
     mode_berry_numeric,
     mode_phase,
     state_parity,
     total_phase,
 )
 from xyquench import edoracle
-from xyquench.edoracle import _assemble, _sectors, _term_matrices
+from xyquench.edoracle import _popcount
 
 TWO_PI = 2.0 * math.pi
 
@@ -215,8 +214,35 @@ def test_loop_rejects_coarse_discretization():
         berry_phase_loop(4, 1.0, 0.5, steps=10)
 
 
+def holonomy_phase(states) -> tuple[float, float]:
+    """Phase of a closed discretized Wilson loop over the given state sequence.
+
+    Returns (-arg prod_j <psi_j|psi_{j+1}>, min |overlap|) with the product
+    closing from the last state back to the first; gauge-invariant because
+    every eigenvector phase appears once bra-side and once ket-side.  Any
+    iterable works; only the first and the previous state are kept.
+    """
+    prod = 1.0 + 0.0j
+    ov_min = math.inf
+    first = prev = None
+    for psi in states:
+        if first is None:
+            first = psi
+        else:
+            ov = complex(np.vdot(prev, psi))
+            prod *= ov
+            ov_min = min(ov_min, abs(ov))
+        prev = psi
+    if first is None:
+        raise ValueError("a Wilson loop needs at least one state")
+    ov = complex(np.vdot(prev, first))
+    prod *= ov
+    ov_min = min(ov_min, abs(ov))
+    return float((-np.angle(prod)) % (2.0 * math.pi)), float(ov_min)
+
+
 def _reference_loop(n, alpha, B, steps):
-    """The per-step loop the sector solve replaced: one dense eigh of H(phi) per step."""
+    """The per-step loop that the closed form replaced: one dense eigh of H(phi) per step."""
     parity = 0.0
     states = []
     for j in range(steps):
@@ -233,7 +259,7 @@ def _reference_loop(n, alpha, B, steps):
 
 @pytest.mark.parametrize("n,alpha,B,steps", [
     (2, 0.3, 0.7, 200),
-    (3, 0.7, 0.4, 200),  # odd N: orbits of unequal length
+    (3, 0.7, 0.4, 200),  # odd N
     (4, 0.5, 0.0, 400),
     (5, 1.0, 0.3, 200),
     (6, 1.0, 0.5, 400),
@@ -244,7 +270,7 @@ def _reference_loop(n, alpha, B, steps):
     (4, 0.0, 0.5, 200),  # XX: H(phi) does not depend on phi
     (4, 1.0, 0.5, 5000),  # a long loop: steps * arg(overlap) over many steps
 ])
-def test_sector_loop_matches_dense_reference(n, alpha, B, steps):
+def test_loop_matches_dense_reference(n, alpha, B, steps):
     got = berry_phase_loop(n, alpha, B, steps=steps)
     ref = _reference_loop(n, alpha, B, steps)
     assert got.phi_steps == ref.phi_steps
@@ -258,47 +284,14 @@ def test_sector_loop_matches_dense_reference(n, alpha, B, steps):
         assert _circ_diff(got.phase, ref.phase) <= 1e-12
 
 
-@pytest.mark.parametrize("n", range(2, 11))
-def test_sector_bases_form_a_unitary_and_block_the_terms(n):
-    terms = _term_matrices(n)
-    sectors = _sectors(terms, n)
-    isometries = []
-    for rows, cols, amps, _ in sectors:
-        v = np.zeros((2**n, cols.max() + 1), dtype=complex)
-        v[rows, cols] = amps
-        isometries.append(v)
-    u = np.hstack(isometries)
-    assert u.shape == (2**n, 2**n)
-    assert np.max(np.abs(u.conj().T @ u - np.eye(2**n))) < 1e-13
-    label = np.repeat(np.arange(len(sectors)), [v.shape[1] for v in isometries])
-    off_sector = label[:, None] != label[None, :]
-    for i, t in enumerate(terms):
-        rotated = u.conj().T @ t @ u
-        assert np.max(np.abs(rotated[off_sector]), initial=0.0) < 1e-13
-        for s, (*_, blocks) in enumerate(sectors):
-            on = label == s
-            assert np.max(np.abs(rotated[np.ix_(on, on)] - blocks[i])) < 1e-13
-    # U(phi) = exp(i phi sum sz / 2) is one phase on a column of a single
-    # popcount, so V^dagger U(phi) V is diagonal and no sector level moves
-    popcount = np.array([bin(i).count("1") for i in range(2**n)])
-    for rows, cols, _, blocks in sectors:
-        lo = np.full(cols.max() + 1, n)
-        hi = np.zeros(cols.max() + 1, dtype=int)
-        np.minimum.at(lo, cols, popcount[rows])
-        np.maximum.at(hi, cols, popcount[rows])
-        assert np.array_equal(lo, hi)
-        if n > 8:
-            continue
-        for alpha, B in ((1.0, 0.5), (0.35, 0.375), (0.8, 0.3), (0.0, 0.5)):
-            w0 = np.linalg.eigvalsh(_assemble(*blocks, alpha, B, 0.0))
-            for phi in (0.3, math.pi / 4, 1.1, math.pi / 2, 2.9):
-                w = np.linalg.eigvalsh(_assemble(*blocks, alpha, B, phi))
-                assert np.max(np.abs(w - w0)) < 1e-13
+def test_popcount_counts_the_set_bits_of_every_basis_index():
+    for n in range(2, 9):
+        assert _popcount(n).tolist() == [bin(i).count("1") for i in range(2**n)]
 
 
 def test_loop_calls_ground_state_once_per_loop(monkeypatch):
     # the benchmark's tracer and speed cut points count and time these calls;
-    # the phi = 0 levels that pick the ground sector take none of them, and
+    # the phi = 0 levels that pick the ground block take none of them, and
     # the closed-form loop needs no state past phi = 0
     calls = []
 
@@ -314,39 +307,16 @@ def test_loop_calls_ground_state_once_per_loop(monkeypatch):
     assert len(calls) == 1
 
 
-def _mix_two_columns(sectors):
-    """Each sector rotated by a Hadamard on two columns of unequal popcount, if it has them.
+def test_loop_refuses_a_ground_state_that_fails_the_full_space_residual(monkeypatch):
+    # the embedded ground-block vector must solve the dense H(0), not just its block
+    def perturbed(h):
+        gs = ground_state(h)
+        vec = gs.vector.copy()
+        vec[0] += 1e-3
+        return edoracle.GroundState(gs.energy, vec / np.linalg.norm(vec), gs.gap, gs.degenerate)
 
-    The rotated bases still span the sectors and block the terms, so every
-    level is unchanged; only the single-popcount premise of the loop breaks.
-    """
-    out = []
-    for rows, cols, amps, blocks in sectors:
-        size = blocks.shape[-1]
-        popcount = np.zeros(size, dtype=int)
-        popcount[cols] = [bin(int(r)).count("1") for r in rows]
-        pair = [c for c in range(size) if popcount[c] != popcount[0]][:1]
-        if not pair:
-            out.append((rows, cols, amps, blocks))
-            continue
-        a, b = 0, pair[0]
-        rot = np.eye(size)
-        rot[np.ix_([a, b], [a, b])] = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-        v = np.zeros((int(rows.max()) + 1, size), dtype=complex)
-        v[rows, cols] = amps
-        v = v @ rot
-        new_rows, new_cols = np.nonzero(v)
-        out.append((new_rows, new_cols, v[new_rows, new_cols], rot.T @ blocks @ rot))
-    return out
-
-
-def test_loop_refuses_a_family_whose_levels_move(monkeypatch):
-    # U(phi) is one phase on a sector column only if the column has one
-    # popcount; otherwise the phi = 0 levels and state would not carry the loop
-    sectors = edoracle._sectors
-    monkeypatch.setattr(edoracle, "_sectors",
-                        lambda terms, n: _mix_two_columns(sectors(terms, n)))
-    with pytest.raises(ArithmeticError, match="more than one popcount"):
+    monkeypatch.setattr(edoracle, "ground_state", perturbed)
+    with pytest.raises(ArithmeticError, match="eigensolve residual"):
         berry_phase_loop(4, 1.0, 0.5, 150)
 
 

@@ -16,10 +16,11 @@ from xyquench import (
     dphase_db,
     evolve_mode,
     ground_state,
-    holonomy_phase,
     mode_phase,
 )
 from xyquench.sweeps import _deriv_cells, _gamma_cells
+
+from test_edoracle import holonomy_phase
 
 TWO_PI = 2.0 * math.pi
 
@@ -74,7 +75,7 @@ def test_phase_bounded_and_nondecreasing_in_field(k, B, alpha):
 @settings(max_examples=8, deadline=None)
 @given(n=st.sampled_from([2, 3, 4, 5]), alpha=st.floats(0.2, 1.5), B=st.floats(0.1, 1.5))
 def test_loop_equals_holonomy_of_explicit_ground_states(n, alpha, B):
-    # the loop is a closed form of the phi = 0 sector ground state, so it
+    # the loop is a closed form of the phi = 0 ground state, so it
     # agrees with the dense per-step ground states to rounding, not bit for bit
     steps = 100
     res = berry_phase_loop(n, alpha, B, steps=steps)
