@@ -7,7 +7,9 @@ spin Hamiltonian is built for the rotated family
 
 which expands to bond couplings (1 +/- alpha cos 2phi)/2 on sx sx / sy sy,
 a -(alpha/2) sin 2phi cross term on (sx sy + sy sx), and the field B sz.
-H(phi) is pi-periodic and isospectral in phi.  Geometric phases come from
+H(phi) is pi-periodic and isospectral in phi.  Where the cross weight is
+0.0 (phi = 0, alpha = 0) H is built float64, else complex128, and
+ground_state of a real H returns a real vector.  Geometric phases come from
 the gauge-invariant product of consecutive ground-state overlaps around
 the closed phi in [0, pi) loop, never from the analytic angle.
 
@@ -63,30 +65,6 @@ class LoopResult:
     parity: float
 
 
-def _term_matrices(n_sites: int):
-    """Periodic-chain sums of sx sx, sy sy, (sx sy + sy sx) over bonds, and sz over sites.
-
-    Site j is bit n-1-j of the basis index, with |0> the sz = +1 state.  A
-    bond term flips both of its bits; sy|b> = i(1 - 2b)|1-b> supplies the
-    sign of the yy and xy amplitudes from the spins s = 1 - 2b of the ket.
-    """
-    dim = 2**n_sites
-    idx = np.arange(dim)
-    shifts = n_sites - 1 - np.arange(n_sites)
-    spin = 1 - 2 * ((idx[:, None] >> shifts) & 1)
-    xx = np.zeros((dim, dim), dtype=complex)
-    yy = np.zeros((dim, dim), dtype=complex)
-    xy = np.zeros((dim, dim), dtype=complex)
-    for j in range(n_sites):
-        jj = (j + 1) % n_sites
-        flipped = idx ^ ((1 << int(shifts[j])) | (1 << int(shifts[jj])))
-        xx[flipped, idx] += 1.0
-        yy[flipped, idx] -= spin[:, j] * spin[:, jj]
-        xy[flipped, idx] += 1j * (spin[:, j] + spin[:, jj])
-    z = np.diag(spin.sum(axis=1).astype(complex))
-    return xx, yy, xy, z
-
-
 def _popcount(n_sites: int) -> np.ndarray:
     """Number of set bits (down spins) of every basis index 0 .. 2^N - 1."""
     shifts = n_sites - 1 - np.arange(n_sites)
@@ -94,15 +72,35 @@ def _popcount(n_sites: int) -> np.ndarray:
 
 
 def build_hamiltonian(n_sites: int, alpha: float, B: float, phi: float = 0.0) -> np.ndarray:
-    """Dense 2^N x 2^N Hamiltonian of the rotated periodic chain; Hermitian by construction."""
+    """Dense 2^N x 2^N Hamiltonian of the rotated periodic chain; Hermitian by construction.
+
+    Site j is bit n-1-j of the basis index, with |0> the sz = +1 state.  A
+    bond term flips both of its bits; sy|b> = i(1 - 2b)|1-b> supplies the
+    sign of the yy and xy amplitudes from the spins s = 1 - 2b of the ket:
+    one pass per bond adds wx - wy s s' - i wxy (s + s') to the output.
+    The result is float64 exactly when wxy = (alpha/2) sin 2phi is 0.0, at
+    phi = 0 or alpha = 0, and complex128 otherwise (sin 2pi is not 0.0).
+    """
     if not 2 <= n_sites <= MAX_SITES:
         raise ValueError(f"n_sites must lie in [2, {MAX_SITES}], got {n_sites}")
     if not alpha >= 0.0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    xx, yy, xy, z = _term_matrices(n_sites)
     c2, s2 = math.cos(2.0 * phi), math.sin(2.0 * phi)
     wx, wy, wxy = 0.5 * (1.0 + alpha * c2), 0.5 * (1.0 - alpha * c2), 0.5 * alpha * s2
-    return wx * xx + wy * yy - wxy * xy + B * z
+    dim = 2**n_sites
+    idx = np.arange(dim)
+    shifts = n_sites - 1 - np.arange(n_sites)
+    spin = 1 - 2 * ((idx[:, None] >> shifts) & 1)
+    h = np.zeros((dim, dim), dtype=float if wxy == 0.0 else complex)
+    for j in range(n_sites):
+        jj = (j + 1) % n_sites
+        amp = wx - wy * spin[:, j] * spin[:, jj]
+        if wxy != 0.0:
+            amp = amp - 1j * wxy * (spin[:, j] + spin[:, jj])
+        # += because the two bonds of the N = 2 ring share one flip mask
+        h[idx ^ ((1 << int(shifts[j])) | (1 << int(shifts[jj]))), idx] += amp
+    h[idx, idx] = B * spin.sum(axis=1)
+    return h
 
 
 def _residual_error(residual: float, scale: float) -> ArithmeticError:

@@ -110,6 +110,22 @@ def test_pi_periodic_in_phi():
         assert np.max(np.abs(h1 - h0)) < 1e-12
 
 
+def test_real_exactly_where_the_xy_weight_is_zero():
+    # the xy weight (alpha/2) sin 2phi is 0.0 at phi = 0 and at alpha = 0;
+    # at phi = pi it is not, because sin 2pi is -2.4e-16 in floating point
+    for alpha in (0.0, 0.5, 1.0, 2.0):
+        assert build_hamiltonian(4, alpha, 0.5, 0.0).dtype == np.float64
+    for phi in (0.0, 0.3, 1.1, math.pi):
+        assert build_hamiltonian(4, 0.0, 0.5, phi).dtype == np.float64
+    assert build_hamiltonian(4, 0.8, 0.5, 0.3).dtype == np.complex128
+    assert math.sin(2.0 * math.pi) != 0.0
+    assert build_hamiltonian(4, 0.8, 0.5, math.pi).dtype == np.complex128
+    # the real eigensolver sees the same spectrum as the complex one
+    h = build_hamiltonian(10, 0.8, 0.5, 0.0)
+    want = np.linalg.eigvalsh(h.astype(complex))
+    assert np.max(np.abs(np.linalg.eigvalsh(h) - want)) <= 1e-12
+
+
 def test_size_cap_and_validation():
     with pytest.raises(ValueError):
         build_hamiltonian(13, 1.0, 0.0)
@@ -246,7 +262,9 @@ def _reference_loop(n, alpha, B, steps):
     parity = 0.0
     states = []
     for j in range(steps):
-        gs = ground_state(build_hamiltonian(n, alpha, B, j * math.pi / steps))
+        # complex at every step, phi = 0 too: the real and the complex eigensolver
+        # pick different vectors from the exactly degenerate pair at the Ising point
+        gs = ground_state(build_hamiltonian(n, alpha, B, j * math.pi / steps).astype(complex))
         if j == 0 or gs.degenerate:
             parity = state_parity(gs.vector)
         if gs.degenerate:
@@ -282,6 +300,13 @@ def test_loop_matches_dense_reference(n, alpha, B, steps):
         assert math.isnan(got.phase)
     else:
         assert _circ_diff(got.phase, ref.phase) <= 1e-12
+
+
+def test_loop_sends_exact_ties_to_the_odd_block():
+    # Ising point at zero field: the even and odd blocks tie exactly
+    res = berry_phase_loop(4, 1.0, 0.0, steps=128)
+    assert res.degenerate
+    assert res.parity == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_popcount_counts_the_set_bits_of_every_basis_index():
@@ -345,6 +370,21 @@ def test_loop_memory_does_not_grow_with_steps():
     assert abs(_loop_peak(6, 1.0, 0.5, 20000) - short) <= 0.01 * short
     assert short <= 2e6  # bytes; the per-step dense loop peaked at 0.59 MB
     assert _loop_peak(8, 1.0, 0.5, 200) <= 8.4e6  # the per-step dense loop's peak
+
+
+def test_build_peaks_near_the_matrix_it_returns():
+    # the build writes into the array it returns: no term matrix or
+    # temporary of that size is alive at the peak
+    for phi in (0.0, 0.7):
+        tracemalloc.start()
+        try:
+            nbytes = build_hamiltonian(10, 0.8, 0.5, phi).nbytes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * nbytes
+    # the loop's real 256 x 256 H(0) is 0.5 MB
+    assert _loop_peak(8, 1.0, 0.5, 200) <= 3e6
 
 
 @pytest.mark.parametrize("n,alpha,B", [(4, 1.0, 0.5), (6, 1.0, 0.5), (6, 0.8, 0.3)])
