@@ -4,7 +4,6 @@ from .chain import (
     ChainSpec,
     DegeneratePointError,
     bogoliubov_angle,
-    dispersion,
     momentum_grid,
 )
 from .edoracle import (
@@ -23,7 +22,6 @@ from .geophase import (
     dphase_db,
     final_phase,
     mode_phase,
-    mode_phase_xx,
     noncontractibility_scan,
     phase_summary,
     total_phase,
@@ -44,7 +42,6 @@ from .rgflow import (
     RGTrajectory,
     STRONG_COUPLING,
     classify_phase,
-    flow_derivative,
     mass_gap,
     rg_flow,
 )
@@ -56,7 +53,6 @@ __all__ = [
     "ChainSpec",
     "DegeneratePointError",
     "bogoliubov_angle",
-    "dispersion",
     "momentum_grid",
     "GroundState",
     "LoopResult",
@@ -71,7 +67,6 @@ __all__ = [
     "dphase_db",
     "final_phase",
     "mode_phase",
-    "mode_phase_xx",
     "noncontractibility_scan",
     "phase_summary",
     "total_phase",
@@ -88,7 +83,6 @@ __all__ = [
     "RGTrajectory",
     "STRONG_COUPLING",
     "classify_phase",
-    "flow_derivative",
     "mass_gap",
     "rg_flow",
     "InvariantViolation",

@@ -75,11 +75,6 @@ def require_gapped(k, B, alpha, gapped) -> None:
         raise DegeneratePointError(k_b[i], B_b[i], a_b[i])
 
 
-def dispersion(k, B, alpha):
-    """Quasiparticle gap Lambda_k = sqrt((cos k - B)^2 + alpha^2 sin^2 k); >= 0 always."""
-    return gap_kernel(k, B, alpha)[2]
-
-
 def bogoliubov_angle(k, B, alpha):
     """cos(theta_k) = (cos k - B)/Lambda_k, in [-1, 1].
 

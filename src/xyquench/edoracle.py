@@ -35,7 +35,7 @@ import numpy as np
 
 from .chain import gap_kernel, require_gapped
 
-MAX_SITES = 12  # dense eigensolves stay desk-scale below this
+MAX_SITES = 10  # an N = 10 loop takes about 0.07 s, an N = 12 one 2.7 s and 436 MB
 
 _RESIDUAL_TOL = 1e-8
 _DEGENERACY_TOL = 1e-8
@@ -168,7 +168,8 @@ def berry_phase_loop(n_sites: int, alpha: float, B: float, steps: int = 10000) -
     rows = blocks[odd]
 
     gs = ground_state(h[np.ix_(rows, rows)])
-    psi = np.zeros(2**n_sites, dtype=complex)
+    # the dtype of the block vector: a complex psi would make h @ psi copy the real H(0)
+    psi = np.zeros(2**n_sites, dtype=gs.vector.dtype)
     psi[rows] = gs.vector
     residual = float(np.linalg.norm(h @ psi - gs.energy * psi))
     if residual > _RESIDUAL_TOL * scale:
@@ -202,7 +203,7 @@ def berry_phase_loop(n_sites: int, alpha: float, B: float, steps: int = 10000) -
     )
 
 
-def mode_berry_numeric(k: float, B: float, alpha: float, steps: int = 10000) -> float:
+def mode_berry_numeric(k, B, alpha, steps: int = 10000):
     """Per-mode geometric phase from a discretized loop, with winding tracked.
 
     The (k, -k) pair block in span{|00>, |11>} is
@@ -213,13 +214,24 @@ def mode_berry_numeric(k: float, B: float, alpha: float, steps: int = 10000) -> 
     summed in closed form, without reduction: a full winding reports 2pi
     rather than 0.  Converges to pi*(1 - cos theta_k) as steps grow,
     second order in 1/steps.
+
+    k, B and alpha broadcast against each other: the pair blocks of every
+    point are solved in one stacked (..., 2, 2) eigh, which gives each
+    point the bits of its own scalar call.  Scalar inputs return a float,
+    arrays an array of the broadcast shape; any gapless point raises
+    DegeneratePointError naming the first one in C order.
     """
     if steps < 100:
         raise ValueError(f"need steps >= 100 for a resolved loop, got {steps}")
     c, s, _, gapped = gap_kernel(k, B, alpha)
     require_gapped(k, B, alpha, gapped)
-    h0 = np.array([[-2.0 * c, -2.0j * s], [2.0j * s, 2.0 * c]], dtype=complex)
+    h0 = np.empty(np.broadcast(c, s).shape + (2, 2), dtype=complex)
+    h0[..., 0, 0] = -2.0 * c
+    h0[..., 0, 1] = -2.0j * s
+    h0[..., 1, 0] = 2.0j * s
+    h0[..., 1, 1] = 2.0 * c
     _, v = np.linalg.eigh(h0)
-    w0, w1 = np.abs(v[:, 0]) ** 2
-    overlap = w0 + w1 * np.exp(-2.0j * math.pi / steps)
-    return float(-steps * np.angle(overlap))
+    w = np.abs(v[..., 0]) ** 2
+    overlap = w[..., 0] + w[..., 1] * np.exp(-2.0j * math.pi / steps)
+    out = -steps * np.angle(overlap)
+    return float(out) if np.ndim(out) == 0 else out

@@ -36,21 +36,6 @@ def mode_phase(k, B, alpha):
     return np.pi * (1.0 - bogoliubov_angle(k, B, alpha))
 
 
-def mode_phase_xx(k, t, tau_q):
-    """Isotropic (alpha = 0) phase: a sharp 0 -> 2pi step where B crosses cos k.
-
-    For the k -> 0 modes (cos k -> 1) this is the step 2pi * Theta(|t| - tau_q).
-    It is mode_phase at alpha = 0, where cos(theta_k) = sign(cos k - B)
-    exactly; the edge B = cos k is gapless and raises instead of picking a
-    Heaviside convention.
-    """
-    if not tau_q > 0.0:
-        raise ValueError(f"tau_q must be > 0, got {tau_q}")
-    if np.any(np.asarray(t) > 0.0):
-        raise ValueError("quench times must satisfy t <= 0")
-    return mode_phase(k, np.negative(t) / tau_q, 0.0)
-
-
 def total_phase(spec: ChainSpec, B: float) -> float:
     """Gamma_g: one Gamma_k per (k, -k) pair, summed over the positive grid."""
     k = momentum_grid(spec)

@@ -126,8 +126,3 @@ def classify_phase(
     if B < (1.0 - band) * m:
         return PhaseLabel.STAGGERED_ORDER
     return PhaseLabel.LUTTINGER_LIQUID
-
-
-def flow_derivative(state: RGState) -> tuple[float, float]:
-    """Right-hand side (d alpha/dl, dK/dl) at the given couplings."""
-    return _rhs(state.alpha, state.K)

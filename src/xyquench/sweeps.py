@@ -57,11 +57,6 @@ class SweepGrid:
     def __len__(self) -> int:
         return len(next(iter(self.columns.values())))
 
-    @property
-    def rows(self) -> list:
-        """Row tuples, None where a cell is masked (a derived view; not stored)."""
-        return list(zip(*(col.tolist() for col in self.columns.values())))
-
     def csv_text(self) -> str:
         cells = zip(*(_column_text(col) for col in self.columns.values()))
         return "\n".join([",".join(self.columns), *map(",".join, cells)]) + "\n"
@@ -278,10 +273,13 @@ def oracle_report(
     spec_draws = rng.uniform(0.0, 1.0, (int(spectrum_cases), 3))
 
     records = []
-    mode_points = [(float(bv), float(av)) for bv in b_vals for av in a_vals]
-    for i, (bv, av) in enumerate(mode_points):
-        analytic = float(mode_phase(k, bv, av))
-        numeric = mode_berry_numeric(k, bv, av, steps=steps)
+    # field-major mode points, each family solved in one call
+    fields = np.repeat(b_vals, a_vals.size)
+    alphas = np.tile(a_vals, b_vals.size)
+    analytics = mode_phase(k, fields, alphas)
+    numerics = mode_berry_numeric(k, fields, alphas, steps=steps)
+    mode_points = zip(fields.tolist(), alphas.tolist(), analytics.tolist(), numerics.tolist())
+    for i, (bv, av, analytic, numeric) in enumerate(mode_points):
         diff = abs(analytic - numeric)
         records.append(dict(
             case=f"mode_{i:04d}", k=float(k), alpha=av, field=bv, analytic=analytic,

@@ -20,7 +20,6 @@ from xyquench import (
     adiabatic_threshold,
     berry_phase_loop,
     evolve_mode,
-    flow_derivative,
     kink_count,
     lz_probability,
     mass_gap,
@@ -32,7 +31,10 @@ from xyquench import (
     total_phase,
 )
 from xyquench.cli import main
+from xyquench.rgflow import _rhs
 from xyquench.sweeps import fig1_grid, fig2_grids
+
+from test_sweeps_cli import _rows
 
 TWO_PI = 2.0 * math.pi
 
@@ -50,7 +52,7 @@ def test_criterion_01a_xx_step_bracketed_in_one_cell():
     t0 = time.process_time()
     grid = fig1_grid(k=k, alphas=[0.5, 0.0], tau_qs=[1.0, 2.0, 5.0, 10.0], samples=600)
     elapsed = time.process_time() - t0
-    series = [(x, g) for x, tq, a, g in grid.rows if a == 0.0 and tq == 1.0]
+    series = [(x, g) for x, tq, a, g in _rows(grid) if a == 0.0 and tq == 1.0]
     vals = [g for _, g in series]
     jumps = [i for i in range(len(vals) - 1) if vals[i] != vals[i + 1]]
     one_jump = len(jumps) == 1 and {vals[0], vals[-1]} == {TWO_PI, 0.0}
@@ -70,7 +72,7 @@ def test_criterion_01a_xx_step_bracketed_in_one_cell():
 def test_criterion_01b_smooth_sweep_max_cell_jump():
     k = math.pi / 100
     grid = fig1_grid(k=k, alphas=[0.5, 0.0], tau_qs=[1.0, 2.0, 5.0, 10.0], samples=600)
-    vals = [g for x, tq, a, g in grid.rows if a == 0.5 and tq == 1.0]
+    vals = [g for x, tq, a, g in _rows(grid) if a == 0.5 and tq == 1.0]
     max_jump = max(abs(b - a) for a, b in zip(vals, vals[1:]))
     ok = max_jump < 0.5
     _report(
@@ -88,10 +90,10 @@ def test_criterion_02_derivative_ridge_and_divergence():
     results = []
     for tau_q in (1.0, 10.0):
         _, deriv = fig2_grids(k=k, tau_q=tau_q, alpha_samples=200, samples=200)
-        alphas = sorted({r[0] for r in deriv.rows})
-        xs = sorted({r[1] for r in deriv.rows})
+        alphas = sorted({r[0] for r in _rows(deriv)})
+        xs = sorted({r[1] for r in _rows(deriv)})
         table = {}
-        for a, x, v in deriv.rows:
+        for a, x, v in _rows(deriv):
             table.setdefault(a, {})[x] = v
         x_target = min(xs, key=lambda x: abs(x + math.cos(k)))
         ridge_ok = True
@@ -288,7 +290,7 @@ def test_criterion_09_rg_properties():
     sign_ok = True
     for _ in range(100):
         st = RGState(float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.2, 3.0)))
-        da, _ = flow_derivative(st)
+        da, _ = _rhs(st.alpha, st.K)
         if st.alpha > 0.0 and da != 0.0:
             sign_ok = sign_ok and (da > 0.0) == (2.0 - 1.0 / st.K > 0.0)
         traj = rg_flow(st, l_max=1.0, dl=1e-2)

@@ -7,9 +7,14 @@ from xyquench import (
     ChainSpec,
     DegeneratePointError,
     bogoliubov_angle,
-    dispersion,
     momentum_grid,
 )
+from xyquench.chain import gap_kernel
+
+
+def dispersion(k, B, alpha):
+    """Quasiparticle gap Lambda_k, the third entry of the gap kernel."""
+    return gap_kernel(k, B, alpha)[2]
 
 
 def test_grid_n4():

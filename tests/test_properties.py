@@ -1,4 +1,4 @@
-"""Property tests of the gap kernel, the closed forms built on it, the Wilson loop and the pair integrator."""
+"""Property tests of the gap kernel, the closed forms built on it, the Wilson loops, the pair integrator and the RG flow."""
 
 import math
 
@@ -6,19 +6,23 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
 from xyquench import (
     DegeneratePointError,
     QuenchSchedule,
+    RGState,
     berry_phase_loop,
     build_hamiltonian,
-    dispersion,
     dphase_db,
     evolve_mode,
     ground_state,
+    mode_berry_numeric,
     mode_phase,
+    rg_flow,
 )
-from xyquench.sweeps import _deriv_cells, _gamma_cells
+from xyquench.chain import gap_kernel
+from xyquench.sweeps import _deriv_cells, _gamma_cells, oracle_report
 
 from test_edoracle import holonomy_phase
 
@@ -67,7 +71,7 @@ def test_particle_hole_partner_phases_sum_to_two_pi(k, B, alpha):
 
 @given(k=momenta, B=fields, alpha=anisotropies)
 def test_phase_bounded_and_nondecreasing_in_field(k, B, alpha):
-    assume(dispersion(k, B, alpha) > 0.0)
+    assume(gap_kernel(k, B, alpha)[2] > 0.0)
     assert 0.0 <= mode_phase(k, B, alpha) <= TWO_PI
     assert dphase_db(k, -B, 1.0, alpha) >= 0.0
 
@@ -103,3 +107,106 @@ def test_evolve_probability_symmetric_unitary_and_stepped_by_rule(k, alpha, tau_
     h_max = 2.0 * math.hypot(abs(math.cos(k)) + 5.0, alpha * math.sin(k))
     span = sched.t_end - sched.t_start
     assert res.n_steps == math.ceil(span / (0.2 / h_max))
+
+
+def _mode_loop_reference(k, B, alpha, steps):
+    """mode_berry_numeric at one point, from a 2 x 2 eigh of its own: the per-point reference."""
+    c, s = np.cos(k) - B, alpha * np.sin(k)
+    h0 = np.array([[-2.0 * c, -2.0j * s], [2.0j * s, 2.0 * c]], dtype=complex)
+    w0, w1 = np.abs(np.linalg.eigh(h0)[1][:, 0]) ** 2
+    return float(-steps * np.angle(w0 + w1 * np.exp(-2.0j * math.pi / steps)))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+mode_shapes = npst.mutually_broadcastable_shapes(num_shapes=3, max_dims=3, max_side=4)
+loop_steps = st.sampled_from([100, 1000, 10000, 12345])
+
+
+@settings(max_examples=50, deadline=None)
+@given(shapes=mode_shapes, steps=loop_steps, data=st.data())
+def test_mode_loop_over_arrays_equals_its_scalar_calls_bit_for_bit(shapes, steps, data):
+    k_shape, b_shape, a_shape = shapes.input_shapes
+    # gapped everywhere: alpha > 0 and sin k > 0
+    k = data.draw(npst.arrays(float, k_shape, elements=st.floats(0.01, math.pi - 0.01)))
+    B = data.draw(npst.arrays(float, b_shape, elements=fields))
+    alpha = data.draw(npst.arrays(float, a_shape, elements=st.floats(0.05, 2.0)))
+    got = mode_berry_numeric(k, B, alpha, steps=steps)
+    if shapes.result_shape:
+        assert isinstance(got, np.ndarray) and got.shape == shapes.result_shape
+    else:
+        assert type(got) is float  # 0-d inputs are scalars
+    got = np.asarray(got)
+    kb, bb, ab = np.broadcast_arrays(k, B, alpha)
+    for idx in np.ndindex(shapes.result_shape):
+        point = (float(kb[idx]), float(bb[idx]), float(ab[idx]))
+        scalar = mode_berry_numeric(*point, steps=steps)
+        assert type(scalar) is float
+        assert _bits(got[idx]) == _bits(scalar) == _bits(_mode_loop_reference(*point, steps))
+
+
+@given(shape=npst.array_shapes(min_dims=1, max_dims=3, max_side=4), data=st.data())
+def test_mode_loop_names_the_first_gapless_point_in_c_order(shape, data):
+    k = data.draw(npst.arrays(float, shape, elements=st.floats(0.01, math.pi - 0.01)))
+    B = data.draw(npst.arrays(float, shape, elements=fields))
+    alpha = data.draw(npst.arrays(float, shape, elements=st.floats(0.05, 2.0)))
+    gapless = data.draw(npst.arrays(bool, shape))
+    assume(gapless.any())
+    # alpha = 0 and B = cos k exactly close the gap at each marked point
+    B = np.where(gapless, np.cos(k), B)
+    alpha = np.where(gapless, 0.0, alpha)
+    first = tuple(np.argwhere(gapless)[0])
+    with pytest.raises(DegeneratePointError) as err:
+        mode_berry_numeric(k, B, alpha, steps=1000)
+    assert (err.value.k, err.value.B, err.value.alpha) == (k[first], B[first], alpha[first])
+
+
+@pytest.mark.parametrize("seed,steps", [(0, 10000), (3, 2000)])
+def test_oracle_mode_rows_equal_their_per_point_reference(seed, steps):
+    grid, _ = oracle_report(seed=seed, steps=steps)
+    mode = np.char.startswith(grid.columns["case"].astype(str), "mode_")
+    rng = np.random.default_rng(seed)
+    b_vals, a_vals = rng.uniform(-1.5, 1.5, 20), rng.uniform(0.05, 2.0, 20)
+    points = [(float(bv), float(av)) for bv in b_vals for av in a_vals]  # field-major
+    k = math.pi / 2
+    assert mode.sum() == len(points)
+    assert grid.columns["field"][mode].tolist() == [bv for bv, _ in points]
+    assert grid.columns["alpha"][mode].tolist() == [av for _, av in points]
+    analytic = [float(mode_phase(k, bv, av)) for bv, av in points]
+    numeric = [_mode_loop_reference(k, bv, av, steps) for bv, av in points]
+    assert np.array_equal(_bits(grid.columns["analytic"][mode]), _bits(analytic))
+    assert np.array_equal(_bits(grid.columns["numeric"][mode]), _bits(numeric))
+
+
+# ----------------------------------------------------------------- RG flow
+
+def _rg_invariant(alpha, K):
+    """I = alpha^2 - 16 K + 8 ln K, conserved by d(alpha)/dl = (2 - 1/K) alpha, dK/dl = alpha^2/4."""
+    return alpha * alpha - 16.0 * K + 8.0 * math.log(K)
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha0=st.floats(0.0, 2.0), K0=st.floats(0.3, 3.0), dl=st.floats(1e-3, 5e-2))
+def test_rg_flow_conserves_its_invariant_to_fourth_order(alpha0, K0, dl):
+    # RK4's local error on a component growing at rate lam is (lam dl)^5/120 of
+    # its size.  Here |2 - 1/K| <= 2, so alpha^2 (twice alpha's relative error)
+    # and K each err by less than dl^5 of S per step, with S the largest
+    # alpha^2 + 16 K + 8 |ln K| on the trajectory; over l_max/dl steps that is
+    # at most l_max dl^4 S.  Rounding adds at most 8 eps S per step.
+    l_max = 5.0
+    traj = rg_flow(RGState(alpha0, K0), l_max=l_max, dl=dl)
+    scale = max(x.alpha**2 + 16.0 * x.K + 8.0 * abs(math.log(x.K)) for x in traj.states)
+    n_steps = len(traj.states) - 1
+    bound = l_max * dl**4 * scale + 8.0 * n_steps * np.finfo(float).eps * scale
+    start = _rg_invariant(alpha0, K0)
+    drift = max(abs(_rg_invariant(x.alpha, x.K) - start) for x in traj.states)
+    assert drift <= bound
+
+
+@given(K0=st.floats(0.05, 5.0), dl=st.floats(1e-3, 0.5))
+def test_rg_invariant_is_exactly_constant_on_the_fixed_line(K0, dl):
+    traj = rg_flow(RGState(0.0, K0), l_max=3.0, dl=dl)
+    start = _rg_invariant(0.0, K0)
+    assert all(_rg_invariant(x.alpha, x.K) == start for x in traj.states)

@@ -9,10 +9,15 @@ from xyquench import (
     RGState,
     STRONG_COUPLING,
     classify_phase,
-    flow_derivative,
     mass_gap,
     rg_flow,
 )
+from xyquench.rgflow import _rhs
+
+
+def flow_derivative(state):
+    """(d alpha/dl, dK/dl) at the state's couplings."""
+    return _rhs(state.alpha, state.K)
 
 
 # ------------------------------------------------------------------- rg_flow

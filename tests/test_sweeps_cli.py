@@ -24,6 +24,11 @@ from xyquench.sweeps import (
 TWO_PI = 2.0 * math.pi
 
 
+def _rows(grid) -> list:
+    """Row tuples of a grid, None where a cell is masked."""
+    return list(zip(*(col.tolist() for col in grid.columns.values())))
+
+
 # -------------------------------------------------------------------- CSV core
 
 def _read_csv(path):
@@ -83,7 +88,7 @@ def _format_cell(v) -> str:
 
 def _reference_csv(grid) -> str:
     lines = [",".join(grid.columns)]
-    lines += [",".join(_format_cell(v) for v in row) for row in grid.rows]
+    lines += [",".join(_format_cell(v) for v in row) for row in _rows(grid)]
     return "\n".join(lines) + "\n"
 
 
@@ -113,7 +118,7 @@ _SMALL_GRIDS = {
 def test_csv_text_matches_per_cell_reference(builder):
     make, kinds = _SMALL_GRIDS[builder]
     grids = make()
-    seen = {None if v is None else type(v) for g in grids for row in g.rows for v in row}
+    seen = {None if v is None else type(v) for g in grids for row in _rows(g) for v in row}
     assert kinds <= seen
     for grid in grids:
         assert grid.csv_text() == _reference_csv(grid)
@@ -158,8 +163,8 @@ def test_validate_bounds_skips_masked_cells():
 def test_fig1_columns_and_step():
     grid = fig1_grid(k=math.pi / 100, alphas=[0.5, 0.0], tau_qs=[1.0, 2.0], samples=600)
     assert tuple(grid.columns) == ("t_over_tauq", "tau_q", "alpha", "gamma_k")
-    assert len(grid) == len(grid.rows) == 2 * 2 * 600
-    xx = [r for r in grid.rows if r[2] == 0.0 and r[1] == 1.0]
+    assert len(grid) == len(_rows(grid)) == 2 * 2 * 600
+    xx = [r for r in _rows(grid) if r[2] == 0.0 and r[1] == 1.0]
     vals = [r[3] for r in xx]
     assert set(vals) == {0.0, TWO_PI}
     jumps = [i for i in range(len(vals) - 1) if vals[i] != vals[i + 1]]
@@ -172,7 +177,7 @@ def test_fig1_columns_and_step():
 
 def test_fig1_t0_row_value():
     grid = fig1_grid(k=math.pi / 100, alphas=[0.5], tau_qs=[1.0], samples=10)
-    last = grid.rows[-1]
+    last = _rows(grid)[-1]
     assert last[0] == 0.0
     k = math.pi / 100
     expected = math.pi * (1 - math.cos(k) / math.sqrt(math.cos(k) ** 2 + 0.25 * math.sin(k) ** 2))
@@ -181,7 +186,7 @@ def test_fig1_t0_row_value():
 
 def test_fig1_deep_field_rows_near_two_pi():
     grid = fig1_grid(k=math.pi / 100, alphas=[0.5, 0.0], tau_qs=[1.0], samples=5)
-    first = [r for r in grid.rows if r[0] == -3.0]
+    first = [r for r in _rows(grid) if r[0] == -3.0]
     for r in first:
         assert r[3] == pytest.approx(TWO_PI, abs=1e-3)
 
@@ -190,7 +195,7 @@ def test_fig1_emits_empty_cell_at_exact_crossing():
     # the final grid point lands exactly on B = cos k: gapless, emitted empty
     k = 0.8
     grid = fig1_grid(k=k, alphas=[0.0], tau_qs=[1.0], tmin=-2.0, tmax=-math.cos(k), samples=5)
-    cells = [r[3] for r in grid.rows]
+    cells = [r[3] for r in _rows(grid)]
     assert cells[-1] is None
     assert all(c is not None for c in cells[:-1])
     assert grid.csv_text().splitlines()[-1].endswith(",")
@@ -199,13 +204,13 @@ def test_fig1_emits_empty_cell_at_exact_crossing():
 def test_fig2_shapes_and_ridge():
     phase, deriv = fig2_grids(k=math.pi / 2, alpha_samples=50, samples=50)
     assert tuple(phase.columns) == ("alpha", "t_over_tauq", "value")
-    assert len(phase.rows) == 50 * 50 and len(deriv.rows) == 50 * 50
+    assert len(_rows(phase)) == 50 * 50 and len(_rows(deriv)) == 50 * 50
     # alpha = 0 derivative row: all zeros (sin k finite but alpha^2 kills it)
-    a0 = [r[2] for r in deriv.rows if r[0] == 0.0]
+    a0 = [r[2] for r in _rows(deriv) if r[0] == 0.0]
     assert all(v == 0.0 or v is None for v in a0)
     # each alpha > 0 row peaks at the t closest to -tau_q cos k = 0
     by_alpha = {}
-    for a, x, v in deriv.rows:
+    for a, x, v in _rows(deriv):
         if a > 0 and v is not None:
             by_alpha.setdefault(a, []).append((x, v))
     for a, cells in by_alpha.items():
@@ -225,9 +230,9 @@ def test_fig2_validation():
 def test_quench_grid_column_consistency():
     modes, summary = quench_grids(n_sites=100, tau_qs=(10.0,))
     assert tuple(modes.columns) == ("tau_q", "k", "p_k")
-    col = [r[2] for r in modes.rows]
+    col = [r[2] for r in _rows(modes)]
     assert len(col) == 100
-    total = summary.rows[0][1]
+    total = _rows(summary)[0][1]
     assert total == pytest.approx(sum(col), rel=1e-13)
 
 
@@ -235,7 +240,7 @@ def test_quench_grid_evolve_column():
     modes, _ = quench_grids(n_sites=10, tau_qs=(1.0,), evolve=True, evolve_modes=2)
     assert tuple(modes.columns) == ("tau_q", "k", "p_k", "p_evolved")
     k0 = math.pi / 10
-    filled = {r[1]: r[3] for r in modes.rows if r[3] is not None}
+    filled = {r[1]: r[3] for r in _rows(modes) if r[3] is not None}
     assert set(filled) == {k0, -k0, 3 * k0, -3 * k0}
     for k, pe in filled.items():
         assert pe == filled[-k]  # pair symmetry
@@ -255,7 +260,7 @@ def test_quench_summary_flags():
     _, summary = quench_grids(n_sites=100, tau_qs=(1000.0, 2000.0))
     assert tuple(summary.columns) == (
         "tau_q", "kink_count", "threshold", "safety_factor", "adiabatic")
-    flags = {r[0]: r[4] for r in summary.rows}
+    flags = {r[0]: r[4] for r in _rows(summary)}
     assert flags[1000.0] is False and flags[2000.0] is True
 
 
@@ -264,8 +269,8 @@ def test_quench_summary_flags():
 def test_rg_grid_serialization():
     grid = rg_grid([(0.0, 0.3), (0.1, 1.0)], l_max=4.0, dl=0.1, alpha_cap=0.5)
     assert tuple(grid.columns) == ("traj", "l", "alpha", "K", "status")
-    t0 = [r for r in grid.rows if r[0] == 0]
-    t1 = [r for r in grid.rows if r[0] == 1]
+    t0 = [r for r in _rows(grid) if r[0] == 0]
+    t1 = [r for r in _rows(grid) if r[0] == 1]
     assert all(r[4] == "completed" for r in t0)
     assert t1[-1][4] == "strong_coupling"
     assert all(r[2] == 0.0 for r in t0)  # fixed line stays put
@@ -276,8 +281,8 @@ def test_rg_grid_serialization():
 def test_noncontract_grid_rows():
     grid = noncontract_grid(field=0.0, alphas=(0.5,), sizes=(10, 20))
     assert tuple(grid.columns) == ("alpha", "n_sites", "gamma_g_over_m")
-    assert [r[1] for r in grid.rows] == [10, 20]
-    for r in grid.rows:
+    assert [r[1] for r in _rows(grid)] == [10, 20]
+    for r in _rows(grid):
         assert r[2] == pytest.approx(math.pi, rel=1e-12)
 
 
@@ -286,9 +291,9 @@ def test_noncontract_grid_rows():
 def test_oracle_report_passes_with_defaults_small():
     grid, failures = oracle_report(seed=3, steps=1500, grid_size=4, spectrum_cases=3)
     assert failures == 0
-    statuses = {r[-1] for r in grid.rows}
+    statuses = {r[-1] for r in _rows(grid)}
     assert statuses <= {"ok", "odd_sector"}
-    kinds = {r[0].split("_")[0] for r in grid.rows}
+    kinds = {r[0].split("_")[0] for r in _rows(grid)}
     assert kinds == {"mode", "loop", "spectrum"}
 
 
@@ -563,6 +568,6 @@ def test_cli_emitted_phase_values_in_range(tmp_path):
 
 def test_mode_phase_matches_fig1_cells():
     grid = fig1_grid(k=0.5, alphas=[0.7], tau_qs=[2.0], samples=7)
-    for x, tq, a, g in grid.rows:
+    for x, tq, a, g in _rows(grid):
         assert g == pytest.approx(float(mode_phase(0.5, abs(x), 0.7)), rel=1e-14)
 
