@@ -14,7 +14,6 @@ from .edoracle import (
     build_hamiltonian,
     ground_state,
     mode_berry_numeric,
-    state_parity,
 )
 from .geophase import (
     PhaseSummary,
@@ -61,7 +60,6 @@ __all__ = [
     "build_hamiltonian",
     "ground_state",
     "mode_berry_numeric",
-    "state_parity",
     "PhaseSummary",
     "critical_phase",
     "dphase_db",

@@ -56,7 +56,6 @@ class GroundState:
 class LoopResult:
     """Discretized holonomy around the phi loop."""
 
-    phi_steps: int
     phase: float
     overlaps_min: float
     valid: bool
@@ -125,12 +124,6 @@ def ground_state(h: np.ndarray) -> GroundState:
     )
 
 
-def state_parity(vector: np.ndarray) -> float:
-    """Expectation of prod_j sz_j; +/-1 labels the fermion parity sector."""
-    signs = 1.0 - 2.0 * (_popcount(vector.size.bit_length() - 1) % 2)
-    return float(np.real(np.sum(np.abs(vector) ** 2 * signs)))
-
-
 def berry_phase_loop(n_sites: int, alpha: float, B: float, steps: int = 10000) -> LoopResult:
     """Many-body Berry phase of the ground state around phi in [0, pi).
 
@@ -154,7 +147,8 @@ def berry_phase_loop(n_sites: int, alpha: float, B: float, steps: int = 10000) -
     the gap, the second-lowest level over both blocks minus the lowest, with
     the same degeneracy test as ground_state.  ground_state then solves the
     ground block once, and its vector is embedded into the full space,
-    where it must pass the full-space residual check.
+    where it must pass the full-space residual check.  The reported parity
+    is the sign of that block, +1 even and -1 odd.
     """
     if steps < 100:
         raise ValueError(f"need steps >= 100 for a resolved loop, got {steps}")
@@ -174,10 +168,9 @@ def berry_phase_loop(n_sites: int, alpha: float, B: float, steps: int = 10000) -
     residual = float(np.linalg.norm(h @ psi - gs.energy * psi))
     if residual > _RESIDUAL_TOL * scale:
         raise _residual_error(residual, scale)
-    parity = state_parity(psi)
+    parity = 1.0 - 2.0 * odd  # psi lives in one parity block
     if two[1] - two[0] < _DEGENERACY_TOL * scale:
         return LoopResult(
-            phi_steps=steps,
             phase=math.nan,
             overlaps_min=0.0,
             valid=False,
@@ -193,7 +186,6 @@ def berry_phase_loop(n_sites: int, alpha: float, B: float, steps: int = 10000) -
     ov_min = abs(ov)
     under = ov_min < _OVERLAP_RESOLVED
     return LoopResult(
-        phi_steps=steps,
         phase=phase,
         overlaps_min=ov_min,
         valid=(ov_min > 0.0) and not under,

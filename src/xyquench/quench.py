@@ -32,39 +32,35 @@ _CHUNK = 1 << 15  # steps multiplied per numpy chunk; memory does not grow with 
 
 @dataclass(frozen=True)
 class QuenchSchedule:
-    """Linear ramp window: B(t) = -t/tau_q on t in [t_start, t_end], t_end <= 0."""
+    """Linear ramp B(t) = -t/tau_q on t in [t_start, 0]: it always ends at B = 0."""
 
     tau_q: float
     t_start: float
-    t_end: float = 0.0
 
     def __post_init__(self):
         if not self.tau_q > 0.0:
             raise ValueError(f"tau_q must be > 0, got {self.tau_q}")
-        if not self.t_start < self.t_end <= 0.0:
-            raise ValueError(
-                f"need t_start < t_end <= 0, got t_start={self.t_start}, t_end={self.t_end}"
-            )
+        if not self.t_start < 0.0:
+            raise ValueError(f"need t_start < 0, got t_start={self.t_start}")
 
     @classmethod
     def from_field(cls, tau_q: float, b_start: float = 5.0) -> "QuenchSchedule":
         """Window starting deep in the polarized regime, B(t_start) = b_start."""
-        return cls(tau_q=tau_q, t_start=-b_start * tau_q, t_end=0.0)
+        return cls(tau_q=tau_q, t_start=-b_start * tau_q)
 
     def covers(self, k: float) -> bool:
         """Whether the field window passes the pair's crossing B = cos k strictly inside."""
-        return -self.t_end / self.tau_q < math.cos(k) < -self.t_start / self.tau_q
+        return 0.0 < math.cos(k) < -self.t_start / self.tau_q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KinkReport:
-    """Per-mode excitation probabilities and the expected kink count."""
+    """Excitation probabilities p_k over the signed grid -k_max .. k_max, and their sum."""
 
-    per_mode_p: dict
+    p_k: np.ndarray
     kink_count: float
     threshold: float
     adiabatic: bool
-    safety_factor: float
 
 
 @dataclass(frozen=True)
@@ -103,16 +99,15 @@ def kink_count(spec: ChainSpec, tau_q: float, safety_factor: float = 10.0) -> Ki
     p_all = lz_probability(k_all, tau_q)
     threshold = adiabatic_threshold(spec.n_sites)
     return KinkReport(
-        per_mode_p={float(k): float(p) for k, p in zip(k_all, p_all)},
+        p_k=p_all,
         kink_count=float(np.sum(p_all)),
         threshold=threshold,
         adiabatic=bool(tau_q > safety_factor * threshold),
-        safety_factor=float(safety_factor),
     )
 
 
-def evolve_mode(k, alpha, schedule: QuenchSchedule, dt=None, full_output=False):
-    """Integrate one (k, -k) pair through the ramp; excitation probability at t_end.
+def evolve_mode(k, alpha, schedule: QuenchSchedule, dt=None) -> EvolveResult:
+    """Integrate one (k, -k) pair through the ramp; excitation probability at t = 0.
 
     The pair spans {|00>, |11>} with Hamiltonian
     H_k(t) = -2(cos k - B(t)) Z + 2 alpha sin(k) X; the factor 2 is the
@@ -130,18 +125,18 @@ def evolve_mode(k, alpha, schedule: QuenchSchedule, dt=None, full_output=False):
     as a tree and the product is applied to the state, so memory stays
     bounded however long the ramp.  A ramp needing more than _MAX_STEPS
     steps is refused with ValueError before anything is allocated.
-    `norm_drift` is the worst |<psi|psi> - 1| at the chunk ends.  The state
-    starts in the instantaneous ground state at t_start and the result is
-    |<excited(t_end)|psi(t_end)>|^2.
+    The state starts in the instantaneous ground state at t_start.  The
+    result carries the probability |<excited(0)|psi(0)>|^2, the worst
+    norm drift |<psi|psi> - 1| at the chunk ends, the step count, and
+    whether the ramp covers the crossing.
     """
     c0 = math.cos(k)
     s = alpha * math.sin(k)
     b_start = -schedule.t_start / schedule.tau_q
-    b_end = -schedule.t_end / schedule.tau_q
     crossing_covered = schedule.covers(k)
     if not crossing_covered:
         warnings.warn(
-            f"window B in [{b_end:g}, {b_start:g}] does not cover the crossing at "
+            f"window B in [0, {b_start:g}] does not cover the crossing at "
             f"B = cos k = {c0:g}",
             stacklevel=2,
         )
@@ -152,14 +147,14 @@ def evolve_mode(k, alpha, schedule: QuenchSchedule, dt=None, full_output=False):
             stacklevel=2,
         )
 
-    h_max = 2.0 * math.hypot(abs(c0) + max(b_start, b_end), s)
+    h_max = 2.0 * math.hypot(abs(c0) + b_start, s)
     if dt is None:
         dt = _DEFAULT_STEP / h_max
     if not dt > 0.0 or dt * h_max >= _MAX_STABLE_STEP:
         raise ValueError(
             f"unstable step size: dt*max|H| = {dt * h_max:g} must stay below {_MAX_STABLE_STEP}"
         )
-    span = schedule.t_end - schedule.t_start
+    span = -schedule.t_start
     estimate = span / dt
     if not estimate <= _MAX_STEPS:
         raise ValueError(
@@ -198,16 +193,13 @@ def evolve_mode(k, alpha, schedule: QuenchSchedule, dt=None, full_output=False):
         )
         drift = max(drift, abs(abs(psi0) ** 2 + abs(psi1) ** 2 - 1.0))
 
-    e0, e1 = _pair_eigenvector(c0, s, b_end, excited=True)
-    prob = abs(e0.conjugate() * psi0 + e1.conjugate() * psi1) ** 2
-    if full_output:
-        return EvolveResult(
-            probability=float(prob),
-            norm_drift=float(drift),
-            n_steps=n,
-            crossing_covered=crossing_covered,
-        )
-    return float(prob)
+    e0, e1 = _pair_eigenvector(c0, s, 0.0, excited=True)
+    return EvolveResult(
+        probability=float(abs(e0.conjugate() * psi0 + e1.conjugate() * psi1) ** 2),
+        norm_drift=float(drift),
+        n_steps=n,
+        crossing_covered=crossing_covered,
+    )
 
 
 def _quat_mul(p, q):

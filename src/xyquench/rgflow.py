@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 COMPLETED = "completed"
 STRONG_COUPLING = "strong_coupling"
+_MAX_STEPS = 10**6  # RK4 steps per trajectory, about 0.2 GB of states; refused before the loop
 
 
 class PhaseLabel(enum.Enum):
@@ -66,7 +67,13 @@ def rg_flow(
         raise ValueError(f"dl must be > 0, got {dl}")
     if not l_max > initial.l:
         raise ValueError(f"l_max must exceed initial.l = {initial.l}, got {l_max}")
-    n = max(1, int(round((l_max - initial.l) / dl)))
+    estimate = (l_max - initial.l) / dl
+    if not estimate <= _MAX_STEPS:
+        raise ValueError(
+            f"the flow needs about {estimate:.3g} RK4 steps, above the budget of "
+            f"{_MAX_STEPS:.0e}; use a larger dl or a smaller l_max"
+        )
+    n = max(1, int(round(estimate)))
     h = (l_max - initial.l) / n
 
     states = [initial]
@@ -98,28 +105,23 @@ def mass_gap(alpha: float, K: float, cutoff: float) -> float:
 
 
 def classify_phase(
-    K: float,
-    alpha: float,
-    B: float,
-    cutoff: float,
-    band: float = 0.5,
-    b_ferro: float = 1.0,
+    K: float, alpha: float, B: float, cutoff: float, band: float = 0.5
 ) -> PhaseLabel:
     """Static phase of the chain under a quench-induced field B.
 
     K <= 1/2: the coupling is irrelevant; the Luttinger liquid survives
-    until the field exceeds b_ferro (single-particle band edge by
-    default), after which the chain polarizes.  K > 1/2: the gapped
-    staggered phase holds for B well below the gap M, the field wins for
-    B well above it, and a field of the order of M (relative band `band`)
-    restores the Luttinger liquid.
+    until the field exceeds the single-particle band edge B = 1, after
+    which the chain polarizes.  K > 1/2: the gapped staggered phase holds
+    for B well below the gap M, the field wins for B well above it, and a
+    field of the order of M (relative band `band`) restores the Luttinger
+    liquid.
     """
     if not 0.0 < band < 1.0:
         raise ValueError(f"band must lie in (0, 1), got {band}")
     if not B >= 0.0:
         raise ValueError(f"quench field must be >= 0, got {B}")
     if K <= 0.5:
-        return PhaseLabel.FERROMAGNETIC if B > b_ferro else PhaseLabel.LUTTINGER_LIQUID
+        return PhaseLabel.FERROMAGNETIC if B > 1.0 else PhaseLabel.LUTTINGER_LIQUID
     m = mass_gap(alpha, K, cutoff)
     if B > (1.0 + band) * m:
         return PhaseLabel.FERROMAGNETIC

@@ -25,6 +25,7 @@ from .quench import QuenchSchedule, evolve_mode, kink_count
 from .rgflow import rg_flow, RGState
 
 TWO_PI = 2.0 * math.pi
+_MAX_CELLS = 10**6  # rows per fig1/fig2 grid; 10^6 fig2 rows take about 4 s and 0.35 GB
 
 # cell text by dtype kind; anything else (ints, strings) prints with str
 _FORMATS = {"f": "{:.17g}".format, "b": lambda v: "true" if v else "false"}
@@ -92,6 +93,15 @@ def _deriv_cells(k: float, b_values: np.ndarray, alpha):
     return np.ma.masked_array(phase_slope(s, lam), mask=~gapped)
 
 
+def _refuse_cells(cells: int) -> None:
+    """Refuse a grid over the cell budget before any of it is allocated."""
+    if cells > _MAX_CELLS:
+        raise ValueError(
+            f"the grid has {cells:.3g} cells, above the budget of {_MAX_CELLS:.0e}; "
+            f"use fewer samples"
+        )
+
+
 def _time_axis(tmin: float, tmax: float, samples: int) -> np.ndarray:
     if samples < 2:
         raise ValueError(f"need at least 2 samples per swept axis, got {samples}")
@@ -102,6 +112,7 @@ def _time_axis(tmin: float, tmax: float, samples: int) -> np.ndarray:
 
 def fig1_grid(k, alphas, tau_qs, tmin=-3.0, tmax=0.0, samples=600) -> SweepGrid:
     """Gamma_k(t) series over t/tau_q for each anisotropy and quench time."""
+    _refuse_cells(len(alphas) * len(tau_qs) * samples)
     x = _time_axis(tmin, tmax, samples)
     for tau_q in tau_qs:
         if not tau_q > 0.0:
@@ -133,6 +144,7 @@ def fig2_grids(
     the time axis without changing the table; it is validated and kept for
     the caller's bookkeeping.
     """
+    _refuse_cells(alpha_samples * samples)
     if not tau_q > 0.0:
         raise ValueError(f"tau_q must be > 0, got {tau_q}")
     if alpha_samples < 2:
@@ -177,7 +189,7 @@ def quench_grids(
         if evolve:
             schedule = QuenchSchedule.from_field(tau_q, b_start)
             uncovered.update(float(kk) for kk in k_pos[:n_evolved] if not schedule.covers(kk))
-            evolved.append([evolve_mode(float(kk), alpha, schedule, dt=dt)
+            evolved.append([evolve_mode(float(kk), alpha, schedule, dt=dt).probability
                             if schedule.covers(kk) else math.nan for kk in k_pos[:n_evolved]])
     if uncovered:
         warnings.warn(
@@ -189,7 +201,7 @@ def quench_grids(
     modes = {
         "tau_q": np.repeat(taus, k_all.size),
         "k": np.tile(k_all, taus.size),
-        "p_k": np.array([p for rep in reps for p in rep.per_mode_p.values()], dtype=float),
+        "p_k": np.array([rep.p_k for rep in reps], dtype=float).ravel(),
     }
     if evolve:
         # one value per +/-k pair; the modes past evolve_modes or uncovered stay masked
@@ -200,7 +212,7 @@ def quench_grids(
         "tau_q": taus,
         "kink_count": np.array([r.kink_count for r in reps], dtype=float),
         "threshold": np.array([r.threshold for r in reps], dtype=float),
-        "safety_factor": np.array([r.safety_factor for r in reps], dtype=float),
+        "safety_factor": np.full(taus.size, safety_factor, dtype=float),
         "adiabatic": np.array([r.adiabatic for r in reps], dtype=bool),
     }
     return SweepGrid(modes), SweepGrid(summary)

@@ -202,7 +202,7 @@ def test_criterion_06_landau_zener_oracle():
     cases = []
     for k in (math.pi / 100, math.pi / 50):
         for tau_q in (1.0, 10.0, 100.0):
-            p = evolve_mode(k, 1.0, QuenchSchedule.from_field(tau_q))
+            p = evolve_mode(k, 1.0, QuenchSchedule.from_field(tau_q)).probability
             target = float(lz_probability(k, tau_q))
             cases.append((k, tau_q, abs(p - target) / target))
     worst = max(c[2] for c in cases)

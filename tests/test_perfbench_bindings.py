@@ -34,3 +34,20 @@ def test_tracer_install_uninstall_round_trip():
     finally:
         t.uninstall()
     assert all(getattr(o, a) is f for (o, a), f in zip(resolved, originals))
+
+
+def test_counters_read_what_the_bound_functions_return(tmp_path):
+    # a traced pass calls each COUNTERS lambda on the live result: a changed return breaks it
+    from xyquench import cli
+
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert cli.main(["rg", "--lmax", "0.1", "--out", str(tmp_path / "rg.csv")]) == 0
+        assert cli.main(["oracle", "--nsites", "4", "--grid", "1", "--spectrum-cases", "1",
+                         "--steps", "200", "--out", str(tmp_path / "oracle.csv")]) == 0
+    finally:
+        t.uninstall()
+    for key in ("edoracle.ground_state.dim3", "edoracle.build_hamiltonian.bytes",
+                "sweeps.csv_bytes", "rgflow.rg_flow.steps"):
+        assert t.counters[key] > 0, key

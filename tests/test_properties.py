@@ -1,4 +1,4 @@
-"""Property tests of the gap kernel, the closed forms built on it, the Wilson loops, the pair integrator and the RG flow."""
+"""Property tests of the gap kernel, the closed forms built on it, the Wilson loops, the ED symmetries, the pair integrator and the RG flow."""
 
 import math
 
@@ -93,19 +93,49 @@ def test_loop_equals_holonomy_of_explicit_ground_states(n, alpha, B):
     assert abs(res.overlaps_min - ov_min) <= 1e-12
 
 
+ed_sizes = st.integers(2, 8)
+angles = st.floats(-math.pi, math.pi)
+
+
+@settings(max_examples=35, deadline=None)
+@given(n=ed_sizes, alpha=anisotropies, B=fields, phi=angles)
+def test_spin_flip_reverses_the_basis_and_maps_b_phi_to_minus_b_minus_phi(n, alpha, B, phi):
+    # prod_j sx_j complements every bit of the index: sz -> -sz, sy -> -sy,
+    # so the field and the (sx sy + sy sx) weight, odd in phi, change sign
+    h = build_hamiltonian(n, alpha, B, phi)
+    assert np.array_equal(build_hamiltonian(n, alpha, -B, -phi), h[::-1, ::-1])
+
+
+@settings(max_examples=35, deadline=None)
+@given(n=ed_sizes, alpha=anisotropies, B=fields)
+def test_translation_commutes_with_h0(n, alpha, B):
+    h = build_hamiltonian(n, alpha, B)
+    idx = np.arange(2**n)
+    perm = (idx >> 1) | ((idx & 1) << (n - 1))  # every site moves one place along the ring
+    assert np.array_equal(h[np.ix_(perm, perm)], h)
+
+
+@settings(max_examples=35, deadline=None)
+@given(n=ed_sizes, alpha=anisotropies, B=fields, phi=angles)
+def test_spectrum_is_even_in_the_field(n, alpha, B, phi):
+    w = np.linalg.eigvalsh(build_hamiltonian(n, alpha, B, phi))
+    w_flipped = np.linalg.eigvalsh(build_hamiltonian(n, alpha, -B, phi))
+    assert np.max(np.abs(w - w_flipped)) <= 1e-12 * np.max(np.abs(w))
+
+
 @settings(max_examples=30, deadline=None)
 @given(k=st.floats(0.02, 1.5), alpha=st.floats(0.1, 2.0), tau_q=st.floats(0.1, 20.0))
 def test_evolve_probability_symmetric_unitary_and_stepped_by_rule(k, alpha, tau_q):
     sched = QuenchSchedule.from_field(tau_q)
-    res = evolve_mode(k, alpha, sched, full_output=True)
+    res = evolve_mode(k, alpha, sched)
     assert 0.0 <= res.probability <= 1.0
     assert res.norm_drift < 1e-8
     # -k flips the sign of the X and Y fields: a Z conjugation, which leaves p alone
-    mirrored = evolve_mode(-k, alpha, sched, full_output=True)
+    mirrored = evolve_mode(-k, alpha, sched)
     assert abs(mirrored.probability - res.probability) <= 1e-12
     assert mirrored.n_steps == res.n_steps
     h_max = 2.0 * math.hypot(abs(math.cos(k)) + 5.0, alpha * math.sin(k))
-    span = sched.t_end - sched.t_start
+    span = -sched.t_start
     assert res.n_steps == math.ceil(span / (0.2 / h_max))
 
 

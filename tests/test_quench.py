@@ -22,10 +22,8 @@ from xyquench.quench import _quat_mul
 def test_schedule_validation():
     with pytest.raises(ValueError):
         QuenchSchedule(tau_q=-1.0, t_start=-5.0)
-    with pytest.raises(ValueError):
-        QuenchSchedule(tau_q=1.0, t_start=0.0, t_end=-1.0)
-    with pytest.raises(ValueError):
-        QuenchSchedule(tau_q=1.0, t_start=-1.0, t_end=0.5)
+    with pytest.raises(ValueError, match="need t_start < 0"):
+        QuenchSchedule(tau_q=1.0, t_start=0.0)
 
 
 def test_schedule_from_field():
@@ -89,8 +87,12 @@ def test_kink_count_brute_force_n100():
 def test_kink_count_sums_per_mode_map():
     spec = ChainSpec(20, 0.5)
     rep = kink_count(spec, 2.0)
-    assert len(rep.per_mode_p) == 20
-    assert rep.kink_count == pytest.approx(sum(rep.per_mode_p.values()), rel=1e-13)
+    assert rep.p_k.dtype == np.float64 and rep.p_k.shape == (20,)
+    assert rep.kink_count == pytest.approx(sum(rep.p_k), rel=1e-13)
+    # in the order of the signed grid -k_max .. k_max
+    k_pos = momentum_grid(spec)
+    signed = np.concatenate((-k_pos[::-1], k_pos))
+    assert np.array_equal(rep.p_k, lz_probability(signed, 2.0))
 
 
 def test_kink_count_instant_quench_equals_n():
@@ -123,36 +125,34 @@ def test_single_pair_regime():
 
 def test_evolve_matches_lz_small_k():
     for k, tau in ((math.pi / 100, 10.0), (math.pi / 50, 1.0)):
-        p = evolve_mode(k, 1.0, QuenchSchedule.from_field(tau))
+        p = evolve_mode(k, 1.0, QuenchSchedule.from_field(tau)).probability
         expected = float(lz_probability(k, tau))
         assert abs(p - expected) / expected < 0.1
 
 
 def test_evolve_unitarity_throughout():
-    res = evolve_mode(
-        math.pi / 50, 1.0, QuenchSchedule.from_field(10.0), full_output=True
-    )
+    res = evolve_mode(math.pi / 50, 1.0, QuenchSchedule.from_field(10.0))
     assert res.norm_drift < 1e-8
     assert res.crossing_covered
 
 
 def test_evolve_adiabatic_limit():
     # very slow quench at sizable gap: essentially no excitation
-    p = evolve_mode(math.pi / 4, 1.0, QuenchSchedule.from_field(200.0))
+    p = evolve_mode(math.pi / 4, 1.0, QuenchSchedule.from_field(200.0)).probability
     assert p < 1e-6
 
 
 def test_evolve_no_coupling_warns():
     with pytest.warns(UserWarning, match="no coupling"):
-        p = evolve_mode(0.5, 0.0, QuenchSchedule.from_field(2.0))
+        p = evolve_mode(0.5, 0.0, QuenchSchedule.from_field(2.0)).probability
     # diagonal Hamiltonian: the state rides through the crossing unchanged
     assert p == pytest.approx(1.0, abs=1e-12)
 
 
 def test_evolve_window_not_covering_crossing_warns():
-    sched = QuenchSchedule(tau_q=10.0, t_start=-5.0, t_end=0.0)  # B in [0, 0.5]
-    with pytest.warns(UserWarning, match="does not cover"):
-        p = evolve_mode(math.pi / 4, 1.0, sched)
+    sched = QuenchSchedule(tau_q=10.0, t_start=-5.0)  # B in [0, 0.5]
+    with pytest.warns(UserWarning, match=r"window B in \[0, 0\.5\] does not cover"):
+        p = evolve_mode(math.pi / 4, 1.0, sched).probability
     assert p < 0.05  # no crossing inside the window: stays near the ground state
 
 
@@ -169,22 +169,14 @@ def test_evolve_refuses_a_ramp_over_the_step_budget():
         evolve_mode(math.pi / 100, 1.0, QuenchSchedule.from_field(1.0), dt=1e-320)
 
 
-def test_evolve_float_and_full_output_agree():
-    sched = QuenchSchedule.from_field(3.0)
-    p = evolve_mode(math.pi / 30, 1.0, sched)
-    res = evolve_mode(math.pi / 30, 1.0, sched, full_output=True)
-    assert p == res.probability
-
-
 # ------------------------------------------------- evolve_mode vs. step loop
 
 def _midpoint_steps(k, alpha, schedule):
     """(h_max, span, n): the midpoint rule's step count at its old dt * max|H| = 0.05."""
     c0, s = math.cos(k), alpha * math.sin(k)
     b_start = -schedule.t_start / schedule.tau_q
-    b_end = -schedule.t_end / schedule.tau_q
-    h_max = 2.0 * math.hypot(abs(c0) + max(b_start, b_end), s)
-    span = schedule.t_end - schedule.t_start
+    h_max = 2.0 * math.hypot(abs(c0) + b_start, s)
+    span = -schedule.t_start
     return h_max, span, int(math.ceil(span / (0.05 / h_max)))
 
 
@@ -209,7 +201,7 @@ def _reference_evolve(k, alpha, schedule):
         a0, a1 = psi0, psi1
         psi0 = ca * a0 - 1j * sa * (nz * a0 + nx * a1)
         psi1 = ca * a1 - 1j * sa * (nx * a0 - nz * a1)
-    e = _eigenvector(k, alpha, -schedule.t_end / schedule.tau_q, excited=True)
+    e = _eigenvector(k, alpha, 0.0, excited=True)
     return abs(np.vdot(e, [psi0, psi1])) ** 2, n
 
 
@@ -223,8 +215,7 @@ def _su2_evolve(k, alpha, schedule, n, rule):
     numerically, not the ramp's closed form.
     """
     c0, s = math.cos(k), alpha * math.sin(k)
-    span = schedule.t_end - schedule.t_start
-    dt = span / n
+    dt = -schedule.t_start / n
 
     def field(t):
         return np.stack([np.full(t.size, 2.0 * s), np.zeros(t.size),
@@ -251,14 +242,14 @@ def _su2_evolve(k, alpha, schedule, n, rule):
             a, b = a2 * a1 - b2.conj() * b1, b2 * a1 + a2.conj() * b1
         a, b = a[0], b[0]
         psi = np.array([[a, -b.conjugate()], [b, a.conjugate()]]) @ psi
-    e = _eigenvector(k, alpha, -schedule.t_end / schedule.tau_q, excited=True)
+    e = _eigenvector(k, alpha, 0.0, excited=True)
     return abs(np.vdot(e, psi)) ** 2
 
 
 def _magnus_reference(k, alpha, schedule):
     """p_ref: evolve_mode's Magnus-4 step at 4x the midpoint rule's step count."""
     _, span, n = _midpoint_steps(k, alpha, schedule)
-    return evolve_mode(k, alpha, schedule, dt=span / (4 * n))
+    return evolve_mode(k, alpha, schedule, dt=span / (4 * n)).probability
 
 
 @pytest.mark.parametrize("k", [math.pi / 100, math.pi / 50, math.pi / 4])
@@ -266,7 +257,7 @@ def _magnus_reference(k, alpha, schedule):
 @pytest.mark.parametrize("tau_q", [1.0, 10.0, 100.0])
 def test_evolve_matches_per_step_loop(k, alpha, tau_q):
     sched = QuenchSchedule.from_field(tau_q)
-    res = evolve_mode(k, alpha, sched, full_output=True)
+    res = evolve_mode(k, alpha, sched)
     p_loop, n_loop = _reference_evolve(k, alpha, sched)
     p_ref = _magnus_reference(k, alpha, sched)
     assert abs(res.probability - p_ref) <= abs(p_loop - p_ref)
@@ -287,11 +278,12 @@ def test_evolve_error_table(k, alpha, tau_q):
     h_max, span, n = _midpoint_steps(k, alpha, sched)
     p_ref = _magnus_reference(k, alpha, sched)
     err_mid = abs(_su2_evolve(k, alpha, sched, n, "midpoint") - p_ref)
-    assert abs(evolve_mode(k, alpha, sched) - p_ref) <= err_mid
+    assert abs(evolve_mode(k, alpha, sched).probability - p_ref) <= err_mid
     if tau_q <= 100.0:  # p_ref is converged: the midpoint rule approaches it
         assert abs(_su2_evolve(k, alpha, sched, 4 * n, "midpoint") - p_ref) <= err_mid
     n_old_limit = int(span * h_max / 0.1) + 1  # fewest midpoint steps with dt*max|H| < 0.1
-    p_limit = evolve_mode(k, alpha, sched, dt=quench._MAX_STABLE_STEP * (1.0 - 1e-12) / h_max)
+    p_limit = evolve_mode(
+        k, alpha, sched, dt=quench._MAX_STABLE_STEP * (1.0 - 1e-12) / h_max).probability
     assert abs(p_limit - p_ref) <= abs(
         _su2_evolve(k, alpha, sched, n_old_limit, "midpoint") - p_ref)
 

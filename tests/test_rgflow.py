@@ -12,6 +12,7 @@ from xyquench import (
     mass_gap,
     rg_flow,
 )
+from xyquench import rgflow
 from xyquench.rgflow import _rhs
 
 
@@ -93,6 +94,15 @@ def test_rg_flow_validation():
         RGState(0.1, 0.0)
 
 
+def test_rg_flow_refuses_a_run_over_the_step_budget(monkeypatch):
+    # the estimate (l_max - l) / dl is 200 steps here: refused only below that budget
+    monkeypatch.setattr(rgflow, "_MAX_STEPS", 200)
+    assert len(rg_flow(RGState(0.1, 1.0), l_max=0.2, dl=1e-3).states) == 201
+    monkeypatch.setattr(rgflow, "_MAX_STEPS", 199)
+    with pytest.raises(ValueError, match="about 200 RK4 steps, above the budget of 2e\\+02"):
+        rg_flow(RGState(0.1, 1.0), l_max=0.2, dl=1e-3)
+
+
 def test_step_halving_order_at_least_two():
     ref = rg_flow(RGState(0.1, 1.0), l_max=2.0, dl=2.0 / 1600).states[-1]
     e = []
@@ -155,7 +165,9 @@ def test_classify_band_boundaries():
 def test_classify_small_k_branch():
     assert classify_phase(0.4, 1.0, 0.5, 1.0) is PhaseLabel.LUTTINGER_LIQUID
     assert classify_phase(0.4, 1.0, 1.5, 1.0) is PhaseLabel.FERROMAGNETIC
-    assert classify_phase(0.4, 1.0, 1.5, 1.0, b_ferro=2.0) is PhaseLabel.LUTTINGER_LIQUID
+    # the edge is the band edge B = 1, exclusive
+    assert classify_phase(0.4, 1.0, 1.0, 1.0) is PhaseLabel.LUTTINGER_LIQUID
+    assert classify_phase(0.4, 1.0, math.nextafter(1.0, 2.0), 1.0) is PhaseLabel.FERROMAGNETIC
 
 
 def test_classify_scale_consistency():

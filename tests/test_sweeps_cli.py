@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from xyquench import QuenchSchedule, SweepGrid, evolve_mode, mode_phase
+from xyquench import rgflow, sweeps
 from xyquench.cli import main
 from xyquench.sweeps import (
     InvariantViolation,
@@ -363,7 +364,7 @@ def test_cli_quench_evolve_covered_pairs_unchanged(tmp_path, capsys):
     assert len(rows) == 4 * 2 * 4
     for r in rows:
         schedule = QuenchSchedule.from_field(float(r["tau_q"]))
-        want = evolve_mode(abs(float(r["k"])), alpha, schedule)
+        want = evolve_mode(abs(float(r["k"])), alpha, schedule).probability
         assert r["p_evolved"] == f"{want:.17g}"
 
 
@@ -431,6 +432,37 @@ def test_cli_quench_refuses_a_ramp_over_the_step_budget(tmp_path, capsys):
     out = tmp_path / "q.csv"
     assert main(["quench", "--out", str(out), "--tauq", "1e9", "--evolve"]) == 2
     assert "above the budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,cells", [
+    (["fig1"], 4800),  # 2 alphas x 4 tau_q x 600 samples
+    (["fig2"], 40000),  # 200 alphas x 200 samples
+    (["fig2", "--samples", "30", "--alpha-samples", "7"], 210),
+])
+def test_cli_figures_refuse_a_grid_over_the_cell_budget(tmp_path, capsys, monkeypatch, argv,
+                                                        cells):
+    # the budget is lowered, so no test ever asks for a huge grid
+    out = tmp_path / "fig.csv"
+    monkeypatch.setattr(sweeps, "_MAX_CELLS", cells - 1)
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: the grid has {cells:.3g} cells, above the budget of "
+                   f"{cells - 1:.0e}; use fewer samples\n")
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.setattr(sweeps, "_MAX_CELLS", cells)  # the estimate is the row count
+    assert main([*argv, "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("dl,steps", [("1e-320", "inf"), ("0.0001", "5e+04")])
+def test_cli_rg_refuses_a_flow_over_the_step_budget(tmp_path, capsys, monkeypatch, dl, steps):
+    # 1e-320 underflows the step count to inf; 1e-4 is refused under a lowered budget
+    monkeypatch.setattr(rgflow, "_MAX_STEPS", 10**4)
+    out = tmp_path / "rg.csv"
+    assert main(["rg", "--dl", dl, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: the flow needs about {steps} RK4 steps, above the budget of 1e+04; "
+                   f"use a larger dl or a smaller l_max\n")
     assert not out.exists()
 
 
