@@ -4,6 +4,8 @@ Every command writes RFC-4180-style CSV (header row, LF endings, '.'
 decimal, 17 significant digits) and is deterministic: identical options
 give byte-identical files (`oracle` alone samples, from `--seed`).  Exit
 codes: 0 success, 1 oracle or output-invariant failure, 2 bad arguments.
+A command is one `COMMANDS` entry (handler, help line, options), and it
+writes no file unless every table it produces is within its bounds.
 
 `--config` takes a JSON object, sectioned by command if any top-level key
 names one (then only that section applies and every top-level key must be
@@ -30,29 +32,6 @@ from .sweeps import InvariantViolation
 
 TWO_PI = 2.0 * math.pi
 
-# command -> (help line, options in flag order).  The type of a default sets
-# the flag's converter: a list makes it repeatable, False makes a switch.
-COMMANDS = {
-    "fig1": ("Gamma_k(t) series for a tau_q list (plus alpha=0 inset)", dict(
-        k=math.pi / 100, alpha=[0.5, 0.0], tauq=[1.0, 2.0, 5.0, 10.0], tmin=-3.0, tmax=0.0,
-        samples=600, out="fig1.csv")),
-    "fig2": ("Gamma_k and dGamma_k/dB surfaces over (alpha, t)", dict(
-        k=math.pi / 2, tauq=1.0, alpha_min=0.0, alpha_max=1.0, alpha_samples=200, tmin=-3.0,
-        tmax=0.0, samples=200, out="fig2.csv")),
-    "quench": ("kink statistics and adiabaticity per tau_q", dict(
-        nsites=100, tauq=[1.0, 10.0, 100.0, 1000.0], safety_factor=10.0, alpha=1.0,
-        evolve=False, evolve_modes=4, dt=None, b_start=5.0, summary=None, out="quench.csv")),
-    "rg": ("RG trajectories (and optional phase classification)", dict(
-        initial=["0.1,1.0", "0.1,0.3", "0.0,0.3"], lmax=5.0, dl=1e-3, alpha_cap=1e3,
-        classify=False, field=0.0, cutoff=1.0, band=0.5, out="rg.csv")),
-    "noncontract": ("Gamma_g/M ladder over anisotropies and sizes", dict(
-        field=0.5, alpha=[10.0, 1.0, 0.1, 0.01, 1e-3, 1e-4], nsites=[100, 1000, 10000],
-        out="noncontract.csv")),
-    "oracle": ("analytic-vs-numeric equivalence suite", dict(
-        steps=10000, grid=20, nsites=[4, 6], k=math.pi / 2, mode_tol=1e-4, loop_tol=1e-3,
-        spectrum_tol=1e-10, spectrum_cases=20, out="oracle.csv", seed=0)),
-}
-
 # The kind of each option whose default is None; `config` is a flag of every command.
 _NONE_KINDS = {"dt": float, "summary": str, "config": str}
 
@@ -73,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum phases and quench dynamics of the anisotropic XY chain",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd, (help_line, options) in COMMANDS.items():
+    for cmd, (_, help_line, options) in COMMANDS.items():
         p = sub.add_parser(cmd, help=help_line)
         for name, default in {**options, "config": None}.items():
             kw = dict(_FLAG_EXTRAS.get(name, {}))
@@ -106,7 +85,7 @@ def _config_values(cfg, cmd: str) -> dict:
         if not isinstance(cfg.get(cmd), dict):
             raise ValueError(f"{cmd} config has sections {list(cfg)} but no {cmd!r} object")
         cfg = cfg[cmd]
-    options = COMMANDS[cmd][1]
+    options = COMMANDS[cmd][2]
     values = {}
     for key, val in cfg.items():
         name = key.replace("-", "_")
@@ -129,7 +108,7 @@ def _config_values(cfg, cmd: str) -> dict:
 
 def _merge_options(args: argparse.Namespace) -> dict:
     cmd = args.command
-    options = COMMANDS[cmd][1]
+    options = COMMANDS[cmd][2]
     opts = dict(options)
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -160,35 +139,32 @@ def _parse_initial(items) -> list:
     return out
 
 
+def _write(tables) -> None:
+    """Check every (grid, path, bounds) table of a command, then write and announce each."""
+    for grid, _, bounds in tables:
+        sweeps.validate_bounds(grid, bounds)
+    for grid, path, _ in tables:
+        grid.write_csv(path)
+        print(f"wrote {path} ({len(grid)} rows)")
+
+
 def _run_fig1(o) -> int:
     grid = sweeps.fig1_grid(
         k=o["k"], alphas=o["alpha"], tau_qs=o["tauq"],
         tmin=o["tmin"], tmax=o["tmax"], samples=o["samples"],
     )
-    sweeps.validate_bounds(grid, {"gamma_k": (0.0, TWO_PI)})
-    grid.write_csv(o["out"])
-    print(f"wrote {o['out']} ({len(grid)} rows)")
+    _write([(grid, o["out"], {"gamma_k": (0.0, TWO_PI)})])
     return 0
-
-
-def _fig2_paths(out: str) -> tuple:
-    stem = out[:-4] if out.endswith(".csv") else out
-    return f"{stem}_gamma.csv", f"{stem}_dgamma.csv"
 
 
 def _run_fig2(o) -> int:
     phase, deriv = sweeps.fig2_grids(
-        k=o["k"], tau_q=o["tauq"],
-        alpha_min=o["alpha_min"], alpha_max=o["alpha_max"], alpha_samples=o["alpha_samples"],
-        tmin=o["tmin"], tmax=o["tmax"], samples=o["samples"],
+        k=o["k"], alpha_min=o["alpha_min"], alpha_max=o["alpha_max"],
+        alpha_samples=o["alpha_samples"], tmin=o["tmin"], tmax=o["tmax"], samples=o["samples"],
     )
-    sweeps.validate_bounds(phase, {"value": (0.0, TWO_PI)})
-    sweeps.validate_bounds(deriv, {"value": (0.0, math.inf)})
-    p_path, d_path = _fig2_paths(o["out"])
-    phase.write_csv(p_path)
-    deriv.write_csv(d_path)
-    print(f"wrote {p_path} ({len(phase)} rows)")
-    print(f"wrote {d_path} ({len(deriv)} rows)")
+    stem = o["out"][:-4] if o["out"].endswith(".csv") else o["out"]
+    _write([(phase, f"{stem}_gamma.csv", {"value": (0.0, TWO_PI)}),
+            (deriv, f"{stem}_dgamma.csv", {"value": (0.0, math.inf)})])
     return 0
 
 
@@ -202,12 +178,10 @@ def _run_quench(o) -> int:
         )
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    sweeps.validate_bounds(modes, {"p_k": (0.0, 1.0)})
-    modes.write_csv(o["out"])
-    print(f"wrote {o['out']} ({len(modes)} rows)")
+    tables = [(modes, o["out"], {"p_k": (0.0, 1.0)})]
     if o["summary"]:
-        summary.write_csv(o["summary"])
-        print(f"wrote {o['summary']} ({len(summary)} rows)")
+        tables.append((summary, o["summary"], {}))
+    _write(tables)
     spec = ChainSpec(n_sites=o["nsites"], alpha=o["alpha"])
     k0 = float(momentum_grid(spec)[0])
     for tau_q in o["tauq"]:
@@ -230,8 +204,7 @@ def _run_quench(o) -> int:
 def _run_rg(o) -> int:
     initials = _parse_initial(o["initial"])
     grid = sweeps.rg_grid(initials, l_max=o["lmax"], dl=o["dl"], alpha_cap=o["alpha_cap"])
-    grid.write_csv(o["out"])
-    print(f"wrote {o['out']} ({len(grid)} rows)")
+    _write([(grid, o["out"], {})])
     if o["classify"]:
         for a0, k0 in initials:
             if k0 > 0.5 and a0 <= 0.0:
@@ -248,9 +221,7 @@ def _run_rg(o) -> int:
 
 def _run_noncontract(o) -> int:
     grid = sweeps.noncontract_grid(field=o["field"], alphas=o["alpha"], sizes=o["nsites"])
-    sweeps.validate_bounds(grid, {"gamma_g_over_m": (0.0, TWO_PI)})
-    grid.write_csv(o["out"])
-    print(f"wrote {o['out']} ({len(grid)} rows)")
+    _write([(grid, o["out"], {"gamma_g_over_m": (0.0, TWO_PI)})])
     return 0
 
 
@@ -260,29 +231,37 @@ def _run_oracle(o) -> int:
         k=o["k"], mode_tol=o["mode_tol"], loop_tol=o["loop_tol"],
         spectrum_tol=o["spectrum_tol"], spectrum_cases=o["spectrum_cases"],
     )
-    grid.write_csv(o["out"])
-    print(f"wrote {o['out']} ({len(grid)} rows)")
+    _write([(grid, o["out"], {})])
     if failures:
-        # each family's tolerance as given: a float tol column would print an int one as 1.0
-        tols = {"mode": o["mode_tol"], "loop": o["loop_tol"], "spectrum": o["spectrum_tol"]}
-        cols = (grid.columns[c].tolist() for c in ("case", "abs_diff", "status"))
-        for case, diff, status in zip(*cols):
-            if status in ("fail", "degenerate"):
-                tol = tols[case.split("_")[0]]
-                print(f"FAIL {case}: |diff|={diff!r} tol={tol!r}", file=sys.stderr)
-        print(f"oracle: {failures} case(s) breached tolerance", file=sys.stderr)
+        for case, diff, tol in failures:
+            print(f"FAIL {case}: |diff|={diff!r} tol={tol!r}", file=sys.stderr)
+        print(f"oracle: {len(failures)} case(s) breached tolerance", file=sys.stderr)
         return 1
     print("oracle: all cases within tolerance")
     return 0
 
 
-_HANDLERS = {
-    "fig1": _run_fig1,
-    "fig2": _run_fig2,
-    "quench": _run_quench,
-    "rg": _run_rg,
-    "noncontract": _run_noncontract,
-    "oracle": _run_oracle,
+# command -> (handler, help line, options in flag order).  The type of a
+# default sets the flag's converter: a list makes it repeatable, False makes a switch.
+COMMANDS = {
+    "fig1": (_run_fig1, "Gamma_k(t) series for a tau_q list (plus alpha=0 inset)", dict(
+        k=math.pi / 100, alpha=[0.5, 0.0], tauq=[1.0, 2.0, 5.0, 10.0], tmin=-3.0, tmax=0.0,
+        samples=600, out="fig1.csv")),
+    "fig2": (_run_fig2, "Gamma_k and dGamma_k/dB surfaces over (alpha, t)", dict(
+        k=math.pi / 2, alpha_min=0.0, alpha_max=1.0, alpha_samples=200, tmin=-3.0,
+        tmax=0.0, samples=200, out="fig2.csv")),
+    "quench": (_run_quench, "kink statistics and adiabaticity per tau_q", dict(
+        nsites=100, tauq=[1.0, 10.0, 100.0, 1000.0], safety_factor=10.0, alpha=1.0,
+        evolve=False, evolve_modes=4, dt=None, b_start=5.0, summary=None, out="quench.csv")),
+    "rg": (_run_rg, "RG trajectories (and optional phase classification)", dict(
+        initial=["0.1,1.0", "0.1,0.3", "0.0,0.3"], lmax=5.0, dl=1e-3, alpha_cap=1e3,
+        classify=False, field=0.0, cutoff=1.0, band=0.5, out="rg.csv")),
+    "noncontract": (_run_noncontract, "Gamma_g/M ladder over anisotropies and sizes", dict(
+        field=0.5, alpha=[10.0, 1.0, 0.1, 0.01, 1e-3, 1e-4], nsites=[100, 1000, 10000],
+        out="noncontract.csv")),
+    "oracle": (_run_oracle, "analytic-vs-numeric equivalence suite", dict(
+        steps=10000, grid=20, nsites=[4, 6], k=math.pi / 2, mode_tol=1e-4, loop_tol=1e-3,
+        spectrum_tol=1e-10, spectrum_cases=20, out="oracle.csv", seed=0)),
 }
 
 
@@ -291,7 +270,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         opts = _merge_options(args)
-        return _HANDLERS[args.command](opts)
+        return COMMANDS[args.command][0](opts)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1

@@ -53,16 +53,8 @@ def _rhs(alpha: float, K: float) -> tuple[float, float]:
     return (2.0 - 1.0 / K) * alpha, alpha * alpha / 4.0
 
 
-def rg_flow(
-    initial: RGState, l_max: float, dl: float = 1e-3, alpha_cap: float = 1e3
-) -> RGTrajectory:
-    """Integrate the flow with fixed-step classical RK4 from initial.l to l_max.
-
-    The fixed step keeps trajectories reproducible bit for bit.  If alpha
-    exceeds alpha_cap the run stops early with status "strong_coupling"
-    (the perturbative equations have left their domain); otherwise the
-    status is "completed".
-    """
+def step_estimate(initial: RGState, l_max: float, dl: float) -> float:
+    """The RK4 steps of a flow from `initial` to l_max; ValueError over the budget."""
     if not dl > 0.0:
         raise ValueError(f"dl must be > 0, got {dl}")
     if not l_max > initial.l:
@@ -73,7 +65,20 @@ def rg_flow(
             f"the flow needs about {estimate:.3g} RK4 steps, above the budget of "
             f"{_MAX_STEPS:.0e}; use a larger dl or a smaller l_max"
         )
-    n = max(1, int(round(estimate)))
+    return estimate
+
+
+def rg_flow(
+    initial: RGState, l_max: float, dl: float = 1e-3, alpha_cap: float = 1e3
+) -> RGTrajectory:
+    """Integrate the flow with fixed-step classical RK4 from initial.l to l_max.
+
+    The fixed step keeps trajectories reproducible bit for bit.  If alpha
+    exceeds alpha_cap the run stops early with status "strong_coupling"
+    (the perturbative equations have left their domain); otherwise the
+    status is "completed".
+    """
+    n = max(1, int(round(step_estimate(initial, l_max, dl))))
     h = (l_max - initial.l) / n
 
     states = [initial]

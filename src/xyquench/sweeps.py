@@ -22,10 +22,12 @@ from .chain import ChainSpec, gap_kernel, momentum_grid
 from .edoracle import berry_phase_loop, build_hamiltonian, mode_berry_numeric
 from .geophase import mode_phase, noncontractibility_scan, phase_slope, total_phase
 from .quench import QuenchSchedule, evolve_mode, kink_count
+from . import rgflow
 from .rgflow import rg_flow, RGState
 
 TWO_PI = 2.0 * math.pi
-_MAX_CELLS = 10**6  # rows per fig1/fig2 grid; 10^6 fig2 rows take about 4 s and 0.35 GB
+# rows, or closed-form momenta, per table; 10^6 fig2 rows take about 4 s and 0.35 GB
+_MAX_CELLS = 10**6
 
 # cell text by dtype kind; anything else (ints, strings) prints with str
 _FORMATS = {"f": "{:.17g}".format, "b": lambda v: "true" if v else "false"}
@@ -93,12 +95,11 @@ def _deriv_cells(k: float, b_values: np.ndarray, alpha):
     return np.ma.masked_array(phase_slope(s, lam), mask=~gapped)
 
 
-def _refuse_cells(cells: int) -> None:
+def _refuse_cells(cells: int, remedy: str = "use fewer samples") -> None:
     """Refuse a grid over the cell budget before any of it is allocated."""
     if cells > _MAX_CELLS:
         raise ValueError(
-            f"the grid has {cells:.3g} cells, above the budget of {_MAX_CELLS:.0e}; "
-            f"use fewer samples"
+            f"the grid has {cells:.3g} cells, above the budget of {_MAX_CELLS:.0e}; {remedy}"
         )
 
 
@@ -128,25 +129,14 @@ def fig1_grid(k, alphas, tau_qs, tmin=-3.0, tmax=0.0, samples=600) -> SweepGrid:
     })
 
 
-def fig2_grids(
-    k,
-    tau_q=1.0,
-    alpha_min=0.0,
-    alpha_max=1.0,
-    alpha_samples=200,
-    tmin=-3.0,
-    tmax=0.0,
-    samples=200,
-):
+def fig2_grids(k, alpha_min=0.0, alpha_max=1.0, alpha_samples=200, tmin=-3.0, tmax=0.0,
+               samples=200):
     """Phase and derivative surfaces over (alpha, t/tau_q) at fixed k.
 
-    Both surfaces depend on time only through t/tau_q, so tau_q rescales
-    the time axis without changing the table; it is validated and kept for
-    the caller's bookkeeping.
+    Both surfaces depend on time only through t/tau_q, so one table serves
+    every quench time.
     """
     _refuse_cells(alpha_samples * samples)
-    if not tau_q > 0.0:
-        raise ValueError(f"tau_q must be > 0, got {tau_q}")
     if alpha_samples < 2:
         raise ValueError(f"need at least 2 samples per swept axis, got {alpha_samples}")
     if not 0.0 <= alpha_min < alpha_max:
@@ -180,9 +170,14 @@ def quench_grids(
     and one UserWarning names every such k.
     """
     spec = ChainSpec(n_sites=n_sites, alpha=alpha)
+    if evolve and not evolve_modes >= 0:
+        raise ValueError(f"evolve_modes must be >= 0, got {evolve_modes}")
+    if evolve and not b_start > 0.0:
+        raise ValueError(f"b_start must be > 0 for the evolved ramp, got {b_start}")
+    _refuse_cells(len(tau_qs) * n_sites, "use fewer sites or tau_q values")
     k_pos = momentum_grid(spec)
     k_all = np.concatenate((-k_pos[::-1], k_pos))
-    n_evolved = min(max(0, int(evolve_modes)), k_pos.size)
+    n_evolved = min(int(evolve_modes), k_pos.size)
     reps, evolved, uncovered = [], [], set()
     for tau_q in tau_qs:
         reps.append(kink_count(spec, tau_q, safety_factor=safety_factor))
@@ -219,9 +214,20 @@ def quench_grids(
 
 
 def rg_grid(initials, l_max=5.0, dl=1e-3, alpha_cap=1e3) -> SweepGrid:
-    """One RK4 trajectory per initial (alpha, K), serialized row-per-step."""
-    trajs = [rg_flow(RGState(alpha=a0, K=k0), l_max=l_max, dl=dl, alpha_cap=alpha_cap)
-             for a0, k0 in initials]
+    """One RK4 trajectory per initial (alpha, K), serialized row-per-step.
+
+    The grid holds every trajectory at once, so the step budget bounds
+    their sum, refused before the first flow runs.
+    """
+    starts = [RGState(alpha=a0, K=k0) for a0, k0 in initials]
+    total = sum(rgflow.step_estimate(st, l_max, dl) for st in starts)
+    if total > rgflow._MAX_STEPS:
+        raise ValueError(
+            f"the {len(starts)} flows need about {total:.3g} RK4 steps in all, above the "
+            f"budget of {rgflow._MAX_STEPS:.0e}; use fewer initial points, a larger dl or "
+            f"a smaller l_max"
+        )
+    trajs = [rg_flow(st, l_max=l_max, dl=dl, alpha_cap=alpha_cap) for st in starts]
     steps = [len(t.states) for t in trajs]
     states = [st for t in trajs for st in t.states]
     return SweepGrid({
@@ -234,6 +240,7 @@ def rg_grid(initials, l_max=5.0, dl=1e-3, alpha_cap=1e3) -> SweepGrid:
 
 
 def noncontract_grid(field=0.5, alphas=(10.0, 1.0, 0.1, 0.01, 1e-3, 1e-4), sizes=(100, 1000, 10000)) -> SweepGrid:
+    _refuse_cells(len(alphas) * sum(n // 2 for n in sizes), "use fewer or smaller sizes")
     rows = noncontractibility_scan(field, alphas, sizes)
     return SweepGrid({
         "alpha": np.repeat(np.asarray(alphas, dtype=float), len(sizes)),
@@ -260,7 +267,7 @@ def oracle_report(
     spectrum_tol=1e-10,
     spectrum_cases=20,
 ):
-    """Analytic-vs-numeric equivalence suite; returns (report grid, failure count).
+    """Analytic-vs-numeric equivalence suite; returns (report grid, failing rows).
 
     Three families: per-mode discretized loops against pi*(1 - cos theta_k)
     on a seeded (field, alpha) grid; many-body ground-state loops against
@@ -269,7 +276,8 @@ def oracle_report(
     Hamiltonian at N = 6.  All randomness is drawn once from the seed, so
     a fixed seed gives a byte-identical report.  `nsites` picks the loop
     cases by size; a size with no loop case raises ValueError rather than
-    dropping the many-body family.
+    dropping the many-body family.  Each failing row is (case, abs_diff,
+    tol), with abs_diff None for a degenerate loop and tol as passed in.
     """
     sizes = {int(n) for n in nsites}
     supported = sorted({c[0] for c in _LOOP_CASES})
@@ -339,4 +347,5 @@ def oracle_report(
         for name in ("case", "n_sites", "k", "alpha", "field", "phi", "analytic",
                      "numeric", "abs_diff", "tol", "status")
     })
-    return grid, sum(r["status"] in ("fail", "degenerate") for r in records)
+    return grid, [(r["case"], r.get("abs_diff"), r["tol"]) for r in records
+                  if r["status"] in ("fail", "degenerate")]

@@ -15,6 +15,8 @@ from xyquench import (
     phase_summary,
     total_phase,
 )
+from xyquench.chain import gap_kernel
+from xyquench.geophase import phase_slope
 from xyquench.sweeps import _deriv_cells
 
 TWO_PI = 2.0 * math.pi
@@ -261,6 +263,23 @@ def test_dphase_matches_central_difference():
 def test_dphase_degenerate_raises():
     with pytest.raises(DegeneratePointError):
         dphase_db(math.pi / 3, -math.cos(math.pi / 3), 1.0, 0.0)
+
+
+def _peak_slope_density(n: int) -> float:
+    """max over B of (1/N) dGamma_g/dB at alpha = 1: [0.9, 1.1] coarsely, 1 +/- 5/N finely."""
+    k = momentum_grid(ChainSpec(n, 1.0))
+    fields = np.concatenate((np.linspace(0.9, 1.1, 21), 1.0 + np.linspace(-5.0, 5.0, 101) / n))
+    return max(float(np.sum(phase_slope(*gap_kernel(k, b, 1.0)[1:3]))) for b in fields) / n
+
+
+def test_derivative_peak_grows_as_half_log_n():
+    # Carollo & Pachos, PRL 95, 157203 (2005): at the critical field the peak
+    # diverges as (1/2) ln N + const; the constant settles by N = 10^3
+    offset = {n: _peak_slope_density(n) - 0.5 * math.log(n) for n in (10**2, 10**3, 10**4, 10**5)}
+    ref = offset[10**5]
+    assert ref == pytest.approx(0.2560, abs=1e-4)
+    assert abs(offset[10**3] - ref) <= 1e-3 and abs(offset[10**4] - ref) <= 1e-3
+    assert abs(offset[10**2] - ref) <= 3e-3
 
 
 # ------------------------------------------------------------------ summary

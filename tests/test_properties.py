@@ -22,6 +22,7 @@ from xyquench import (
     rg_flow,
 )
 from xyquench.chain import gap_kernel
+from xyquench.edoracle import _popcount
 from xyquench.sweeps import _deriv_cells, _gamma_cells, oracle_report
 
 from test_edoracle import holonomy_phase
@@ -113,6 +114,31 @@ def test_translation_commutes_with_h0(n, alpha, B):
     idx = np.arange(2**n)
     perm = (idx >> 1) | ((idx & 1) << (n - 1))  # every site moves one place along the ring
     assert np.array_equal(h[np.ix_(perm, perm)], h)
+
+
+def _signed_alpha_hamiltonian(n, alpha, B):
+    """H(phi = 0) element by element at any real alpha; build_hamiltonian refuses alpha < 0."""
+    h = np.zeros((2**n, 2**n))
+    for b in range(2**n):
+        spin = [1 - 2 * ((b >> (n - 1 - j)) & 1) for j in range(n)]
+        h[b, b] = B * sum(spin)
+        for j in range(n):
+            jj = (j + 1) % n
+            flipped = b ^ (1 << (n - 1 - j)) ^ (1 << (n - 1 - jj))
+            h[flipped, b] += 0.5 * (1.0 + alpha) - 0.5 * (1.0 - alpha) * spin[j] * spin[jj]
+    return h
+
+
+@settings(max_examples=35, deadline=None)
+@given(n=ed_sizes, alpha=anisotropies, B=fields)
+def test_quarter_turn_maps_alpha_to_minus_alpha(n, alpha, B):
+    # U(pi/2) = diag(exp(i (pi/2) sum_j sz_j / 2)) swaps the sx sx and sy sy weights
+    h = build_hamiltonian(n, alpha, B)
+    assert np.array_equal(_signed_alpha_hamiltonian(n, alpha, B), h)
+    u = np.exp(0.25j * math.pi * (n - 2.0 * _popcount(n)))
+    rotated = u[:, None] * h * u.conj()[None, :]
+    scale = np.max(np.abs(np.linalg.eigvalsh(h)))
+    assert np.max(np.abs(rotated - _signed_alpha_hamiltonian(n, -alpha, B))) <= 1e-14 * scale
 
 
 @settings(max_examples=35, deadline=None)

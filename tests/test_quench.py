@@ -121,6 +121,14 @@ def test_single_pair_regime():
     assert (rep.kink_count - 2.0 * p0) / rep.kink_count < 1e-2
 
 
+@pytest.mark.parametrize("tau_q", [1.0, 10.0, 100.0])
+@pytest.mark.parametrize("n", [10**3, 10**4])
+def test_kink_density_is_the_kibble_zurek_closed_form(n, tau_q):
+    # (1/N) sum_k exp(-2 pi tau_q k^2) is a midpoint sum of (1/2pi) int exp(-2 pi tau_q k^2) dk
+    density = kink_count(ChainSpec(n, 1.0), tau_q).kink_count / n
+    assert density == pytest.approx(1.0 / (2.0 * math.pi * math.sqrt(2.0 * tau_q)), rel=1e-12)
+
+
 # ---------------------------------------------------------------- evolve_mode
 
 def test_evolve_matches_lz_small_k():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from xyquench import QuenchSchedule, SweepGrid, evolve_mode, mode_phase
 from xyquench import rgflow, sweeps
-from xyquench.cli import main
+from xyquench.cli import COMMANDS, main
 from xyquench.sweeps import (
     InvariantViolation,
     fig1_grid,
@@ -221,8 +221,6 @@ def test_fig2_shapes_and_ridge():
 
 def test_fig2_validation():
     with pytest.raises(ValueError):
-        fig2_grids(k=1.0, tau_q=-1.0)
-    with pytest.raises(ValueError):
         fig2_grids(k=1.0, alpha_min=0.5, alpha_max=0.2)
 
 
@@ -291,7 +289,7 @@ def test_noncontract_grid_rows():
 
 def test_oracle_report_passes_with_defaults_small():
     grid, failures = oracle_report(seed=3, steps=1500, grid_size=4, spectrum_cases=3)
-    assert failures == 0
+    assert failures == []
     statuses = {r[-1] for r in _rows(grid)}
     assert statuses <= {"ok", "odd_sector"}
     kinds = {r[0].split("_")[0] for r in _rows(grid)}
@@ -299,9 +297,11 @@ def test_oracle_report_passes_with_defaults_small():
 
 
 def test_oracle_report_corrupted_tolerance_fails():
-    _, failures = oracle_report(seed=3, steps=1500, grid_size=2, spectrum_cases=2,
-                                mode_tol=1e-12)
-    assert failures > 0
+    grid, failures = oracle_report(seed=3, steps=1500, grid_size=2, spectrum_cases=2,
+                                   mode_tol=1e-12)
+    assert len(failures) > 0
+    failing = [r for r in _rows(grid) if r[-1] in ("fail", "degenerate")]
+    assert failures == [(r[0], r[8], r[9]) for r in failing]
 
 
 def test_oracle_report_deterministic():
@@ -366,6 +366,17 @@ def test_cli_quench_evolve_covered_pairs_unchanged(tmp_path, capsys):
         schedule = QuenchSchedule.from_field(float(r["tau_q"]))
         want = evolve_mode(abs(float(r["k"])), alpha, schedule).probability
         assert r["p_evolved"] == f"{want:.17g}"
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--evolve-modes", "-2"], "evolve_modes must be >= 0, got -2"),
+    (["--b-start", "-1"], "b_start must be > 0 for the evolved ramp, got -1.0"),
+], ids=["evolve_modes", "b_start"])
+def test_cli_quench_evolve_errors_name_the_flag(tmp_path, capsys, flags, named):
+    out = tmp_path / "q.csv"
+    assert main(["quench", "--evolve", "--nsites", "10", "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert not out.exists()
 
 
 def test_cli_rg_classify(tmp_path, capsys):
@@ -452,6 +463,43 @@ def test_cli_figures_refuse_a_grid_over_the_cell_budget(tmp_path, capsys, monkey
     assert list(tmp_path.iterdir()) == []
     monkeypatch.setattr(sweeps, "_MAX_CELLS", cells)  # the estimate is the row count
     assert main([*argv, "--out", str(out)]) == 0
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("called before the budget check")
+
+
+@pytest.mark.parametrize("argv,cells,remedy", [
+    (["quench", "--nsites", "10", "--tauq", "1", "--tauq", "2"], 20,
+     "use fewer sites or tau_q values"),  # CSV rows: 2 tau_q x 10 modes
+    (["noncontract", "--nsites", "10", "--nsites", "20"], 90,
+     "use fewer or smaller sizes"),  # momenta: 6 alphas x (5 + 10)
+], ids=["quench", "noncontract"])
+def test_cli_sizes_refused_before_allocation(tmp_path, capsys, monkeypatch, argv, cells, remedy):
+    out = tmp_path / "t.csv"
+    monkeypatch.setattr(sweeps, "_MAX_CELLS", cells)
+    assert main([*argv, "--out", str(out)]) == 0
+    out.unlink()
+    capsys.readouterr()
+    monkeypatch.setattr(sweeps, "_MAX_CELLS", cells - 1)
+    monkeypatch.setattr(sweeps, "momentum_grid", _never)
+    monkeypatch.setattr(sweeps, "noncontractibility_scan", _never)
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: the grid has {cells:.3g} cells, above the budget "
+                                       f"of {cells - 1:.0e}; {remedy}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_rg_refuses_flows_over_the_step_budget_in_all(tmp_path, capsys, monkeypatch):
+    # each default trajectory takes 5000 steps, under the budget; the three take 15 000
+    monkeypatch.setattr(rgflow, "_MAX_STEPS", 10**4)
+    monkeypatch.setattr(sweeps, "rg_flow", _never)
+    out = tmp_path / "rg.csv"
+    assert main(["rg", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: the 3 flows need about 1.5e+04 RK4 steps in all, above the budget of 1e+04; "
+        "use fewer initial points, a larger dl or a smaller l_max\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("dl,steps", [("1e-320", "inf"), ("0.0001", "5e+04")])
@@ -572,22 +620,116 @@ def test_cli_seed_only_on_oracle(tmp_path):
     assert unseeded.csv_text() != grid.csv_text()
 
 
+# command -> small base flags that every case of the command starts from
+_BASE_FLAGS = {
+    "fig1": ["--samples", "5"],
+    "fig2": ["--samples", "5", "--alpha-samples", "3"],
+    "quench": ["--nsites", "10", "--tauq", "1"],
+    "rg": ["--lmax", "0.2", "--dl", "0.05"],
+    "noncontract": ["--alpha", "0.5", "--nsites", "10"],
+    "oracle": ["--steps", "200", "--grid", "1", "--spectrum-cases", "1", "--nsites", "4"],
+}
+
+# (command, option) -> (companion flags that let the option act, flags that move it)
+_OPTION_CASES = {
+    ("fig1", "k"): ([], ["--k", "0.5"]),
+    ("fig1", "alpha"): ([], ["--alpha", "0.3"]),
+    ("fig1", "tauq"): ([], ["--tauq", "3"]),
+    ("fig1", "tmin"): ([], ["--tmin", "-2"]),
+    ("fig1", "tmax"): ([], ["--tmax", "-0.5"]),
+    ("fig1", "samples"): ([], ["--samples", "6"]),
+    ("fig2", "k"): ([], ["--k", "0.5"]),
+    ("fig2", "alpha_min"): ([], ["--alpha-min", "0.1"]),
+    ("fig2", "alpha_max"): ([], ["--alpha-max", "0.9"]),
+    ("fig2", "alpha_samples"): ([], ["--alpha-samples", "4"]),
+    ("fig2", "tmin"): ([], ["--tmin", "-2"]),
+    ("fig2", "tmax"): ([], ["--tmax", "-0.5"]),
+    ("fig2", "samples"): ([], ["--samples", "6"]),
+    ("quench", "nsites"): ([], ["--nsites", "12"]),
+    ("quench", "tauq"): ([], ["--tauq", "2"]),
+    ("quench", "safety_factor"): ([], ["--safety-factor", "0.1"]),  # tau_q = 1 turns adiabatic
+    ("quench", "alpha"): ([], ["--alpha", "0.5"]),
+    ("quench", "evolve"): ([], ["--evolve"]),
+    ("quench", "evolve_modes"): (["--evolve"], ["--evolve-modes", "1"]),
+    ("quench", "dt"): (["--evolve"], ["--dt", "0.01"]),
+    ("quench", "b_start"): ([], ["--b-start", "3"]),
+    ("rg", "initial"): ([], ["--initial", "0.2,0.4"]),
+    ("rg", "lmax"): ([], ["--lmax", "0.3"]),
+    ("rg", "dl"): ([], ["--dl", "0.1"]),
+    ("rg", "alpha_cap"): ([], ["--alpha-cap", "0.1"]),  # the K = 1 start stops at once
+    ("rg", "classify"): ([], ["--classify"]),
+    ("rg", "field"): (["--classify"], ["--field", "10"]),
+    # at B = 0.03 the K = 1 start sits just inside the Luttinger band around M = 0.05
+    ("rg", "cutoff"): (["--classify", "--field", "0.03"], ["--cutoff", "100"]),
+    ("rg", "band"): (["--classify", "--field", "0.03"], ["--band", "0.1"]),
+    ("noncontract", "field"): ([], ["--field", "0.2"]),
+    ("noncontract", "alpha"): ([], ["--alpha", "0.1"]),
+    ("noncontract", "nsites"): ([], ["--nsites", "20"]),
+    ("oracle", "steps"): ([], ["--steps", "300"]),
+    ("oracle", "grid"): ([], ["--grid", "2"]),
+    ("oracle", "nsites"): ([], ["--nsites", "6"]),
+    ("oracle", "k"): ([], ["--k", "1.0"]),
+    ("oracle", "mode_tol"): ([], ["--mode-tol", "1e-12"]),
+    ("oracle", "loop_tol"): ([], ["--loop-tol", "1e-12"]),
+    ("oracle", "spectrum_tol"): ([], ["--spectrum-tol", "1e-30"]),
+    ("oracle", "spectrum_cases"): ([], ["--spectrum-cases", "2"]),
+    ("oracle", "seed"): ([], ["--seed", "1"]),
+}
+
+
+def test_cli_every_option_has_an_effect(tmp_path, capsys, monkeypatch):
+    # a flag exists only where its command reads it: moving any option off its
+    # default changes the CSV bytes, stdout or exit code; out and summary only name files
+    options = {(cmd, name) for cmd, entry in COMMANDS.items() for name in entry[-1]
+               if name not in ("out", "summary")}
+    assert set(_OPTION_CASES) == options
+    monkeypatch.chdir(tmp_path)
+    runs = {}
+
+    def run(cmd, flags):
+        key = (cmd, *flags)
+        if key not in runs:
+            for old in tmp_path.iterdir():
+                old.unlink()
+            rc = main([cmd, *_BASE_FLAGS[cmd], *flags, "--out", "t.csv"])
+            files = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+            runs[key] = (rc, capsys.readouterr().out, files)
+        return runs[key]
+
+    inert = []
+    for (cmd, name), (companions, moved) in _OPTION_CASES.items():
+        base, changed = run(cmd, companions), run(cmd, companions + moved)
+        assert base[0] != 2 and changed[0] != 2, f"{cmd} --{name}: not a valid value"
+        if base == changed:
+            inert.append(f"{cmd} --{name}")
+    assert inert == []
+
+
 def test_cli_bad_subcommand_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
 
 
-def test_cli_invariant_violation_exit_1(tmp_path, monkeypatch):
-    import xyquench.sweeps as sweeps_mod
+def _one_row(**row):
+    return SweepGrid({name: np.array([v]) for name, v in row.items()})
 
-    def broken(*args, **kwargs):
-        row = {"t_over_tauq": 0.0, "tau_q": 1.0, "alpha": 0.5, "gamma_k": 100.0}
-        return SweepGrid({name: np.array([v]) for name, v in row.items()})
 
-    monkeypatch.setattr(sweeps_mod, "fig1_grid", broken)
-    rc = main(["fig1", "--out", str(tmp_path / "bad.csv")])
-    assert rc == 1
+# command -> (the builder it calls, tables of which the last breaks its bounds)
+_BROKEN = {
+    "fig1": ("fig1_grid", lambda: _one_row(t_over_tauq=0.0, tau_q=1.0, alpha=0.5, gamma_k=100.0)),
+    "fig2": ("fig2_grids", lambda: (_one_row(alpha=0.5, t_over_tauq=0.0, value=1.0),
+                                    _one_row(alpha=0.5, t_over_tauq=0.0, value=-1.0))),
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(_BROKEN))
+def test_cli_invariant_violation_exit_1(tmp_path, monkeypatch, cmd):
+    # every table is checked before any is written, so a breach leaves no file
+    builder, tables = _BROKEN[cmd]
+    monkeypatch.setattr(sweeps, builder, lambda *args, **kwargs: tables())
+    assert main([cmd, "--out", str(tmp_path / "bad.csv")]) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_emitted_phase_values_in_range(tmp_path):
