@@ -158,7 +158,7 @@ def evolve_mode(k, alpha, schedule: QuenchSchedule, dt=None) -> EvolveResult:
     estimate = span / dt
     if not estimate <= _MAX_STEPS:
         raise ValueError(
-            f"the ramp needs about {estimate:.3g} steps per pair, above the budget of "
+            f"the ramp needs about {estimate:.10g} steps per pair, above the budget of "
             f"{_MAX_STEPS:.0e}; use a smaller tau_q or a larger dt"
         )
     n = int(math.ceil(estimate))

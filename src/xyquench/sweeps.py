@@ -99,7 +99,7 @@ def _refuse_cells(cells: int, remedy: str = "use fewer samples") -> None:
     """Refuse a grid over the cell budget before any of it is allocated."""
     if cells > _MAX_CELLS:
         raise ValueError(
-            f"the grid has {cells:.3g} cells, above the budget of {_MAX_CELLS:.0e}; {remedy}"
+            f"the grid has {cells:.10g} cells, above the budget of {_MAX_CELLS:.0e}; {remedy}"
         )
 
 
@@ -223,18 +223,17 @@ def rg_grid(initials, l_max=5.0, dl=1e-3, alpha_cap=1e3) -> SweepGrid:
     total = sum(rgflow.step_estimate(st, l_max, dl) for st in starts)
     if total > rgflow._MAX_STEPS:
         raise ValueError(
-            f"the {len(starts)} flows need about {total:.3g} RK4 steps in all, above the "
+            f"the {len(starts)} flows need about {total:.10g} RK4 steps in all, above the "
             f"budget of {rgflow._MAX_STEPS:.0e}; use fewer initial points, a larger dl or "
             f"a smaller l_max"
         )
     trajs = [rg_flow(st, l_max=l_max, dl=dl, alpha_cap=alpha_cap) for st in starts]
-    steps = [len(t.states) for t in trajs]
-    states = [st for t in trajs for st in t.states]
+    steps = [t.l.size for t in trajs]
+    empty = np.empty(0)  # keeps a run with no initial point a header-only table
     return SweepGrid({
         "traj": np.repeat(np.arange(len(trajs)), steps),
-        "l": np.array([st.l for st in states], dtype=float),
-        "alpha": np.array([st.alpha for st in states], dtype=float),
-        "K": np.array([st.K for st in states], dtype=float),
+        **{name: np.concatenate([empty, *(getattr(t, name) for t in trajs)])
+           for name in ("l", "alpha", "K")},
         "status": np.repeat(np.array([t.status for t in trajs], dtype=str), steps),
     })
 
@@ -276,7 +275,8 @@ def oracle_report(
     Hamiltonian at N = 6.  All randomness is drawn once from the seed, so
     a fixed seed gives a byte-identical report.  `nsites` picks the loop
     cases by size; a size with no loop case raises ValueError rather than
-    dropping the many-body family.  Each failing row is (case, abs_diff,
+    dropping the many-body family, and a report over the row budget raises
+    ValueError before anything is drawn.  Each failing row is (case, abs_diff,
     tol), with abs_diff None for a degenerate loop and tol as passed in.
     """
     sizes = {int(n) for n in nsites}
@@ -287,6 +287,9 @@ def oracle_report(
             f"no many-body loop case for nsites {', '.join(map(str, unknown))}; "
             f"the supported sizes are {', '.join(map(str, supported))}"
         )
+    loop_cases = [c for c in _LOOP_CASES if c[0] in sizes]
+    _refuse_cells(int(grid_size) ** 2 + len(loop_cases) + int(spectrum_cases),
+                  "use a smaller grid or fewer spectrum cases")
     rng = np.random.default_rng(seed)
     b_vals = rng.uniform(-1.5, 1.5, int(grid_size))
     a_vals = rng.uniform(0.05, 2.0, int(grid_size))
@@ -307,7 +310,6 @@ def oracle_report(
             status="ok" if diff <= mode_tol else "fail",
         ))
 
-    loop_cases = [c for c in _LOOP_CASES if c[0] in sizes]
     for i, (n, av, bv) in enumerate(loop_cases):
         analytic = total_phase(ChainSpec(n_sites=n, alpha=av), bv) % TWO_PI
         res = berry_phase_loop(n, av, bv, steps=steps)

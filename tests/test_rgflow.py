@@ -94,6 +94,31 @@ def test_rg_flow_validation():
         RGState(0.1, 0.0)
 
 
+def test_rg_flow_rejects_an_rk4_overshoot_below_alpha_zero():
+    # a coarse step overshoots the fixed line; the step that does it is refused
+    with pytest.raises(ValueError) as err:
+        rg_flow(RGState(0.1, 0.05), l_max=5.0, dl=0.5)
+    assert str(err.value) == "alpha must be >= 0, got -2.6629005825177945"
+
+
+@pytest.mark.parametrize("initial,alpha_cap,status", [
+    (RGState(0.1, 0.3), 1e3, COMPLETED),
+    (RGState(0.1, 1.0, l=0.5), 10.0, STRONG_COUPLING),
+    (RGState(0.0, 0.8, l=-0.0), 1e3, COMPLETED),  # the first row keeps the sign of zero
+])
+def test_states_are_the_columns_bit_for_bit(initial, alpha_cap, status):
+    traj = rg_flow(initial, l_max=6.0, dl=1e-2, alpha_cap=alpha_cap)
+    assert traj.status == status
+    assert len(traj.l) == len(traj.alpha) == len(traj.K) == len(traj.states)
+    assert traj.states[0] == initial
+    assert float.hex(traj.l[0]) == float.hex(initial.l)
+    h = (6.0 - initial.l) / round((6.0 - initial.l) / 1e-2)
+    assert traj.l.tolist() == [initial.l + i * h for i in range(len(traj.l))]
+    rows = [(st.l, st.alpha, st.K) for st in traj.states]
+    cols = list(zip(traj.l.tolist(), traj.alpha.tolist(), traj.K.tolist()))
+    assert [tuple(map(float.hex, r)) for r in rows] == [tuple(map(float.hex, c)) for c in cols]
+
+
 def test_rg_flow_refuses_a_run_over_the_step_budget(monkeypatch):
     # the estimate (l_max - l) / dl is 200 steps here: refused only below that budget
     monkeypatch.setattr(rgflow, "_MAX_STEPS", 200)

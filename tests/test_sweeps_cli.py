@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import struct
@@ -388,6 +389,21 @@ def test_cli_rg_classify(tmp_path, capsys):
     assert json.loads(lines[0])["phase"] == "ferromagnetic"
 
 
+def test_cli_rg_default_csv_bytes(tmp_path):
+    # pure IEEE arithmetic: the bytes do not depend on BLAS or libm
+    out = tmp_path / "rg.csv"
+    assert main(["rg", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "9682199fd04c5865d68208a868a77c4309d23ac8c555120897c8fdcec9bc0fa4")
+
+
+def test_cli_rg_rk4_overshoot_exit_2(tmp_path, capsys):
+    out = tmp_path / "rg.csv"
+    assert main(["rg", "--initial", "1.0,0.01", "--dl", "0.05", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: alpha must be >= 0, got -0.29822710766716165\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_noncontract(tmp_path):
     out = tmp_path / "nc.csv"
     rc = main(["noncontract", "--out", str(out), "--alpha", "0.5", "--nsites", "100"])
@@ -458,7 +474,7 @@ def test_cli_figures_refuse_a_grid_over_the_cell_budget(tmp_path, capsys, monkey
     monkeypatch.setattr(sweeps, "_MAX_CELLS", cells - 1)
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err == (f"error: the grid has {cells:.3g} cells, above the budget of "
+    assert err == (f"error: the grid has {cells} cells, above the budget of "
                    f"{cells - 1:.0e}; use fewer samples\n")
     assert list(tmp_path.iterdir()) == []
     monkeypatch.setattr(sweeps, "_MAX_CELLS", cells)  # the estimate is the row count
@@ -485,8 +501,46 @@ def test_cli_sizes_refused_before_allocation(tmp_path, capsys, monkeypatch, argv
     monkeypatch.setattr(sweeps, "momentum_grid", _never)
     monkeypatch.setattr(sweeps, "noncontractibility_scan", _never)
     assert main([*argv, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (f"error: the grid has {cells:.3g} cells, above the budget "
+    assert capsys.readouterr().err == (f"error: the grid has {cells} cells, above the budget "
                                        f"of {cells - 1:.0e}; {remedy}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["quench", "--nsites", "250002"], "the grid has 1000008 cells, above the budget of 1e+06; "
+     "use fewer sites or tau_q values"),
+    (["rg", "--dl", "1.4999e-5"], "the 3 flows need about 1000066.671 RK4 steps in all, above "
+     "the budget of 1e+06; use fewer initial points, a larger dl or a smaller l_max"),
+], ids=["quench", "rg"])
+def test_cli_budget_message_shows_a_count_just_over_the_budget(tmp_path, capsys, monkeypatch,
+                                                               argv, err):
+    # the count keeps the digits that tell it from the budget
+    monkeypatch.setattr(sweeps, "momentum_grid", _never)
+    monkeypatch.setattr(sweeps, "rg_flow", _never)
+    assert main([*argv, "--out", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,cells", [
+    (["--grid", "3", "--spectrum-cases", "2"], 15),  # 9 mode + 4 loop + 2 spectrum rows
+    (["--grid", "2", "--spectrum-cases", "5", "--nsites", "4"], 11),  # 4 + 2 + 5
+], ids=["all", "n4"])
+def test_cli_oracle_refused_before_allocation(tmp_path, capsys, monkeypatch, argv, cells):
+    out = tmp_path / "o.csv"
+    argv = ["oracle", "--steps", "1200", *argv, "--out", str(out)]
+    monkeypatch.setattr(sweeps, "_MAX_CELLS", cells)
+    assert main(argv) == 0
+    assert len(_read_csv(out)) == cells
+    out.unlink()
+    capsys.readouterr()
+    monkeypatch.setattr(sweeps, "_MAX_CELLS", cells - 1)
+    monkeypatch.setattr(sweeps, "mode_berry_numeric", _never)
+    monkeypatch.setattr(sweeps, "berry_phase_loop", _never)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"error: the grid has {cells} cells, above the budget of "
+                                       f"{cells - 1:.0e}; use a smaller grid or fewer spectrum "
+                                       f"cases\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -497,12 +551,12 @@ def test_cli_rg_refuses_flows_over_the_step_budget_in_all(tmp_path, capsys, monk
     out = tmp_path / "rg.csv"
     assert main(["rg", "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "error: the 3 flows need about 1.5e+04 RK4 steps in all, above the budget of 1e+04; "
+        "error: the 3 flows need about 15000 RK4 steps in all, above the budget of 1e+04; "
         "use fewer initial points, a larger dl or a smaller l_max\n")
     assert not out.exists()
 
 
-@pytest.mark.parametrize("dl,steps", [("1e-320", "inf"), ("0.0001", "5e+04")])
+@pytest.mark.parametrize("dl,steps", [("1e-320", "inf"), ("0.0001", "50000")])
 def test_cli_rg_refuses_a_flow_over_the_step_budget(tmp_path, capsys, monkeypatch, dl, steps):
     # 1e-320 underflows the step count to inf; 1e-4 is refused under a lowered budget
     monkeypatch.setattr(rgflow, "_MAX_STEPS", 10**4)
