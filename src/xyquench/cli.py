@@ -4,8 +4,9 @@ Every command writes RFC-4180-style CSV (header row, LF endings, '.'
 decimal, 17 significant digits) and is deterministic: identical options
 give byte-identical files (`oracle` alone samples, from `--seed`).  Exit
 codes: 0 success, 1 oracle or output-invariant failure, 2 bad arguments.
-A command is one `COMMANDS` entry (handler, help line, options), and it
-writes no file unless every table it produces is within its bounds.
+A command is one `COMMANDS` entry (handler, help line, options).  Its handler
+only computes; `main` checks every table it returns against its bounds, then
+writes and prints, so a refused argument or a bound breach leaves no file.
 
 `--config` takes a JSON object, sectioned by command if any top-level key
 names one (then only that section applies and every top-level key must be
@@ -139,56 +140,41 @@ def _parse_initial(items) -> list:
     return out
 
 
-def _write(tables) -> None:
-    """Check every (grid, path, bounds) table of a command, then write and announce each."""
-    for grid, _, bounds in tables:
-        sweeps.validate_bounds(grid, bounds)
-    for grid, path, _ in tables:
-        grid.write_csv(path)
-        print(f"wrote {path} ({len(grid)} rows)")
-
-
-def _run_fig1(o) -> int:
+def _run_fig1(o):
     grid = sweeps.fig1_grid(
         k=o["k"], alphas=o["alpha"], tau_qs=o["tauq"],
         tmin=o["tmin"], tmax=o["tmax"], samples=o["samples"],
     )
-    _write([(grid, o["out"], {"gamma_k": (0.0, TWO_PI)})])
-    return 0
+    return [(grid, o["out"], {"gamma_k": (0.0, TWO_PI)})], [], 0
 
 
-def _run_fig2(o) -> int:
+def _run_fig2(o):
     phase, deriv = sweeps.fig2_grids(
         k=o["k"], alpha_min=o["alpha_min"], alpha_max=o["alpha_max"],
         alpha_samples=o["alpha_samples"], tmin=o["tmin"], tmax=o["tmax"], samples=o["samples"],
     )
     stem = o["out"][:-4] if o["out"].endswith(".csv") else o["out"]
-    _write([(phase, f"{stem}_gamma.csv", {"value": (0.0, TWO_PI)}),
-            (deriv, f"{stem}_dgamma.csv", {"value": (0.0, math.inf)})])
-    return 0
+    return [(phase, f"{stem}_gamma.csv", {"value": (0.0, TWO_PI)}),
+            (deriv, f"{stem}_dgamma.csv", {"value": (0.0, math.inf)})], [], 0
 
 
-def _run_quench(o) -> int:
-    # each library warning becomes one plain stderr line, free of source paths
-    with warnings.catch_warnings(record=True) as caught:
-        modes, summary = sweeps.quench_grids(
-            n_sites=o["nsites"], tau_qs=o["tauq"], safety_factor=o["safety_factor"],
-            alpha=o["alpha"], evolve=o["evolve"], evolve_modes=o["evolve_modes"],
-            dt=o["dt"], b_start=o["b_start"],
-        )
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
+def _run_quench(o):
+    modes, summary = sweeps.quench_grids(
+        n_sites=o["nsites"], tau_qs=o["tauq"], safety_factor=o["safety_factor"],
+        alpha=o["alpha"], evolve=o["evolve"], evolve_modes=o["evolve_modes"],
+        dt=o["dt"], b_start=o["b_start"],
+    )
     tables = [(modes, o["out"], {"p_k": (0.0, 1.0)})]
     if o["summary"]:
         tables.append((summary, o["summary"], {}))
-    _write(tables)
     spec = ChainSpec(n_sites=o["nsites"], alpha=o["alpha"])
     k0 = float(momentum_grid(spec)[0])
+    lines = []
     for tau_q in o["tauq"]:
         rep = kink_count(spec, tau_q, safety_factor=o["safety_factor"])
         excluded = (k0,) if rep.adiabatic else ()
         ps = phase_summary(spec, b_initial=o["b_start"], excluded=excluded)
-        print(json.dumps({
+        lines.append(json.dumps({
             "tau_q": tau_q,
             "kink_count": rep.kink_count,
             "threshold": rep.threshold,
@@ -198,13 +184,13 @@ def _run_quench(o) -> int:
             "gamma_final": ps.gamma_final,
             "excluded_modes": sorted(ps.excluded_modes),
         }, sort_keys=True))
-    return 0
+    return tables, lines, 0
 
 
-def _run_rg(o) -> int:
+def _run_rg(o):
     initials = _parse_initial(o["initial"])
     grid = sweeps.rg_grid(initials, l_max=o["lmax"], dl=o["dl"], alpha_cap=o["alpha_cap"])
-    _write([(grid, o["out"], {})])
+    lines = []
     if o["classify"]:
         for a0, k0 in initials:
             if k0 > 0.5 and a0 <= 0.0:
@@ -213,35 +199,31 @@ def _run_rg(o) -> int:
                 label_value = classify_phase(
                     K=k0, alpha=a0, B=o["field"], cutoff=o["cutoff"], band=o["band"]
                 ).value
-            print(json.dumps({
+            lines.append(json.dumps({
                 "alpha": a0, "K": k0, "field": o["field"], "phase": label_value,
             }, sort_keys=True))
-    return 0
+    return [(grid, o["out"], {})], lines, 0
 
 
-def _run_noncontract(o) -> int:
+def _run_noncontract(o):
     grid = sweeps.noncontract_grid(field=o["field"], alphas=o["alpha"], sizes=o["nsites"])
-    _write([(grid, o["out"], {"gamma_g_over_m": (0.0, TWO_PI)})])
-    return 0
+    return [(grid, o["out"], {"gamma_g_over_m": (0.0, TWO_PI)})], [], 0
 
 
-def _run_oracle(o) -> int:
+def _run_oracle(o):
     grid, failures = sweeps.oracle_report(
         seed=o["seed"], steps=o["steps"], grid_size=o["grid"], nsites=o["nsites"],
         k=o["k"], mode_tol=o["mode_tol"], loop_tol=o["loop_tol"],
         spectrum_tol=o["spectrum_tol"], spectrum_cases=o["spectrum_cases"],
     )
-    _write([(grid, o["out"], {})])
-    if failures:
-        for case, diff, tol in failures:
-            print(f"FAIL {case}: |diff|={diff!r} tol={tol!r}", file=sys.stderr)
-        print(f"oracle: {len(failures)} case(s) breached tolerance", file=sys.stderr)
-        return 1
-    print("oracle: all cases within tolerance")
-    return 0
+    lines = [f"FAIL {case}: |diff|={diff!r} tol={tol!r}" for case, diff, tol in failures]
+    lines.append(f"oracle: {len(failures)} case(s) breached tolerance" if failures
+                 else "oracle: all cases within tolerance")
+    return [(grid, o["out"], {})], lines, 1 if failures else 0
 
 
-# command -> (handler, help line, options in flag order).  The type of a
+# command -> (handler, help line, options in flag order).  A handler maps the options
+# to ([(grid, path, bounds)], message lines, exit code) without I/O.  The type of a
 # default sets the flag's converter: a list makes it repeatable, False makes a switch.
 COMMANDS = {
     "fig1": (_run_fig1, "Gamma_k(t) series for a tau_q list (plus alpha=0 inset)", dict(
@@ -266,11 +248,23 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         opts = _merge_options(args)
-        return COMMANDS[args.command][0](opts)
+        # one plain stderr line per library warning, whatever -W or PYTHONWARNINGS say
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            tables, lines, code = COMMANDS[args.command][0](opts)
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
+        for grid, _, bounds in tables:
+            sweeps.validate_bounds(grid, bounds)
+        for grid, path, _ in tables:
+            grid.write_csv(path)
+            print(f"wrote {path} ({len(grid)} rows)")
+        for line in lines:
+            print(line, file=sys.stderr if code else sys.stdout)
+        return code
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1

@@ -127,7 +127,10 @@ def mass_gap(alpha: float, K: float, cutoff: float) -> float:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if not cutoff > 0.0:
         raise ValueError(f"cutoff must be > 0, got {cutoff}")
-    return cutoff * (alpha / 2.0) ** (1.0 / (2.0 - 1.0 / K))
+    try:
+        return cutoff * (alpha / 2.0) ** (1.0 / (2.0 - 1.0 / K))
+    except OverflowError:  # K just above 1/2 with alpha > 2: a gap above any field
+        return np.inf
 
 
 def classify_phase(

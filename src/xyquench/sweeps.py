@@ -113,6 +113,9 @@ def _time_axis(tmin: float, tmax: float, samples: int) -> np.ndarray:
 
 def fig1_grid(k, alphas, tau_qs, tmin=-3.0, tmax=0.0, samples=600) -> SweepGrid:
     """Gamma_k(t) series over t/tau_q for each anisotropy and quench time."""
+    for alpha in alphas:
+        if not alpha >= 0.0:
+            raise ValueError(f"alpha must be >= 0, got {alpha}")
     _refuse_cells(len(alphas) * len(tau_qs) * samples)
     x = _time_axis(tmin, tmax, samples)
     for tau_q in tau_qs:

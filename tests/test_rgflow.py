@@ -160,6 +160,13 @@ def test_mass_gap_vanishes_with_alpha():
     assert mass_gap(1e-12, 1.0, 1.0) < 1e-11
 
 
+def test_mass_gap_overflow_is_an_infinite_gap():
+    # 1.5 ** (1 / (2 - 1/K)) overflows a float just above K = 1/2
+    assert mass_gap(3.0, 0.5000001, 1.0) == math.inf
+    for B in (0.0, 1.0, 1e300):
+        assert classify_phase(0.5000001, 3.0, B, 1.0) is PhaseLabel.STAGGERED_ORDER
+
+
 def test_mass_gap_rejects_irrelevant_regime():
     with pytest.raises(ValueError):
         mass_gap(1.0, 0.5, 1.0)

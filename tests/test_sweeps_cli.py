@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,12 @@ def test_fig1_emits_empty_cell_at_exact_crossing():
     assert cells[-1] is None
     assert all(c is not None for c in cells[:-1])
     assert grid.csv_text().splitlines()[-1].endswith(",")
+
+
+def test_fig1_refuses_a_negative_alpha_before_allocating():
+    # like fig2, ChainSpec and RGState; checked ahead of the cell budget
+    with pytest.raises(ValueError, match=r"^alpha must be >= 0, got -0.5$"):
+        fig1_grid(k=0.8, alphas=[0.5, -0.5], tau_qs=[1.0], samples=10**9)
 
 
 def test_fig2_shapes_and_ridge():
@@ -402,6 +409,54 @@ def test_cli_rg_rk4_overshoot_exit_2(tmp_path, capsys):
     assert main(["rg", "--initial", "1.0,0.01", "--dl", "0.05", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: alpha must be >= 0, got -0.29822710766716165\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_rg_classify_overflowing_gap_is_staggered(tmp_path, capsys):
+    # K just above 1/2 with alpha > 2: the gap overflows a float and beats any field
+    out = tmp_path / "rg.csv"
+    assert main(["rg", "--classify", "--initial", "3.0,0.5000001", "--lmax", "0.01",
+                 "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"wrote {out} (11 rows)", '{"K": 0.5000001, "alpha": 3.0, "field": 0.0, '
+                     '"phase": "staggered_order"}']
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["rg", "--classify", "--field", "-0.5"], "quench field must be >= 0, got -0.5"),
+    (["rg", "--classify", "--band", "2"], "band must lie in (0, 1), got 2.0"),
+    (["rg", "--classify", "--cutoff", "-1"], "cutoff must be > 0, got -1.0"),
+    (["quench", "--alpha", "0", "--nsites", "4", "--b-start", "0.7071067811865476",
+      "--tauq", "1", "--summary", "s.csv"], "gapless point at k=0.7853981633974483"),
+    (["fig1", "--alpha", "-0.5"], "alpha must be >= 0, got -0.5"),
+], ids=["rg-field", "rg-band", "rg-cutoff", "quench-gapless-summary", "fig1-negative-alpha"])
+def test_cli_refusals_leave_no_file(tmp_path, capsys, monkeypatch, argv, named):
+    # a handler computes all its tables and lines before main writes anything
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,warning", [
+    (["--b-start", "0.9", "--tauq", "1", "--nsites", "20"], "warning: p_evolved left empty"),
+    (["--alpha", "0", "--tauq", "1", "--tauq", "2", "--nsites", "20"],
+     "warning: no coupling at the crossing"),
+], ids=["uncovered", "no-coupling"])
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_cli_warning_lines_do_not_depend_on_the_filter(tmp_path, capsys, argv, warning, action):
+    argv = ["quench", "--evolve", *argv, "--out", str(tmp_path / "q.csv")]
+    with warnings.catch_warnings():
+        warnings.resetwarnings()
+        assert main(argv) == 0
+    default = capsys.readouterr()
+    # one line however many pairs warn, since the filter is "default", not "always"
+    assert default.err.count("\n") == 1 and default.err.startswith(warning)
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        assert main(argv) == 0
+    assert capsys.readouterr() == default
 
 
 def test_cli_noncontract(tmp_path):
