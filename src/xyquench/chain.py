@@ -45,6 +45,13 @@ class ChainSpec:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
 
 
+def refuse_over_budget(count, budget, subject: str, unit: str, remedy: str) -> None:
+    """ValueError naming count and budget unless count <= budget; NaN and inf are refused."""
+    if not count <= budget:
+        raise ValueError(
+            f"{subject} {count:.10g} {unit}, above the budget of {budget:.0e}; {remedy}")
+
+
 def momentum_grid(spec: ChainSpec) -> np.ndarray:
     """Positive half-integer pseudomomenta (2m-1)*pi/N, m = 1..N/2, strictly increasing.
 

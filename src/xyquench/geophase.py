@@ -80,12 +80,13 @@ def dphase_db(k, t, tau_q, alpha):
 
 
 def phase_slope(s, lam):
-    """pi s^2 / Lambda^3, NaN at Lambda = 0; pi (s/Lambda)^2 / Lambda where Lambda^3 underflows."""
+    """pi s^2/Lambda^3, NaN at Lambda = 0; pi (s/Lambda)^2/Lambda where Lambda^3 is 0 or inf."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # a numpy float64 scalar takes a different power path than an
         # array, which can differ in the last bit; always use the array one
         cube = np.asarray(lam) ** 3
-        return np.where(cube > 0.0, np.pi * s * s / cube, np.pi * (s / lam) ** 2 / lam)
+        finite = (0.0 < cube) & (cube < np.inf)
+        return np.where(finite, np.pi * s * s / cube, np.pi * (s / lam) ** 2 / lam)
 
 
 def phase_summary(spec: ChainSpec, b_initial: float, excluded=()) -> PhaseSummary:

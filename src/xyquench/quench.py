@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, momentum_grid
+from .chain import ChainSpec, momentum_grid, refuse_over_budget
 
 # Default dt * max|H|, a quarter of the midpoint rule's old 0.05 steps: on the
 # error table of tests/test_quench.py the Magnus-4 probability is no further
@@ -26,7 +26,7 @@ _DEFAULT_STEP = 0.2
 # The largest dt * max|H| on a 0.1 grid at which Magnus-4 is no worse than the
 # midpoint rule at its old limit 0.1 on the same table; at 0.4 one case is worse.
 _MAX_STABLE_STEP = 0.3
-_MAX_STEPS = 10**8  # step budget per pair; refused up front, before any allocation
+_MAX_STEPS = 10**8  # step budget per pair and per table; refused up front, before any allocation
 _CHUNK = 1 << 15  # steps multiplied per numpy chunk; memory does not grow with tau_q
 
 
@@ -106,6 +106,28 @@ def kink_count(spec: ChainSpec, tau_q: float, safety_factor: float = 10.0) -> Ki
     )
 
 
+def ramp_steps(k, alpha, schedule: QuenchSchedule, dt=None) -> tuple[int, float]:
+    """The step rule of evolve_mode for one pair: (step count n, step length span / n).
+
+    dt defaults to _DEFAULT_STEP / max|H|; ValueError if dt * max|H| >= _MAX_STABLE_STEP
+    or the ramp needs more than _MAX_STEPS steps.
+    """
+    b_start = -schedule.t_start / schedule.tau_q
+    h_max = 2.0 * math.hypot(abs(math.cos(k)) + b_start, alpha * math.sin(k))
+    if dt is None:
+        dt = _DEFAULT_STEP / h_max
+    if not dt > 0.0 or dt * h_max >= _MAX_STABLE_STEP:
+        raise ValueError(
+            f"unstable step size: dt*max|H| = {dt * h_max:g} must stay below {_MAX_STABLE_STEP}"
+        )
+    span = -schedule.t_start
+    estimate = span / dt
+    refuse_over_budget(estimate, _MAX_STEPS, "the ramp needs about", "steps per pair",
+                       "use a smaller tau_q or a larger dt")
+    n = int(math.ceil(estimate))
+    return n, span / n
+
+
 def evolve_mode(k, alpha, schedule: QuenchSchedule, dt=None) -> EvolveResult:
     """Integrate one (k, -k) pair through the ramp; excitation probability at t = 0.
 
@@ -120,11 +142,12 @@ def evolve_mode(k, alpha, schedule: QuenchSchedule, dt=None) -> EvolveResult:
     linear ramp this is exact in closed form: the x and z parts are the
     midpoint field (cx, cz(t_0 + dt/2)), and the commutator adds the same
     y field cy = -cx dt^2/(3 tau_q) on every step.  The default step is
-    dt * max|H| = _DEFAULT_STEP.  Each step is written as an SU(2)
+    dt * max|H| = _DEFAULT_STEP; ramp_steps sets the step count and
+    refuses, before anything is allocated, an unstable dt or a ramp of
+    more than _MAX_STEPS steps.  Each step is written as an SU(2)
     quaternion; the steps of each chunk of _CHUNK are multiplied pairwise
     as a tree and the product is applied to the state, so memory stays
-    bounded however long the ramp.  A ramp needing more than _MAX_STEPS
-    steps is refused with ValueError before anything is allocated.
+    bounded however long the ramp.
     The state starts in the instantaneous ground state at t_start.  The
     result carries the probability |<excited(0)|psi(0)>|^2, the worst
     norm drift |<psi|psi> - 1| at the chunk ends, the step count, and
@@ -147,22 +170,7 @@ def evolve_mode(k, alpha, schedule: QuenchSchedule, dt=None) -> EvolveResult:
             stacklevel=2,
         )
 
-    h_max = 2.0 * math.hypot(abs(c0) + b_start, s)
-    if dt is None:
-        dt = _DEFAULT_STEP / h_max
-    if not dt > 0.0 or dt * h_max >= _MAX_STABLE_STEP:
-        raise ValueError(
-            f"unstable step size: dt*max|H| = {dt * h_max:g} must stay below {_MAX_STABLE_STEP}"
-        )
-    span = -schedule.t_start
-    estimate = span / dt
-    if not estimate <= _MAX_STEPS:
-        raise ValueError(
-            f"the ramp needs about {estimate:.10g} steps per pair, above the budget of "
-            f"{_MAX_STEPS:.0e}; use a smaller tau_q or a larger dt"
-        )
-    n = int(math.ceil(estimate))
-    dt = span / n
+    n, dt = ramp_steps(k, alpha, schedule, dt)
 
     # Step i is exp(-i dt (cx X + cy Y + cz Z)) with cz = -2(cos k - B(t_i + dt/2)).
     cx = 2.0 * s

@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .chain import refuse_over_budget
 
 COMPLETED = "completed"
 STRONG_COUPLING = "strong_coupling"
@@ -73,11 +76,8 @@ def step_estimate(initial: RGState, l_max: float, dl: float) -> float:
     if not l_max > initial.l:
         raise ValueError(f"l_max must exceed initial.l = {initial.l}, got {l_max}")
     estimate = (l_max - initial.l) / dl
-    if not estimate <= _MAX_STEPS:
-        raise ValueError(
-            f"the flow needs about {estimate:.10g} RK4 steps, above the budget of "
-            f"{_MAX_STEPS:.0e}; use a larger dl or a smaller l_max"
-        )
+    refuse_over_budget(estimate, _MAX_STEPS, "the flow needs about", "RK4 steps",
+                       "use a larger dl or a smaller l_max")
     return estimate
 
 
@@ -119,16 +119,22 @@ def rg_flow(
     return RGTrajectory(l=l, alpha=np.array(alphas), K=np.array(ks), status=status)
 
 
-def mass_gap(alpha: float, K: float, cutoff: float) -> float:
-    """Sine-Gordon gap M = cutoff * (alpha/2)^(1/(2 - 1/K)), defined for K > 1/2."""
+def _gap_exponent(alpha: float, K: float, cutoff: float) -> float:
+    """The exponent 1/(2 - 1/K) of the gap, once its arguments are checked."""
     if not K > 0.5:
         raise ValueError(f"mass gap needs the relevant regime K > 1/2, got K={K}")
     if not alpha > 0.0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if not cutoff > 0.0:
         raise ValueError(f"cutoff must be > 0, got {cutoff}")
+    return 1.0 / (2.0 - 1.0 / K)
+
+
+def mass_gap(alpha: float, K: float, cutoff: float) -> float:
+    """Sine-Gordon gap M = cutoff * (alpha/2)^(1/(2 - 1/K)), defined for K > 1/2."""
+    exponent = _gap_exponent(alpha, K, cutoff)
     try:
-        return cutoff * (alpha / 2.0) ** (1.0 / (2.0 - 1.0 / K))
+        return cutoff * (alpha / 2.0) ** exponent
     except OverflowError:  # K just above 1/2 with alpha > 2: a gap above any field
         return np.inf
 
@@ -143,7 +149,9 @@ def classify_phase(
     which the chain polarizes.  K > 1/2: the gapped staggered phase holds
     for B well below the gap M, the field wins for B well above it, and a
     field of the order of M (relative band `band`) restores the Luttinger
-    liquid.
+    liquid.  The comparison is ln B against ln((1 +- band) M): ln M is
+    finite for every K > 1/2, where M itself under- or overflows near
+    K = 1/2, so B = 0 is always staggered there.
     """
     if not 0.0 < band < 1.0:
         raise ValueError(f"band must lie in (0, 1), got {band}")
@@ -151,9 +159,11 @@ def classify_phase(
         raise ValueError(f"quench field must be >= 0, got {B}")
     if K <= 0.5:
         return PhaseLabel.FERROMAGNETIC if B > 1.0 else PhaseLabel.LUTTINGER_LIQUID
-    m = mass_gap(alpha, K, cutoff)
-    if B > (1.0 + band) * m:
+    exponent = _gap_exponent(alpha, K, cutoff)
+    log_m = math.log(cutoff) + (math.log(alpha) - math.log(2.0)) * exponent
+    log_b = math.log(B) if B > 0.0 else -math.inf
+    if log_b > math.log1p(band) + log_m:
         return PhaseLabel.FERROMAGNETIC
-    if B < (1.0 - band) * m:
+    if log_b < math.log1p(-band) + log_m:
         return PhaseLabel.STAGGERED_ORDER
     return PhaseLabel.LUTTINGER_LIQUID

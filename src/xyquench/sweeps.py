@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, gap_kernel, momentum_grid
+from .chain import ChainSpec, gap_kernel, momentum_grid, refuse_over_budget
 from .edoracle import berry_phase_loop, build_hamiltonian, mode_berry_numeric
 from .geophase import mode_phase, noncontractibility_scan, phase_slope, total_phase
-from .quench import QuenchSchedule, evolve_mode, kink_count
-from . import rgflow
+from .quench import QuenchSchedule, evolve_mode, kink_count, ramp_steps
+from . import quench, rgflow
 from .rgflow import rg_flow, RGState
 
 TWO_PI = 2.0 * math.pi
@@ -56,6 +56,11 @@ class SweepGrid:
     """Named 1-d columns of equal length, in CSV order; masked cells are undefined."""
 
     columns: dict
+
+    def __post_init__(self):
+        lengths = {name: len(col) for name, col in self.columns.items()}
+        if len(set(lengths.values())) > 1:
+            raise InvariantViolation(f"columns of unequal length: {lengths}")
 
     def __len__(self) -> int:
         return len(next(iter(self.columns.values())))
@@ -97,10 +102,7 @@ def _deriv_cells(k: float, b_values: np.ndarray, alpha):
 
 def _refuse_cells(cells: int, remedy: str = "use fewer samples") -> None:
     """Refuse a grid over the cell budget before any of it is allocated."""
-    if cells > _MAX_CELLS:
-        raise ValueError(
-            f"the grid has {cells:.10g} cells, above the budget of {_MAX_CELLS:.0e}; {remedy}"
-        )
+    refuse_over_budget(cells, _MAX_CELLS, "the grid has", "cells", remedy)
 
 
 def _time_axis(tmin: float, tmax: float, samples: int) -> np.ndarray:
@@ -170,7 +172,9 @@ def quench_grids(
     real-time cross-check column (alpha enters only there; the closed-form
     p_k carries no anisotropy dependence).  A pair whose crossing B = cos k
     the ramp window does not cover is not evolved: its cells stay masked,
-    and one UserWarning names every such k.
+    and one UserWarning names every such k.  Before any pair runs, the step
+    rule quench.ramp_steps refuses with ValueError a covered pair, and then
+    a table, of more than quench._MAX_STEPS steps.
     """
     spec = ChainSpec(n_sites=n_sites, alpha=alpha)
     if evolve and not evolve_modes >= 0:
@@ -180,15 +184,19 @@ def quench_grids(
     _refuse_cells(len(tau_qs) * n_sites, "use fewer sites or tau_q values")
     k_pos = momentum_grid(spec)
     k_all = np.concatenate((-k_pos[::-1], k_pos))
-    n_evolved = min(int(evolve_modes), k_pos.size)
-    reps, evolved, uncovered = [], [], set()
-    for tau_q in tau_qs:
+    reps, covered, uncovered, steps = [], [], set(), 0  # covered: (row, column, k, schedule)
+    for i, tau_q in enumerate(tau_qs):
         reps.append(kink_count(spec, tau_q, safety_factor=safety_factor))
         if evolve:
             schedule = QuenchSchedule.from_field(tau_q, b_start)
-            uncovered.update(float(kk) for kk in k_pos[:n_evolved] if not schedule.covers(kk))
-            evolved.append([evolve_mode(float(kk), alpha, schedule, dt=dt).probability
-                            if schedule.covers(kk) else math.nan for kk in k_pos[:n_evolved]])
+            for j, kk in enumerate(k_pos[:int(evolve_modes)].tolist()):
+                if schedule.covers(kk):
+                    covered.append((i, j, kk, schedule))
+                    steps += ramp_steps(kk, alpha, schedule, dt)[0]
+                else:
+                    uncovered.add(kk)
+    refuse_over_budget(steps, quench._MAX_STEPS, f"the {len(covered)} evolved pairs need",
+                       "steps in all", "use fewer modes, fewer or smaller tau_q or a larger dt")
     if uncovered:
         warnings.warn(
             f"p_evolved left empty at k = {', '.join(f'+/-{kk:g}' for kk in sorted(uncovered))}: "
@@ -204,7 +212,8 @@ def quench_grids(
     if evolve:
         # one value per +/-k pair; the modes past evolve_modes or uncovered stay masked
         half = np.ma.masked_all((taus.size, k_pos.size))
-        half[:, :n_evolved] = np.ma.masked_invalid(np.reshape(evolved, (taus.size, n_evolved)))
+        for i, j, kk, schedule in covered:
+            half[i, j] = evolve_mode(kk, alpha, schedule, dt=dt).probability
         modes["p_evolved"] = np.ma.hstack((half[:, ::-1], half)).ravel()
     summary = {
         "tau_q": taus,
@@ -224,12 +233,9 @@ def rg_grid(initials, l_max=5.0, dl=1e-3, alpha_cap=1e3) -> SweepGrid:
     """
     starts = [RGState(alpha=a0, K=k0) for a0, k0 in initials]
     total = sum(rgflow.step_estimate(st, l_max, dl) for st in starts)
-    if total > rgflow._MAX_STEPS:
-        raise ValueError(
-            f"the {len(starts)} flows need about {total:.10g} RK4 steps in all, above the "
-            f"budget of {rgflow._MAX_STEPS:.0e}; use fewer initial points, a larger dl or "
-            f"a smaller l_max"
-        )
+    refuse_over_budget(total, rgflow._MAX_STEPS, f"the {len(starts)} flows need about",
+                       "RK4 steps in all",
+                       "use fewer initial points, a larger dl or a smaller l_max")
     trajs = [rg_flow(st, l_max=l_max, dl=dl, alpha_cap=alpha_cap) for st in starts]
     steps = [t.l.size for t in trajs]
     empty = np.empty(0)  # keeps a run with no initial point a header-only table

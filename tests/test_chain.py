@@ -9,7 +9,7 @@ from xyquench import (
     bogoliubov_angle,
     momentum_grid,
 )
-from xyquench.chain import gap_kernel
+from xyquench.chain import gap_kernel, refuse_over_budget
 
 
 def dispersion(k, B, alpha):
@@ -118,3 +118,14 @@ def test_mode_invariant_consistency():
         lam = dispersion(k, B, a)
         assert lam >= 0.0 and abs(c) <= 1.0
         assert c * lam == pytest.approx(math.cos(k) - B, rel=1e-14)
+
+
+def test_refuse_over_budget_passes_the_budget_and_refuses_past_it():
+    refuse_over_budget(100, 100, "the grid has", "cells", "use fewer samples")
+    with pytest.raises(ValueError) as exc:
+        refuse_over_budget(101, 100, "the grid has", "cells", "use fewer samples")
+    assert str(exc.value) == "the grid has 101 cells, above the budget of 1e+02; use fewer samples"
+    # NaN compares false with everything, so a bare count > budget would let it through
+    for count in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"the run needs {count} steps, above the budget"):
+            refuse_over_budget(count, 10**8, "the run needs", "steps", "use fewer")

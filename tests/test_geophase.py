@@ -234,6 +234,15 @@ def test_dphase_tiny_gap_does_not_underflow():
     assert cells[0] == pytest.approx(math.pi * 1e110, rel=1e-14)
 
 
+@pytest.mark.parametrize("alpha", [1e103, 1e200, 1e300])
+def test_dphase_huge_gap_does_not_overflow(alpha):
+    # at k = pi/2, B = 0 the gap is alpha; past 5.6e102 its cube is inf, so pi s^2/Lambda^3
+    # would read 0 (finite s^2) or NaN (s^2 = inf) where the value is pi/alpha
+    expected = pytest.approx(math.pi / alpha, rel=1e-14, abs=0.0)
+    assert dphase_db(math.pi / 2, 0.0, 1.0, alpha) == expected
+    assert phase_slope(alpha, alpha) == expected
+
+
 def test_dphase_nonnegative_random():
     rng = np.random.default_rng(31)
     k = rng.uniform(0.0, math.pi, 2000)

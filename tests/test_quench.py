@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +177,18 @@ def test_evolve_refuses_a_ramp_over_the_step_budget():
         evolve_mode(math.pi / 100, 1.0, QuenchSchedule.from_field(1e9))
     with pytest.raises(ValueError, match="about inf steps per pair, above the budget"):
         evolve_mode(math.pi / 100, 1.0, QuenchSchedule.from_field(1.0), dt=1e-320)
+
+
+@pytest.mark.parametrize("k,alpha,tau_q,dt", [
+    (math.pi / 100, 1.0, 10.0, None), (0.3, 0.5, 2.0, None), (math.pi / 4, 0.0, 1.0, 0.01),
+])
+def test_ramp_steps_is_the_rule_evolve_mode_runs(k, alpha, tau_q, dt):
+    sched = QuenchSchedule.from_field(tau_q)
+    n, step = quench.ramp_steps(k, alpha, sched, dt)
+    assert step * n == pytest.approx(-sched.t_start, rel=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # alpha = 0 has no coupling at the crossing
+        assert evolve_mode(k, alpha, sched, dt=dt).n_steps == n
 
 
 # ------------------------------------------------- evolve_mode vs. step loop

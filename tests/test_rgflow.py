@@ -202,6 +202,35 @@ def test_classify_small_k_branch():
     assert classify_phase(0.4, 1.0, math.nextafter(1.0, 2.0), 1.0) is PhaseLabel.FERROMAGNETIC
 
 
+_RANK = {PhaseLabel.STAGGERED_ORDER: 0, PhaseLabel.LUTTINGER_LIQUID: 1,
+         PhaseLabel.FERROMAGNETIC: 2}
+
+
+@pytest.mark.parametrize("alpha,edge", [(1.0, 0.0), (3.0, math.inf)])
+def test_classify_labels_are_monotone_across_the_gap_under_and_overflow(alpha, edge):
+    # K -> 1/2+ drives M to 0 (alpha < 2) or inf (alpha > 2); the labels follow ln M, which
+    # stays finite, so they are monotone in K and in B on both sides of the float edge
+    ks = [math.nextafter(0.5, 1.0)]
+    for _ in range(7):
+        ks.append(math.nextafter(ks[-1], 1.0))
+    ks += [0.5 + 2.0**-j for j in range(49, 0, -1)]
+    assert mass_gap(alpha, ks[0], 1.0) == edge and 0.0 < mass_gap(alpha, ks[-1], 1.0) < math.inf
+    fields = [0.0, 5e-324, *np.logspace(-300, 300, 61).tolist()]
+    ranks = np.array([[_RANK[classify_phase(K, alpha, B, 1.0)] for B in fields] for K in ks])
+    assert np.all(np.diff(ranks, axis=1) >= 0)  # a larger field never orders the chain more
+    # M falls with K for alpha > 2 and rises with K below it
+    assert np.all(np.sign(alpha - 2.0) * np.diff(ranks, axis=0) >= 0)
+    assert np.all(ranks[:, 0] == 0)  # B = 0 is below any gap
+    assert set(ranks.ravel()) == {0, 1, 2}
+
+
+def test_classify_underflowing_gap_at_zero_field_is_staggered():
+    # (1/2)^2500 underflows to 0.0, yet the gap is positive
+    assert mass_gap(1.0, 0.5001, 1.0) == 0.0
+    assert classify_phase(0.5001, 1.0, 0.0, 1.0) is PhaseLabel.STAGGERED_ORDER
+    assert classify_phase(0.5001, 1.0, 1e-300, 1.0) is PhaseLabel.FERROMAGNETIC  # ln M ~ -1733
+
+
 def test_classify_scale_consistency():
     rng = np.random.default_rng(53)
     for _ in range(300):

@@ -11,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from xyquench import QuenchSchedule, SweepGrid, evolve_mode, mode_phase
-from xyquench import rgflow, sweeps
+from xyquench import quench, rgflow, sweeps
 from xyquench.cli import COMMANDS, main
 from xyquench.sweeps import (
     InvariantViolation,
@@ -139,6 +139,13 @@ def test_csv_lf_line_endings(tmp_path):
     raw = p.read_bytes()
     assert b"\r" not in raw
     assert raw.endswith(b"\n")
+
+
+def test_grid_refuses_columns_of_unequal_length():
+    # csv_text zips the columns, so a short one would drop rows without a word
+    with pytest.raises(InvariantViolation, match=r"unequal length: \{'a': 2, 'b': 1\}"):
+        SweepGrid({"a": np.array([1.0, 2.0]), "b": np.array([3.0])})
+    assert len(SweepGrid({"a": np.empty(0), "b": np.empty(0, dtype=int)})) == 0
 
 
 def test_validate_bounds_raises():
@@ -337,6 +344,17 @@ def test_cli_fig2_writes_two_files(tmp_path):
     assert (tmp_path / "surf_dgamma.csv").exists()
 
 
+def test_cli_fig2_slope_at_a_huge_alpha_is_finite(tmp_path, capsys):
+    # at alpha = 1e200 the gap's cube overflows; the slope is still pi/Lambda, not NaN
+    out = tmp_path / "surf.csv"
+    argv = ["fig2", "--alpha-max", "1e200", "--alpha-samples", "2", "--samples", "2"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = _read_csv(tmp_path / "surf_dgamma.csv")
+    assert [float(r["value"]) for r in rows[2:]] == pytest.approx([math.pi / 1e200] * 2,
+                                                                  rel=1e-14, abs=0.0)
+
+
 def test_cli_quench_summary(tmp_path, capsys):
     out = tmp_path / "q.csv"
     summ = tmp_path / "s.csv"
@@ -418,6 +436,16 @@ def test_cli_rg_classify_overflowing_gap_is_staggered(tmp_path, capsys):
                  "--out", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == [f"wrote {out} (11 rows)", '{"K": 0.5000001, "alpha": 3.0, "field": 0.0, '
+                     '"phase": "staggered_order"}']
+
+
+def test_cli_rg_classify_underflowing_gap_is_staggered(tmp_path, capsys):
+    # K just above 1/2 with alpha < 2: the gap underflows a float, yet B = 0 lies below it
+    out = tmp_path / "rg.csv"
+    assert main(["rg", "--classify", "--initial", "1.0,0.5001", "--lmax", "0.01",
+                 "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"wrote {out} (11 rows)", '{"K": 0.5001, "alpha": 1.0, "field": 0.0, '
                      '"phase": "staggered_order"}']
 
 
@@ -515,6 +543,40 @@ def test_cli_quench_refuses_a_ramp_over_the_step_budget(tmp_path, capsys):
     assert main(["quench", "--out", str(out), "--tauq", "1e9", "--evolve"]) == 2
     assert "above the budget" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_quench_refuses_a_pair_over_the_step_budget_before_any_pair_runs(tmp_path, capsys,
+                                                                             monkeypatch):
+    # the tau_q = 1 pairs come first and are cheap; the tau_q = 1e7 ones are each over 10^8
+    monkeypatch.setattr(sweeps, "evolve_mode", _never)
+    out = tmp_path / "q.csv"
+    assert main(["quench", "--evolve", "--tauq", "1", "--tauq", "1e7", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: the ramp needs about 2999794393 steps per pair, above the budget of 1e+08; "
+        "use a smaller tau_q or a larger dt\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_quench_refuses_evolved_pairs_over_the_step_budget_in_all(tmp_path, capsys,
+                                                                      monkeypatch):
+    # 4 modes x 2 tau_q, each pair far under the budget; the sum of their step counts is the
+    # table's, so the budget passes at the sum and refuses one step below it
+    argv = ["quench", "--evolve", "--nsites", "20", "--tauq", "1", "--tauq", "10",
+            "--out", str(tmp_path / "q.csv")]
+    steps = sum(quench.ramp_steps(k, 1.0, QuenchSchedule.from_field(tau_q, 5.0))[0]
+                for tau_q in (1.0, 10.0) for k in np.pi * np.array([1, 3, 5, 7]) / 20)
+    assert steps == 12751
+    monkeypatch.setattr(quench, "_MAX_STEPS", steps)
+    assert main(argv) == 0
+    (tmp_path / "q.csv").unlink()
+    capsys.readouterr()
+    monkeypatch.setattr(quench, "_MAX_STEPS", steps - 1)
+    monkeypatch.setattr(sweeps, "evolve_mode", _never)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: the 8 evolved pairs need 12751 steps in all, above the budget of 1e+04; "
+        "use fewer modes, fewer or smaller tau_q or a larger dt\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv,cells", [
