@@ -5,8 +5,9 @@ decimal, 17 significant digits) and is deterministic: identical options
 give byte-identical files (`oracle` alone samples, from `--seed`).  Exit
 codes: 0 success, 1 oracle or output-invariant failure, 2 bad arguments.
 A command is one `COMMANDS` entry (handler, help line, options).  Its handler
-only computes; `main` checks every table it returns against its bounds, then
-writes and prints, so a refused argument or a bound breach leaves no file.
+only computes; `main` checks the output paths and every table it returns
+against its bounds, then writes and prints, so a refused argument or a bound
+breach leaves no file.
 
 `--config` takes a JSON object, sectioned by command if any top-level key
 names one (then only that section applies and every top-level key must be
@@ -19,8 +20,10 @@ explicit flags win.  A breach, or a float option that is not finite, exits 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -47,6 +50,9 @@ _FLAG_EXTRAS = {
 }
 
 
+# built once per process: main may run many times in one interpreter, and each
+# rebuild leaves small argparse objects behind that fragment the heap
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xyquench",
@@ -138,6 +144,20 @@ def _parse_initial(items) -> list:
             raise ValueError(f"initial (alpha, K) must be finite, got {item!r}")
         out.append((a, k))
     return out
+
+
+def _refuse_paths(paths) -> None:
+    """Refuse two tables on one file, or a path that cannot name a new or existing file."""
+    seen = {}
+    for path in paths:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"{seen[real]} and {path} are one file; give each table its own path")
+        if os.path.isdir(real):
+            raise ValueError(f"cannot write {path}: it is a directory")
+        if not os.path.isdir(os.path.dirname(real)):
+            raise ValueError(f"cannot write {path}: its directory does not exist")
+        seen[real] = path
 
 
 def _run_fig1(o):
@@ -257,6 +277,7 @@ def main(argv=None) -> int:
             tables, lines, code = COMMANDS[args.command][0](opts)
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
+        _refuse_paths([path for _, path, _ in tables])
         for grid, _, bounds in tables:
             sweeps.validate_bounds(grid, bounds)
         for grid, path, _ in tables:

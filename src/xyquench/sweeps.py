@@ -260,10 +260,6 @@ def noncontract_grid(field=0.5, alphas=(10.0, 1.0, 0.1, 0.01, 1e-3, 1e-4), sizes
 _LOOP_CASES = ((4, 0.5, 0.0), (4, 1.0, 0.5), (6, 1.0, 0.5), (6, 0.8, 0.3))
 
 
-def _circular_diff(a: float, b: float) -> float:
-    return abs((a - b + math.pi) % TWO_PI - math.pi)
-
-
 def oracle_report(
     seed=0,
     steps=10000,
@@ -277,17 +273,20 @@ def oracle_report(
 ):
     """Analytic-vs-numeric equivalence suite; returns (report grid, failing rows).
 
-    Three families: per-mode discretized loops against pi*(1 - cos theta_k)
-    on a seeded (field, alpha) grid; many-body ground-state loops against
-    the chain phase sum modulo 2pi (odd-parity ground states are reported
-    as odd_sector rows, not failures); spectrum invariance of the rotated
-    Hamiltonian at N = 6.  All randomness is drawn once from the seed, so
-    a fixed seed gives a byte-identical report.  `nsites` picks the loop
-    cases by size; a size with no loop case raises ValueError rather than
-    dropping the many-body family, and a report over the row budget raises
-    ValueError before anything is drawn.  Each failing row is (case, abs_diff,
-    tol), with abs_diff None for a degenerate loop and tol as passed in.
+    The grid stacks three column blocks: per-mode loops against
+    pi*(1 - cos theta_k) on a seeded (field, alpha) grid, solved in one call;
+    many-body ground-state loops against the chain phase sum modulo 2pi
+    (odd-parity ground states are odd_sector rows, not failures); spectrum
+    invariance of the rotated Hamiltonian at N = 6.  A column a block lacks
+    is masked on its rows.  A fixed seed gives a byte-identical report.
+    `nsites` picks the loop cases by size; a size with no loop case, a
+    negative size or a report over the row budget raises ValueError before
+    anything is drawn.  The failing rows are (case, abs_diff, tol) read from
+    the grid, with abs_diff None for a degenerate loop.
     """
+    for name, size in (("grid", grid_size), ("spectrum_cases", spectrum_cases)):
+        if not size >= 0:
+            raise ValueError(f"{name} must be >= 0, got {size}")
     sizes = {int(n) for n in nsites}
     supported = sorted({c[0] for c in _LOOP_CASES})
     unknown = sorted(sizes - set(supported))
@@ -304,59 +303,58 @@ def oracle_report(
     a_vals = rng.uniform(0.05, 2.0, int(grid_size))
     spec_draws = rng.uniform(0.0, 1.0, (int(spectrum_cases), 3))
 
-    records = []
-    # field-major mode points, each family solved in one call
+    # field-major mode points; the analytic and the numeric phases are one call each
     fields = np.repeat(b_vals, a_vals.size)
     alphas = np.tile(a_vals, b_vals.size)
-    analytics = mode_phase(k, fields, alphas)
-    numerics = mode_berry_numeric(k, fields, alphas, steps=steps)
-    mode_points = zip(fields.tolist(), alphas.tolist(), analytics.tolist(), numerics.tolist())
-    for i, (bv, av, analytic, numeric) in enumerate(mode_points):
-        diff = abs(analytic - numeric)
-        records.append(dict(
-            case=f"mode_{i:04d}", k=float(k), alpha=av, field=bv, analytic=analytic,
-            numeric=numeric, abs_diff=diff, tol=mode_tol,
-            status="ok" if diff <= mode_tol else "fail",
-        ))
+    analytic = mode_phase(k, fields, alphas)
+    numeric = mode_berry_numeric(k, fields, alphas, steps=steps)
+    diff = np.abs(analytic - numeric)
+    modes = dict(case=np.char.mod("mode_%04d", np.arange(diff.size)),
+                 k=np.full(diff.size, float(k)), alpha=alphas, field=fields, analytic=analytic,
+                 numeric=numeric, abs_diff=diff, tol=np.full(diff.size, mode_tol),
+                 status=np.where(diff <= mode_tol, "ok", "fail"))
 
+    # a degenerate loop has no phase, so its numeric and abs_diff stay masked
+    n_loops = len(loop_cases)
+    loops = dict(case=np.char.mod("loop_%02d", np.arange(n_loops)),
+                 n_sites=np.array([c[0] for c in loop_cases], dtype=int),
+                 alpha=[c[1] for c in loop_cases], field=[c[2] for c in loop_cases],
+                 analytic=np.zeros(n_loops), numeric=np.ma.masked_all(n_loops),
+                 abs_diff=np.ma.masked_all(n_loops), tol=np.full(n_loops, loop_tol),
+                 status=np.full(n_loops, "degenerate"))
     for i, (n, av, bv) in enumerate(loop_cases):
-        analytic = total_phase(ChainSpec(n_sites=n, alpha=av), bv) % TWO_PI
+        analytic = loops["analytic"][i] = total_phase(ChainSpec(n_sites=n, alpha=av), bv) % TWO_PI
         res = berry_phase_loop(n, av, bv, steps=steps)
-        row = dict(case=f"loop_{i:02d}", n_sites=n, alpha=av, field=bv, analytic=analytic,
-                   tol=loop_tol, status="degenerate")
         if not res.degenerate:
-            diff = _circular_diff(analytic, res.phase)
+            diff = abs((analytic - res.phase + math.pi) % TWO_PI - math.pi)
             if res.parity < 0.0:
-                status = "odd_sector"
+                loops["status"][i] = "odd_sector"
             elif diff <= loop_tol and res.valid:
-                status = "ok"
+                loops["status"][i] = "ok"
             else:
-                status = "fail"
+                loops["status"][i] = "fail"
             # the representative of the phase nearest analytic, so that
             # abs_diff = |numeric - analytic| on either side of the 0/2pi cut
-            numeric = res.phase + TWO_PI * round((analytic - res.phase) / TWO_PI)
-            row.update(numeric=numeric, abs_diff=diff, status=status)
-        records.append(row)
+            loops["numeric"][i] = res.phase + TWO_PI * round((analytic - res.phase) / TWO_PI)
+            loops["abs_diff"][i] = diff
 
-    for i in range(int(spectrum_cases)):
-        av = 1.5 * spec_draws[i, 0]
-        bv = 2.0 * spec_draws[i, 1]
-        phi = math.pi * spec_draws[i, 2]
-        w0 = np.linalg.eigvalsh(build_hamiltonian(6, av, bv, 0.0))
-        w1 = np.linalg.eigvalsh(build_hamiltonian(6, av, bv, phi))
-        drift = float(np.max(np.abs(w1 - w0)))
-        records.append(dict(
-            case=f"spectrum_{i:02d}", n_sites=6, alpha=av, field=bv, phi=phi, analytic=0.0,
-            numeric=drift, abs_diff=drift, tol=spectrum_tol,
-            status="ok" if drift <= spectrum_tol else "fail",
-        ))
+    av, bv, phi = 1.5 * spec_draws[:, 0], 2.0 * spec_draws[:, 1], math.pi * spec_draws[:, 2]
+    drift = np.array([
+        np.max(np.abs(np.linalg.eigvalsh(build_hamiltonian(6, a, b, 0.0))
+                      - np.linalg.eigvalsh(build_hamiltonian(6, a, b, p))))
+        for a, b, p in zip(av, bv, phi)])
+    spectra = dict(case=np.char.mod("spectrum_%02d", np.arange(drift.size)),
+                   n_sites=np.full(drift.size, 6), alpha=av, field=bv, phi=phi,
+                   analytic=np.zeros(drift.size), numeric=drift, abs_diff=drift,
+                   tol=np.full(drift.size, spectrum_tol),
+                   status=np.where(drift <= spectrum_tol, "ok", "fail"))
 
-    # a field that does not apply to a row is masked there
-    grid = SweepGrid({
-        name: np.ma.masked_array([r.get(name, 0) for r in records],
-                                 mask=[name not in r for r in records])
+    # a column that a family does not have is masked on its rows
+    columns = {name: np.ma.concatenate([
+        np.ma.masked_array(fam[name]) if name in fam
+        else np.ma.masked_all(len(fam["case"]), dtype=int) for fam in (modes, loops, spectra)])
         for name in ("case", "n_sites", "k", "alpha", "field", "phi", "analytic",
-                     "numeric", "abs_diff", "tol", "status")
-    })
-    return grid, [(r["case"], r.get("abs_diff"), r["tol"]) for r in records
-                  if r["status"] in ("fail", "degenerate")]
+                     "numeric", "abs_diff", "tol", "status")}
+    failing = np.isin(columns["status"], ("fail", "degenerate"))
+    return SweepGrid(columns), list(zip(*(columns[name][failing].tolist()
+                                          for name in ("case", "abs_diff", "tol"))))

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from xyquench import QuenchSchedule, SweepGrid, evolve_mode, mode_phase
+from xyquench import (ChainSpec, LoopResult, QuenchSchedule, SweepGrid, evolve_mode, mode_phase,
+                      total_phase)
 from xyquench import quench, rgflow, sweeps
 from xyquench.cli import COMMANDS, main
 from xyquench.sweeps import (
@@ -368,6 +369,23 @@ def test_cli_quench_summary(tmp_path, capsys):
     assert _read_csv(summ)[0]["adiabatic"] == "true"
 
 
+@pytest.mark.parametrize("summary,out,err", [
+    ("q.csv", "q.csv", "q.csv and q.csv are one file; give each table its own path"),
+    ("./q.csv", "q.csv", "q.csv and ./q.csv are one file; give each table its own path"),
+    ("missing/s.csv", "q.csv", "cannot write missing/s.csv: its directory does not exist"),
+    ("d", "q.csv", "cannot write d: it is a directory"),
+], ids=["same", "same_dot", "no_directory", "directory"])
+def test_cli_refuses_output_paths_before_writing_any(tmp_path, capsys, monkeypatch, summary, out,
+                                                     err):
+    # the summary comes second, so a late refusal would leave q.csv behind
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    argv = ["quench", "--nsites", "10", "--tauq", "1", "--summary", summary, "--out", out]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["d"] and not any((tmp_path / "d").iterdir())
+
+
 def test_cli_quench_evolve_names_uncovered_pairs_on_one_plain_line(tmp_path, capsys):
     out = tmp_path / "q.csv"
     assert main(["quench", "--out", str(out), "--nsites", "10", "--tauq", "1", "--evolve"]) == 0
@@ -536,6 +554,65 @@ def test_cli_oracle_refuses_nsites_without_loop_case(tmp_path, capsys, source):
     err = capsys.readouterr().err
     assert "nsites 8" in err and "supported sizes are 4, 6" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,err", [
+    ("--grid", "grid must be >= 0, got -1"),
+    ("--spectrum-cases", "spectrum_cases must be >= 0, got -1"),
+], ids=["grid", "spectrum_cases"])
+@pytest.mark.parametrize("size", ["-1", "-100000"])
+def test_cli_oracle_refuses_a_negative_size_by_name(tmp_path, capsys, monkeypatch, flag, err,
+                                                    size):
+    # named before the budget, which would square -100000 into 10^10 cells
+    monkeypatch.setattr(sweeps, "mode_berry_numeric", _never)
+    out = tmp_path / "o.csv"
+    assert main(["oracle", flag, size, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {err.replace('-1', size)}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _loop_at_analytic(**flags):
+    """A berry_phase_loop stand-in whose phase is the analytic one, with the given flags."""
+    def loop(n_sites, alpha, B, steps):
+        phase = total_phase(ChainSpec(n_sites=n_sites, alpha=alpha), B) % TWO_PI
+        return LoopResult(**{**dict(phase=phase, overlaps_min=1.0, valid=True, degenerate=False,
+                                    under_resolved=False, parity=1.0), **flags})
+    return loop
+
+
+@pytest.mark.parametrize("flags,status,fail_line,code", [
+    (dict(valid=False, degenerate=True), "degenerate", "FAIL loop_00: |diff|=None tol=0.001", 1),
+    (dict(valid=False, under_resolved=True), "fail", "FAIL loop_00: |diff|=0.0 tol=0.001", 1),
+    (dict(parity=-1.0), "odd_sector", None, 0),
+], ids=["degenerate", "under_resolved", "odd_parity"])
+def test_cli_oracle_loop_row_status_rules(tmp_path, capsys, monkeypatch, flags, status,
+                                          fail_line, code):
+    monkeypatch.setattr(sweeps, "berry_phase_loop", _loop_at_analytic(**flags))
+    out = tmp_path / "o.csv"
+    assert main(["oracle", "--out", str(out), "--steps", "300", "--grid", "2",
+                 "--spectrum-cases", "1", "--nsites", "4"]) == code
+    loops = [r for r in _read_csv(out) if r["case"].startswith("loop_")]
+    assert [r["status"] for r in loops] == [status, status]
+    if status == "degenerate":
+        assert all(r["numeric"] == r["abs_diff"] == "" for r in loops)
+    else:
+        assert all(r["numeric"] == r["analytic"] and r["abs_diff"] == "0" for r in loops)
+    err = capsys.readouterr().err.splitlines()
+    assert (fail_line in err) if fail_line else err == []
+
+
+@pytest.mark.parametrize("empty,gone,kept", [("grid_size", "mode_", ("loop_",)),
+                                             ("spectrum_cases", "spectrum_", ("mode_", "loop_"))])
+def test_oracle_report_family_rows_do_not_depend_on_an_empty_family(empty, gone, kept):
+    # the spectrum draws follow the mode draws in one seeded stream, so an empty mode
+    # grid moves the spectrum rows; every other family keeps its rows
+    size = dict(seed=3, steps=300, grid_size=2, spectrum_cases=2)
+    full, _ = oracle_report(**size)
+    part, _ = oracle_report(**{**size, empty: 0})
+    assert not [r for r in _rows(part) if r[0].startswith(gone)]
+    for prefix in kept:
+        rows = [r for r in _rows(part) if r[0].startswith(prefix)]
+        assert rows and rows == [r for r in _rows(full) if r[0].startswith(prefix)]
 
 
 def test_cli_quench_refuses_a_ramp_over_the_step_budget(tmp_path, capsys):
