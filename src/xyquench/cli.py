@@ -5,9 +5,10 @@ decimal, 17 significant digits) and is deterministic: identical options
 give byte-identical files (`oracle` alone samples, from `--seed`).  Exit
 codes: 0 success, 1 oracle or output-invariant failure, 2 bad arguments.
 A command is one `COMMANDS` entry (handler, help line, options).  Its handler
-only computes; `main` checks the output paths and every table it returns
-against its bounds, then writes and prints, so a refused argument or a bound
-breach leaves no file.
+only computes; `main` checks the output paths that `_table_paths` gives
+before the handler runs, and every table it returns against its bounds,
+then writes and prints, so a refused argument or a bound breach leaves no
+file.
 
 `--config` takes a JSON object, sectioned by command if any top-level key
 names one (then only that section applies and every top-level key must be
@@ -160,6 +161,16 @@ def _refuse_paths(paths) -> None:
         seen[real] = path
 
 
+def _table_paths(cmd: str, o: dict) -> list:
+    """The files `cmd` writes with options o, in the order its handler returns the tables."""
+    if cmd == "fig2":
+        stem = o["out"][:-4] if o["out"].endswith(".csv") else o["out"]
+        return [f"{stem}_gamma.csv", f"{stem}_dgamma.csv"]
+    if cmd == "quench" and o["summary"]:
+        return [o["out"], o["summary"]]
+    return [o["out"]]
+
+
 def _run_fig1(o):
     grid = sweeps.fig1_grid(
         k=o["k"], alphas=o["alpha"], tau_qs=o["tauq"],
@@ -173,9 +184,9 @@ def _run_fig2(o):
         k=o["k"], alpha_min=o["alpha_min"], alpha_max=o["alpha_max"],
         alpha_samples=o["alpha_samples"], tmin=o["tmin"], tmax=o["tmax"], samples=o["samples"],
     )
-    stem = o["out"][:-4] if o["out"].endswith(".csv") else o["out"]
-    return [(phase, f"{stem}_gamma.csv", {"value": (0.0, TWO_PI)}),
-            (deriv, f"{stem}_dgamma.csv", {"value": (0.0, math.inf)})], [], 0
+    gamma_path, dgamma_path = _table_paths("fig2", o)
+    return [(phase, gamma_path, {"value": (0.0, TWO_PI)}),
+            (deriv, dgamma_path, {"value": (0.0, math.inf)})], [], 0
 
 
 def _run_quench(o):
@@ -184,9 +195,8 @@ def _run_quench(o):
         alpha=o["alpha"], evolve=o["evolve"], evolve_modes=o["evolve_modes"],
         dt=o["dt"], b_start=o["b_start"],
     )
-    tables = [(modes, o["out"], {"p_k": (0.0, 1.0)})]
-    if o["summary"]:
-        tables.append((summary, o["summary"], {}))
+    # zip stops at the rule's paths: the summary is written only if --summary names it
+    tables = list(zip((modes, summary), _table_paths("quench", o), ({"p_k": (0.0, 1.0)}, {})))
     spec = ChainSpec(n_sites=o["nsites"], alpha=o["alpha"])
     k0 = float(momentum_grid(spec)[0])
     lines = []
@@ -243,7 +253,8 @@ def _run_oracle(o):
 
 
 # command -> (handler, help line, options in flag order).  A handler maps the options
-# to ([(grid, path, bounds)], message lines, exit code) without I/O.  The type of a
+# to ([(grid, path, bounds)], message lines, exit code) without I/O; its paths are
+# those of _table_paths, which main checks before the handler runs.  The type of a
 # default sets the flag's converter: a list makes it repeatable, False makes a switch.
 COMMANDS = {
     "fig1": (_run_fig1, "Gamma_k(t) series for a tau_q list (plus alpha=0 inset)", dict(
@@ -271,13 +282,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         opts = _merge_options(args)
+        _refuse_paths(_table_paths(args.command, opts))
         # one plain stderr line per library warning, whatever -W or PYTHONWARNINGS say
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default")
             tables, lines, code = COMMANDS[args.command][0](opts)
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
-        _refuse_paths([path for _, path, _ in tables])
         for grid, _, bounds in tables:
             sweeps.validate_bounds(grid, bounds)
         for grid, path, _ in tables:

@@ -10,6 +10,7 @@ tau_q >> N^2 / (2 pi^3).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -146,8 +147,13 @@ def evolve_mode(k, alpha, schedule: QuenchSchedule, dt=None) -> EvolveResult:
     refuses, before anything is allocated, an unstable dt or a ramp of
     more than _MAX_STEPS steps.  Each step is written as an SU(2)
     quaternion; the steps of each chunk of _CHUNK are multiplied pairwise
-    as a tree and the product is applied to the state, so memory stays
-    bounded however long the ramp.
+    as a tree (_chunk_product) and the product is applied to the state, so
+    memory stays bounded however long the ramp.  The tree pairs steps
+    (2i + 1)(2i), then those products the same way, with identity padding
+    to a power of two; it stores the leaves in bit-reversed order so that
+    every level reads contiguous halves and writes into one scratch buffer
+    that all chunks of the call share.  Any layout with these pairs gives
+    the same bits.
     The state starts in the instantaneous ground state at t_start.  The
     result carries the probability |<excited(0)|psi(0)>|^2, the worst
     norm drift |<psi|psi> - 1| at the chunk ends, the step count, and
@@ -177,24 +183,9 @@ def evolve_mode(k, alpha, schedule: QuenchSchedule, dt=None) -> EvolveResult:
     cy = -cx * dt * dt / (3.0 * schedule.tau_q)
     psi0, psi1 = _pair_eigenvector(c0, s, b_start, excited=False)
     drift = 0.0
+    work = np.empty((8, 1 << (min(n, _CHUNK) - 1).bit_length()))
     for lo in range(0, n, _CHUNK):
-        m = min(_CHUNK, n - lo)
-        t_mid = schedule.t_start + (np.arange(lo, lo + m) + 0.5) * dt
-        cz = -2.0 * (c0 - np.negative(t_mid) / schedule.tau_q)
-        lam = np.hypot(cz, math.hypot(cx, cy))
-        ang = lam * dt
-        sin_a = np.sin(ang)
-        safe = np.where(lam == 0.0, 1.0, lam)  # lam = 0 only where cz = cx = 0
-        # Identity padding to a power of two, so the tree halves evenly.
-        q = np.zeros((4, 1 << (m - 1).bit_length()))
-        q[0] = 1.0
-        q[0, :m] = np.cos(ang)
-        q[1, :m] = sin_a * (cx / safe)
-        q[2, :m] = sin_a * (cy / safe)
-        q[3, :m] = sin_a * (cz / safe)
-        while q.shape[1] > 1:
-            q = _quat_mul(q[:, 1::2], q[:, 0::2])
-        w, x, y, z = q[:, 0]
+        w, x, y, z = _chunk_product(schedule, c0, cx, cy, dt, lo, min(_CHUNK, n - lo), work)
         psi0, psi1 = (
             complex(w, -z) * psi0 + complex(-y, -x) * psi1,
             complex(y, -x) * psi0 + complex(w, z) * psi1,
@@ -210,19 +201,90 @@ def evolve_mode(k, alpha, schedule: QuenchSchedule, dt=None) -> EvolveResult:
     )
 
 
-def _quat_mul(p, q):
-    """SU(2) product p q (q acts first) of quaternion rows (w, x, y, z).
+def _chunk_product(schedule: QuenchSchedule, c0, cx, cy, dt, lo, m, work):
+    """SU(2) quaternion (w, x, y, z) of the m steps lo .. lo + m - 1, later steps on the left.
 
-    A unit quaternion stands for U = w I - i (x X + y Y + z Z).
+    The leaves are padded with identities to a power of two, size, and
+    stored in bit-reversed step order, so the tree's pairs (2i, 2i + 1) sit
+    at j and j + size/2: each level multiplies the contiguous upper half by
+    the contiguous lower half into the other of two buffers.  work is
+    float scratch of at least (8, size), reused from chunk to chunk.
+    """
+    size = 1 << (m - 1).bit_length()
+    order = _bit_reversal()[:size] >> (_CHUNK.bit_length() - size.bit_length())
+    q, lam, sin_a = work[:4, :size], work[4, :size], work[5, :size]
+    cz = q[3]
+    np.add(order, lo + 0.5, out=cz)  # (lo + i) + 0.5, exact
+    np.multiply(cz, dt, out=cz)
+    np.add(cz, schedule.t_start, out=cz)  # t_mid
+    np.divide(cz, schedule.tau_q, out=cz)
+    np.add(cz, c0, out=cz)  # c0 - (-t_mid)/tau_q, bit for bit
+    np.multiply(cz, -2.0, out=cz)
+    h = math.hypot(cx, cy)
+    np.hypot(cz, h, out=lam)
+    np.multiply(lam, dt, out=sin_a)
+    np.cos(sin_a, out=q[0])
+    np.sin(sin_a, out=sin_a)
+    if h == 0.0:
+        lam[lam == 0.0] = 1.0  # lam = 0 only where cz = h = 0
+    np.divide(cx, lam, out=q[1])
+    np.divide(cy, lam, out=q[2])
+    np.divide(cz, lam, out=cz)
+    np.multiply(q[1:], sin_a, out=q[1:])
+    if m < size:
+        pad = order >= m
+        q[0, pad] = 1.0
+        q[1:, pad] = 0.0
+    half = size // 2
+    a, b, tmp = q, work[4:, :half], work[4:, half:size]
+    while size > 1:
+        size //= 2
+        _quat_mul(a[:, size:2 * size], a[:, :size], b[:, :size], tmp[:, :size])
+        a, b = b, a
+    return a[:, 0]
+
+
+@functools.cache
+def _bit_reversal() -> np.ndarray:
+    """Read-only bit-reversed order of 0 .. _CHUNK - 1, built on first use, not at import.
+
+    Shifted right by b bits, its first _CHUNK >> b entries are the order of a
+    chunk of that size.
+    """
+    order = np.zeros(1, dtype=np.min_scalar_type(_CHUNK))
+    while order.size < _CHUNK:
+        order = np.concatenate((2 * order, 2 * order + 1))
+    order.flags.writeable = False
+    return order
+
+
+def _quat_mul(p, q, out, tmp):
+    """SU(2) product p q (q acts first) of quaternion rows (w, x, y, z), written into out.
+
+    A unit quaternion stands for U = w I - i (x X + y Y + z Z).  Each row
+    is summed left to right as
+    w = pw qw - px qx - py qy - pz qz,  x = pw qx + qw px + py qz - pz qy,
+    y = pw qy + qw py + pz qx - px qz,  z = pw qz + qw pz + px qy - py qx,
+    one term of all four rows at a time (a product is computed with its
+    factors swapped where that lets rows share a call; IEEE products
+    commute).  p, q, out and tmp are (4, n) arrays; out and tmp must not
+    overlap p, q or each other.
     """
     pw, px, py, pz = p
     qw, qx, qy, qz = q
-    return np.array([
-        pw * qw - px * qx - py * qy - pz * qz,
-        pw * qx + qw * px + py * qz - pz * qy,
-        pw * qy + qw * py + pz * qx - px * qz,
-        pw * qz + qw * pz + px * qy - py * qx,
-    ])
+    np.multiply(pw, q, out=out)
+    np.multiply(px, qx, out=tmp[0])
+    np.multiply(p[1:], qw, out=tmp[1:])
+    np.subtract(out[0], tmp[0], out=out[0])
+    np.add(out[1:], tmp[1:], out=out[1:])
+    for row, (a, b) in enumerate(((py, qy), (py, qz), (pz, qx), (px, qy))):
+        np.multiply(a, b, out=tmp[row])
+    np.subtract(out[0], tmp[0], out=out[0])
+    np.add(out[1:], tmp[1:], out=out[1:])
+    for row, (a, b) in enumerate(((pz, qz), (pz, qy), (px, qz), (py, qx))):
+        np.multiply(a, b, out=tmp[row])
+    np.subtract(out, tmp, out=out)
+    return out
 
 
 def _pair_eigenvector(c0, s, b, excited):

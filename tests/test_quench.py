@@ -338,7 +338,8 @@ def test_quaternion_product_is_matrix_product():
         v = rng.normal(size=4)
         steps.append(v / np.linalg.norm(v))
         for later, earlier in ((steps[1], steps[0]), (steps[2], steps[1])):
-            prod = _su2_matrix(_quat_mul(later, earlier))
+            out, tmp = np.empty((4, 1)), np.empty((4, 1))
+            prod = _su2_matrix(_quat_mul(later[:, None], earlier[:, None], out, tmp)[:, 0])
             assert np.max(np.abs(prod - _su2_matrix(later) @ _su2_matrix(earlier))) <= 1e-15
 
 
@@ -350,3 +351,81 @@ def test_evolve_memory_does_not_grow_with_tau_q():
     finally:
         tracemalloc.stop()
     assert peak <= 16e6  # bytes; the per-step loop peaked at 211 MB
+
+
+# ------------------------------------------- evolve_mode vs. the strided kernel
+
+def _strided_evolve(k, alpha, schedule, dt=None):
+    """evolve_mode's kernel before the bit-reversed layout: (probability, norm_drift, n_steps).
+
+    Natural-order leaves built from temporaries, and a tree over stride-2
+    views; it calls the same _quat_mul, so only the layout and the leaf
+    arithmetic differ.
+    """
+    c0, s = math.cos(k), alpha * math.sin(k)
+    n, dt = quench.ramp_steps(k, alpha, schedule, dt)
+    cx = 2.0 * s
+    cy = -cx * dt * dt / (3.0 * schedule.tau_q)
+    psi0, psi1 = quench._pair_eigenvector(c0, s, -schedule.t_start / schedule.tau_q, False)
+    drift = 0.0
+    for lo in range(0, n, quench._CHUNK):
+        m = min(quench._CHUNK, n - lo)
+        t_mid = schedule.t_start + (np.arange(lo, lo + m) + 0.5) * dt
+        cz = -2.0 * (c0 - np.negative(t_mid) / schedule.tau_q)
+        lam = np.hypot(cz, math.hypot(cx, cy))
+        ang = lam * dt
+        sin_a = np.sin(ang)
+        safe = np.where(lam == 0.0, 1.0, lam)
+        q = np.zeros((4, 1 << (m - 1).bit_length()))
+        q[0] = 1.0
+        q[0, :m] = np.cos(ang)
+        q[1, :m] = sin_a * (cx / safe)
+        q[2, :m] = sin_a * (cy / safe)
+        q[3, :m] = sin_a * (cz / safe)
+        while q.shape[1] > 1:
+            half = q.shape[1] // 2
+            q = _quat_mul(q[:, 1::2], q[:, 0::2], np.empty((4, half)), np.empty((4, half)))
+        w, x, y, z = q[:, 0]
+        psi0, psi1 = (
+            complex(w, -z) * psi0 + complex(-y, -x) * psi1,
+            complex(y, -x) * psi0 + complex(w, z) * psi1,
+        )
+        drift = max(drift, abs(abs(psi0) ** 2 + abs(psi1) ** 2 - 1.0))
+    e0, e1 = quench._pair_eigenvector(c0, s, 0.0, True)
+    return float(abs(e0.conjugate() * psi0 + e1.conjugate() * psi1) ** 2), float(drift), n
+
+
+def _pinned(k, alpha, schedule, dt=None):
+    res = evolve_mode(k, alpha, schedule, dt=dt)
+    assert (res.probability, res.norm_drift, res.n_steps) == _strided_evolve(
+        k, alpha, schedule, dt)
+    return res
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, quench._CHUNK - 1, quench._CHUNK, quench._CHUNK + 1,
+                               2 * quench._CHUNK + 1])
+def test_evolve_bits_equal_the_strided_kernel_at_every_chunk_edge(n):
+    # tau_q grows with n so that dt * max|H| stays below 0.2; a step of span / (n - 1/2) gives n
+    sched = QuenchSchedule.from_field(0.01 * n, b_start=1.5)
+    assert _pinned(0.3, 0.8, sched, dt=-sched.t_start / (n - 0.5)).n_steps == n
+
+
+@pytest.mark.parametrize("k,alpha,tau_q", [
+    (math.pi / 100, 1.0, 10.0), (0.3, 0.5, 2.0), (math.pi / 50, 0.97, 1000.0),
+])
+def test_evolve_bits_equal_the_strided_kernel_at_default_steps(k, alpha, tau_q):
+    _pinned(k, alpha, QuenchSchedule.from_field(tau_q))
+
+
+def test_evolve_bits_equal_the_strided_kernel_without_coupling():
+    # cos k = 0.25 exactly and step 4 ends at B = 0.25 - dt/2: lam = 0 there, an identity step
+    sched, k = QuenchSchedule.from_field(0.5, b_start=0.5), math.acos(0.25)
+    assert math.cos(k) == 0.25
+    with pytest.warns(UserWarning, match="no coupling"):
+        res = _pinned(k, 0.0, sched, dt=0.25 / 9)
+    assert res.n_steps == 9 and res.probability == pytest.approx(1.0, abs=1e-12)
+
+
+def test_evolve_bits_equal_the_strided_kernel_off_the_crossing():
+    with pytest.warns(UserWarning, match="does not cover"):
+        _pinned(math.pi / 4, 1.0, QuenchSchedule(tau_q=10.0, t_start=-5.0))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from xyquench import (ChainSpec, LoopResult, QuenchSchedule, SweepGrid, evolve_mode, mode_phase,
                       total_phase)
-from xyquench import quench, rgflow, sweeps
+from xyquench import cli, quench, rgflow, sweeps
 from xyquench.cli import COMMANDS, main
 from xyquench.sweeps import (
     InvariantViolation,
@@ -384,6 +384,52 @@ def test_cli_refuses_output_paths_before_writing_any(tmp_path, capsys, monkeypat
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {err}\n")
     assert [p.name for p in tmp_path.iterdir()] == ["d"] and not any((tmp_path / "d").iterdir())
+
+
+@pytest.mark.parametrize("argv,compute,err", [
+    (["quench", "--evolve", "--tauq", "1000", "--tauq", "3000", "--summary", "q.csv",
+      "--out", "q.csv"], "evolve_mode",
+     "q.csv and q.csv are one file; give each table its own path"),
+    (["fig2", "--out", "surf"], "fig2_grids", "cannot write surf_gamma.csv: it is a directory"),
+    (["oracle", "--out", "missing/o.csv"], "oracle_report",
+     "cannot write missing/o.csv: its directory does not exist"),
+], ids=["quench_evolve", "fig2", "oracle"])
+def test_cli_refuses_output_paths_before_the_handler_computes(tmp_path, capsys, monkeypatch,
+                                                              argv, compute, err):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{compute} ran before the output paths were checked")
+
+    monkeypatch.setattr(sweeps, compute, never)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "surf_gamma.csv").mkdir()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["surf_gamma.csv"]
+
+
+# every command, with each branch of its path rule, at sizes small enough to run
+_PATH_CASES = [
+    ("fig1", {"samples": 3}),
+    ("fig2", {"samples": 2, "alpha_samples": 2}),
+    ("fig2", {"samples": 2, "alpha_samples": 2, "out": "surf"}),
+    ("quench", {"nsites": 4, "tauq": [1.0]}),
+    ("quench", {"nsites": 4, "tauq": [1.0], "summary": "s.csv"}),
+    ("rg", {"lmax": 0.01}),
+    ("noncontract", {"nsites": [10]}),
+    ("oracle", {"steps": 200, "grid": 1, "nsites": [4], "spectrum_cases": 1}),
+]
+
+
+def test_cli_path_cases_cover_every_command():
+    assert {cmd for cmd, _ in _PATH_CASES} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("cmd,flags", _PATH_CASES)
+def test_cli_handler_returns_the_paths_of_the_rule(cmd, flags):
+    handler, _, options = COMMANDS[cmd]
+    opts = {**options, **flags}
+    tables, _, _ = handler(opts)
+    assert [path for _, path, _ in tables] == cli._table_paths(cmd, opts)
 
 
 def test_cli_quench_evolve_names_uncovered_pairs_on_one_plain_line(tmp_path, capsys):
