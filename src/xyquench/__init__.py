@@ -12,6 +12,7 @@ from .edoracle import (
     MAX_SITES,
     berry_phase_loop,
     build_hamiltonian,
+    free_fermion_levels,
     ground_state,
     mode_berry_numeric,
 )
@@ -58,6 +59,7 @@ __all__ = [
     "MAX_SITES",
     "berry_phase_loop",
     "build_hamiltonian",
+    "free_fermion_levels",
     "ground_state",
     "mode_berry_numeric",
     "PhaseSummary",

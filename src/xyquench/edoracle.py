@@ -24,10 +24,17 @@ block.  One eigvalsh per block picks the ground block and decides
 degeneracy, ground_state solves that block, and the vector is embedded
 back into the full 2^N space, where it must pass the same residual check
 as a dense eigensolve.
+
+Each block is also a free-fermion system with its own boundary
+condition: the even block has the levels of the Neveu-Schwarz momenta
+k = (2m+1)pi/N and the odd block those of the Ramond momenta k = 2m pi/N.
+free_fermion_levels lists them in closed form, a reference for every
+level of H(0) that owes nothing to an eigensolver.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,6 +75,52 @@ def _popcount(n_sites: int) -> np.ndarray:
     """Number of set bits (down spins) of every basis index 0 .. 2^N - 1."""
     shifts = n_sites - 1 - np.arange(n_sites)
     return ((np.arange(2**n_sites)[:, None] >> shifts) & 1).sum(axis=1)
+
+
+@functools.cache
+def _parity_blocks(n_sites: int) -> tuple:
+    """Read-only (even, odd) basis indices of the two popcount-parity blocks."""
+    popcount = _popcount(n_sites)
+    blocks = tuple(np.flatnonzero(popcount % 2 == p) for p in (0, 1))
+    for rows in blocks:
+        rows.setflags(write=False)
+    return blocks
+
+
+def free_fermion_levels(n_sites: int, alpha, B) -> tuple:
+    """Sorted levels of the even and the odd parity block of H(0), as (even, odd).
+
+    Jordan-Wigner maps each block onto free fermions on a ring of N
+    momenta: the even block on the Neveu-Schwarz grid k = (2m+1)pi/N, the
+    odd block on the Ramond grid k = 2m pi/N (Lieb, Schultz & Mattis, Ann.
+    Phys. 16, 407, 1961).  Every mode has Lambda_k = hypot(cos k - B,
+    alpha sin k): it adds -Lambda_k to the base energy and costs 2 Lambda_k
+    to flip from its lowest state.  A mode at k = 0 or pi is unpaired, and
+    its lowest state is occupied when cos k < B, which flips the parity of
+    the base state.  A block's levels are the 2^(N-1) flip sets that give
+    the block its parity.
+
+    alpha and B broadcast against each other; each block comes back with
+    shape broadcast(alpha, B).shape + (2^(N-1),), sorted along the last axis.
+    """
+    if not 2 <= n_sites <= MAX_SITES:
+        raise ValueError(f"n_sites must lie in [2, {MAX_SITES}], got {n_sites}")
+    alpha, B = (np.asarray(x, dtype=float)[..., None] for x in (alpha, B))
+    # the flip sets of either parity are the bits of that block's basis indices
+    flips = [((rows[:, None] >> np.arange(n_sites)) & 1).T.astype(float)
+             for rows in _parity_blocks(n_sites)]
+    levels = []
+    for parity in (0, 1):
+        j = 2 * np.arange(n_sites) + 1 - parity  # k = j pi / N
+        edge = j % n_sites == 0  # k = 0 or pi, where cos k is exactly +/-1 and sin k is 0
+        c = np.where(edge, 1.0 - 2.0 * (j // n_sites), np.cos(j * math.pi / n_sites))
+        s = np.where(edge, 0.0, np.sin(j * math.pi / n_sites))
+        lam = np.hypot(c - B, alpha * s)
+        # the flip sets must be odd where the base parity differs from the block's
+        odd = (np.count_nonzero(edge & (c < B), axis=-1) + parity) % 2 == 1
+        e = np.where(odd[..., None], 2.0 * lam @ flips[1], 2.0 * lam @ flips[0])
+        levels.append(np.sort(e - lam.sum(axis=-1, keepdims=True), axis=-1))
+    return tuple(levels)
 
 
 def build_hamiltonian(n_sites: int, alpha: float, B: float, phi: float = 0.0) -> np.ndarray:
@@ -153,8 +206,7 @@ def berry_phase_loop(n_sites: int, alpha: float, B: float, steps: int = 10000) -
     if steps < 100:
         raise ValueError(f"need steps >= 100 for a resolved loop, got {steps}")
     h = build_hamiltonian(n_sites, alpha, B)
-    popcount = _popcount(n_sites)
-    blocks = [np.flatnonzero(popcount % 2 == p) for p in (0, 1)]
+    blocks = _parity_blocks(n_sites)
     levels = [np.linalg.eigvalsh(h[np.ix_(rows, rows)]) for rows in blocks]
     odd = int(levels[1][0] <= levels[0][0])  # exact ties go to the odd block
     two = np.sort(np.concatenate([w[:2] for w in levels]))
@@ -179,7 +231,7 @@ def berry_phase_loop(n_sites: int, alpha: float, B: float, steps: int = 10000) -
             parity=parity,
         )
     # U(delta) is exp(i delta sz / 2) on a basis state of sz = N - 2 popcount
-    sz = n_sites - 2 * popcount[rows]
+    sz = n_sites - 2 * _popcount(n_sites)[rows]
     ov = complex(np.sum(np.abs(gs.vector) ** 2 * np.exp(0.5j * math.pi / steps * sz)))
     closing = (-1j) ** n_sites * (1 - 2 * odd)  # (-i)^N P
     phase = float((-(steps * np.angle(ov) + np.angle(closing))) % (2.0 * math.pi))

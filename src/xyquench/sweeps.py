@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec, gap_kernel, momentum_grid, refuse_over_budget
-from .edoracle import berry_phase_loop, build_hamiltonian, mode_berry_numeric
+from .edoracle import (_parity_blocks, berry_phase_loop, build_hamiltonian, free_fermion_levels,
+                       mode_berry_numeric)
 from .geophase import mode_phase, noncontractibility_scan, phase_slope, total_phase
 from .quench import QuenchSchedule, evolve_mode, kink_count, ramp_steps
 from . import quench, rgflow
@@ -276,9 +277,13 @@ def oracle_report(
     The grid stacks three column blocks: per-mode loops against
     pi*(1 - cos theta_k) on a seeded (field, alpha) grid, solved in one call;
     many-body ground-state loops against the chain phase sum modulo 2pi
-    (odd-parity ground states are odd_sector rows, not failures); spectrum
-    invariance of the rotated Hamiltonian at N = 6.  A column a block lacks
-    is masked on its rows.  A fixed seed gives a byte-identical report.
+    (odd-parity ground states are odd_sector rows, not failures); and the
+    levels of H(0) at N = 6 against free_fermion_levels, numeric being the
+    worst level difference over both parity blocks.  The spectrum cases are
+    stacked, so each parity block is one eigvalsh however many there are;
+    their phi is the third seeded draw of each case, reported as a
+    coordinate and not used.  A column a block lacks is masked on its rows.
+    A fixed seed gives a byte-identical report.
     `nsites` picks the loop cases by size; a size with no loop case, a
     negative size or a report over the row budget raises ValueError before
     anything is drawn.  The failing rows are (case, abs_diff, tol) read from
@@ -338,11 +343,15 @@ def oracle_report(
             loops["numeric"][i] = res.phase + TWO_PI * round((analytic - res.phase) / TWO_PI)
             loops["abs_diff"][i] = diff
 
+    # phi is drawn and reported but not used: every level of H(0) has a closed form
     av, bv, phi = 1.5 * spec_draws[:, 0], 2.0 * spec_draws[:, 1], math.pi * spec_draws[:, 2]
-    drift = np.array([
-        np.max(np.abs(np.linalg.eigvalsh(build_hamiltonian(6, a, b, 0.0))
-                      - np.linalg.eigvalsh(build_hamiltonian(6, a, b, p))))
-        for a, b, p in zip(av, bv, phi)])
+    h = np.empty((av.size, 2**6, 2**6))
+    for i, (a, b) in enumerate(zip(av, bv)):
+        h[i] = build_hamiltonian(6, a, b)
+    drift = np.zeros(av.size)
+    for rows, ref in zip(_parity_blocks(6), free_fermion_levels(6, av, bv)):
+        levels = np.linalg.eigvalsh(h[:, rows[:, None], rows])  # one stacked solve per block
+        drift = np.maximum(drift, np.max(np.abs(levels - ref), axis=-1))
     spectra = dict(case=np.char.mod("spectrum_%02d", np.arange(drift.size)),
                    n_sites=np.full(drift.size, 6), alpha=av, field=bv, phi=phi,
                    analytic=np.zeros(drift.size), numeric=drift, abs_diff=drift,

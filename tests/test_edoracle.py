@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -16,7 +18,7 @@ from xyquench import (
     total_phase,
 )
 from xyquench import edoracle
-from xyquench.edoracle import _popcount
+from xyquench.edoracle import _parity_blocks, _popcount, free_fermion_levels
 
 TWO_PI = 2.0 * math.pi
 
@@ -331,6 +333,59 @@ def test_loop_sends_exact_ties_to_the_odd_block():
 def test_popcount_counts_the_set_bits_of_every_basis_index():
     for n in range(2, 9):
         assert _popcount(n).tolist() == [bin(i).count("1") for i in range(2**n)]
+
+
+def test_parity_blocks_split_the_basis_by_popcount_and_are_read_only():
+    for n in range(2, 9):
+        even, odd = _parity_blocks(n)
+        assert even.tolist() == [i for i in range(2**n) if bin(i).count("1") % 2 == 0]
+        assert odd.tolist() == [i for i in range(2**n) if bin(i).count("1") % 2 == 1]
+        assert _parity_blocks(n) is _parity_blocks(n)
+        with pytest.raises(ValueError):
+            even[0] = 1
+
+
+def test_parity_blocks_are_built_on_first_use_not_at_import():
+    code = ("import xyquench; from xyquench.edoracle import _parity_blocks; "
+            "assert _parity_blocks.cache_info().currsize == 0")
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def assert_free_fermion_levels_match_ed(n, alpha, B):
+    """Every level of both parity blocks of H(0) within 1e-12 x max(1, |level|)."""
+    h = build_hamiltonian(n, alpha, B)
+    for rows, want in zip(_parity_blocks(n), free_fermion_levels(n, alpha, B)):
+        assert want.shape == (2 ** (n - 1),)
+        got = np.linalg.eigvalsh(h[np.ix_(rows, rows)])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_free_fermion_levels_are_the_levels_of_each_parity_block(n):
+    # B = +/-1 puts a k = 0 or pi mode at zero energy; alpha = 0 is the XX chain
+    rng = np.random.default_rng(70 + n)
+    cases = [(1.0, 1.0), (1.0, -1.0), (0.5, 1.0), (2.0, -1.0), (0.0, 0.3), (0.0, 1.0),
+             (0.0, -1.0), (2.0, 0.0), (0.7, 2.5), (1.3, -2.5)]
+    cases += [(rng.uniform(0.0, 2.0), rng.uniform(-3.0, 3.0)) for _ in range(4)]
+    for alpha, B in cases:
+        assert_free_fermion_levels_match_ed(n, alpha, B)
+
+
+def test_free_fermion_levels_broadcast_over_alpha_and_field():
+    alphas, fields = np.array([0.0, 0.4, 1.7]), np.array([[-1.0], [0.2], [1.0], [2.0]])
+    even, odd = free_fermion_levels(5, alphas, fields)
+    assert even.shape == odd.shape == (4, 3, 16)
+    for i, B in enumerate(fields[:, 0]):
+        for j, a in enumerate(alphas):
+            for got, want in zip((even[i, j], odd[i, j]), free_fermion_levels(5, a, B)):
+                assert np.max(np.abs(got - want)) <= 1e-14
+    assert [x.shape for x in free_fermion_levels(6, np.empty(0), np.empty(0))] == [(0, 32)] * 2
+
+
+def test_free_fermion_levels_refuse_sizes_outside_the_ed_range():
+    for n in (1, edoracle.MAX_SITES + 1):
+        with pytest.raises(ValueError, match="n_sites must lie in"):
+            free_fermion_levels(n, 1.0, 0.5)
 
 
 def test_loop_calls_ground_state_once_per_loop(monkeypatch):

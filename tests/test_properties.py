@@ -25,7 +25,7 @@ from xyquench.chain import gap_kernel
 from xyquench.edoracle import _popcount
 from xyquench.sweeps import _deriv_cells, _gamma_cells, oracle_report
 
-from test_edoracle import holonomy_phase
+from test_edoracle import assert_free_fermion_levels_match_ed, holonomy_phase
 
 TWO_PI = 2.0 * math.pi
 
@@ -139,6 +139,12 @@ def test_quarter_turn_maps_alpha_to_minus_alpha(n, alpha, B):
     rotated = u[:, None] * h * u.conj()[None, :]
     scale = np.max(np.abs(np.linalg.eigvalsh(h)))
     assert np.max(np.abs(rotated - _signed_alpha_hamiltonian(n, -alpha, B))) <= 1e-14 * scale
+
+
+@settings(max_examples=35, deadline=None)
+@given(n=ed_sizes, alpha=anisotropies, B=st.one_of(fields, st.sampled_from([1.0, -1.0])))
+def test_parity_blocks_have_the_free_fermion_levels(n, alpha, B):
+    assert_free_fermion_levels_match_ed(n, alpha, B)
 
 
 @settings(max_examples=35, deadline=None)

@@ -26,6 +26,7 @@ from xyquench.sweeps import (
 )
 
 TWO_PI = 2.0 * math.pi
+_build_hamiltonian = sweeps.build_hamiltonian
 
 
 def _rows(grid) -> list:
@@ -324,6 +325,55 @@ def test_oracle_report_deterministic():
     g1, _ = oracle_report(seed=9, steps=1000, grid_size=3, spectrum_cases=2)
     g2, _ = oracle_report(seed=9, steps=1000, grid_size=3, spectrum_cases=2)
     assert g1.csv_text() == g2.csv_text()
+
+
+def _anisotropy_off_by_a_percent(n, alpha, B, phi=0.0):
+    return _build_hamiltonian(n, 1.01 * alpha, B, phi)
+
+
+def _yy_sign_flipped(n, alpha, B, phi=0.0):
+    # wx sx sx - wy sy sy + B sz, put together from three real builds of the XY chain
+    xx = _build_hamiltonian(n, 1.0, 0.0)  # wx = 1, wy = 0
+    half = _build_hamiltonian(n, 0.0, 0.0)  # wx = wy = 1/2
+    field = _build_hamiltonian(n, 0.0, B) - half
+    return 0.5 * (1.0 + alpha) * xx - 0.5 * (1.0 - alpha) * (2.0 * half - xx) + field
+
+
+@pytest.mark.parametrize("builder", [_anisotropy_off_by_a_percent, _yy_sign_flipped])
+def test_oracle_spectrum_rows_fail_a_chain_that_is_not_the_xy_chain(tmp_path, capsys,
+                                                                    monkeypatch, builder):
+    # a real symmetric H(0) that is not the XY chain: its levels are not the
+    # free-fermion ones, while the loop rows (their own builder) stay as they are
+    monkeypatch.setattr(sweeps, "build_hamiltonian", builder)
+    grid, failures = oracle_report(seed=3, steps=300, grid_size=2, spectrum_cases=3)
+    spectra = [r for r in _rows(grid) if r[0].startswith("spectrum_")]
+    assert [r[-1] for r in spectra] == ["fail"] * 3
+    assert [f[0] for f in failures] == [r[0] for r in spectra]
+    assert min(r[8] for r in spectra) > 1e-4
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle", "--steps", "300", "--grid", "2", "--spectrum-cases", "3",
+                 "--nsites", "4", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.count("FAIL spectrum_") == 3
+
+
+@pytest.mark.parametrize("nsites", [(4,), (4, 6)])
+def test_oracle_eigvalsh_calls_do_not_grow_with_the_spectrum_cases(monkeypatch, nsites):
+    # the spectrum cases are stacked: one eigvalsh per parity block, however many cases
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    counts = []
+    for cases in (0, 2, 20):
+        calls.clear()
+        oracle_report(seed=3, steps=300, grid_size=2, nsites=nsites, spectrum_cases=cases)
+        counts.append(len(calls))
+        assert calls[-2:] == [(cases, 32, 32)] * 2
+    assert counts[0] == counts[1] == counts[2]
 
 
 # ------------------------------------------------------------------------- CLI
