@@ -7,8 +7,8 @@ codes: 0 success, 1 oracle or output-invariant failure, 2 bad arguments.
 A command is one `COMMANDS` entry (handler, help line, options).  Its handler
 only computes; `main` checks the output paths that `_table_paths` gives
 before the handler runs, and every table it returns against its bounds,
-then writes and prints, so a refused argument or a bound breach leaves no
-file.
+then writes the tables to those paths in order and prints, so a refused
+argument or a bound breach leaves no file.
 
 `--config` takes a JSON object, sectioned by command if any top-level key
 names one (then only that section applies and every top-level key must be
@@ -176,7 +176,7 @@ def _run_fig1(o):
         k=o["k"], alphas=o["alpha"], tau_qs=o["tauq"],
         tmin=o["tmin"], tmax=o["tmax"], samples=o["samples"],
     )
-    return [(grid, o["out"], {"gamma_k": (0.0, TWO_PI)})], [], 0
+    return [(grid, {"gamma_k": (0.0, TWO_PI)})], [], 0
 
 
 def _run_fig2(o):
@@ -184,9 +184,7 @@ def _run_fig2(o):
         k=o["k"], alpha_min=o["alpha_min"], alpha_max=o["alpha_max"],
         alpha_samples=o["alpha_samples"], tmin=o["tmin"], tmax=o["tmax"], samples=o["samples"],
     )
-    gamma_path, dgamma_path = _table_paths("fig2", o)
-    return [(phase, gamma_path, {"value": (0.0, TWO_PI)}),
-            (deriv, dgamma_path, {"value": (0.0, math.inf)})], [], 0
+    return [(phase, {"value": (0.0, TWO_PI)}), (deriv, {"value": (0.0, math.inf)})], [], 0
 
 
 def _run_quench(o):
@@ -195,8 +193,8 @@ def _run_quench(o):
         alpha=o["alpha"], evolve=o["evolve"], evolve_modes=o["evolve_modes"],
         dt=o["dt"], b_start=o["b_start"],
     )
-    # zip stops at the rule's paths: the summary is written only if --summary names it
-    tables = list(zip((modes, summary), _table_paths("quench", o), ({"p_k": (0.0, 1.0)}, {})))
+    # the summary is a table of the run only if --summary names its file
+    tables = [(modes, {"p_k": (0.0, 1.0)})] + ([(summary, {})] if o["summary"] else [])
     spec = ChainSpec(n_sites=o["nsites"], alpha=o["alpha"])
     k0 = float(momentum_grid(spec)[0])
     lines = []
@@ -232,12 +230,12 @@ def _run_rg(o):
             lines.append(json.dumps({
                 "alpha": a0, "K": k0, "field": o["field"], "phase": label_value,
             }, sort_keys=True))
-    return [(grid, o["out"], {})], lines, 0
+    return [(grid, {})], lines, 0
 
 
 def _run_noncontract(o):
     grid = sweeps.noncontract_grid(field=o["field"], alphas=o["alpha"], sizes=o["nsites"])
-    return [(grid, o["out"], {"gamma_g_over_m": (0.0, TWO_PI)})], [], 0
+    return [(grid, {"gamma_g_over_m": (0.0, TWO_PI)})], [], 0
 
 
 def _run_oracle(o):
@@ -249,13 +247,13 @@ def _run_oracle(o):
     lines = [f"FAIL {case}: |diff|={diff!r} tol={tol!r}" for case, diff, tol in failures]
     lines.append(f"oracle: {len(failures)} case(s) breached tolerance" if failures
                  else "oracle: all cases within tolerance")
-    return [(grid, o["out"], {})], lines, 1 if failures else 0
+    return [(grid, {})], lines, 1 if failures else 0
 
 
 # command -> (handler, help line, options in flag order).  A handler maps the options
-# to ([(grid, path, bounds)], message lines, exit code) without I/O; its paths are
-# those of _table_paths, which main checks before the handler runs.  The type of a
-# default sets the flag's converter: a list makes it repeatable, False makes a switch.
+# to ([(grid, bounds)], message lines, exit code) without I/O, one table per path of
+# _table_paths and in its order; main alone reads that rule.  The type of a default
+# sets the flag's converter: a list makes it repeatable, False makes a switch.
 COMMANDS = {
     "fig1": (_run_fig1, "Gamma_k(t) series for a tau_q list (plus alpha=0 inset)", dict(
         k=math.pi / 100, alpha=[0.5, 0.0], tauq=[1.0, 2.0, 5.0, 10.0], tmin=-3.0, tmax=0.0,
@@ -282,16 +280,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         opts = _merge_options(args)
-        _refuse_paths(_table_paths(args.command, opts))
+        paths = _table_paths(args.command, opts)
+        _refuse_paths(paths)
         # one plain stderr line per library warning, whatever -W or PYTHONWARNINGS say
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default")
             tables, lines, code = COMMANDS[args.command][0](opts)
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
-        for grid, _, bounds in tables:
+        for grid, bounds in tables:
             sweeps.validate_bounds(grid, bounds)
-        for grid, path, _ in tables:
+        for (grid, _), path in zip(tables, paths, strict=True):
             grid.write_csv(path)
             print(f"wrote {path} ({len(grid)} rows)")
         for line in lines:

@@ -20,10 +20,12 @@ ground state, and no phi is solved past phi = 0 (Carollo & Pachos,
 PRL 95, 157203, 2005).  Every term of H(0) flips two spins or none, so it
 conserves the parity prod_j sz_j (Lieb, Schultz & Mattis, Ann. Phys. 16,
 407, 1961), which splits the basis by popcount into an even and an odd
-block.  One eigvalsh per block picks the ground block and decides
-degeneracy, ground_state solves that block, and the vector is embedded
-back into the full 2^N space, where it must pass the same residual check
-as a dense eigensolve.
+block.  parity_block_levels makes one eigvalsh per block, of one H(0) or
+of a stack: in the loop it picks the ground block and decides degeneracy,
+ground_state solves that block, and the vector is embedded back into the
+full 2^N space, where it must pass the same residual check as a dense
+eigensolve.  Every routine here reads the basis from one cached, read-only
+table per N, _spin_basis: site j is bit N-1-j, and the two blocks.
 
 Each block is also a free-fermion system with its own boundary
 condition: the even block has the levels of the Neveu-Schwarz momenta
@@ -71,20 +73,28 @@ class LoopResult:
     parity: float
 
 
-def _popcount(n_sites: int) -> np.ndarray:
-    """Number of set bits (down spins) of every basis index 0 .. 2^N - 1."""
-    shifts = n_sites - 1 - np.arange(n_sites)
-    return ((np.arange(2**n_sites)[:, None] >> shifts) & 1).sum(axis=1)
-
-
 @functools.cache
-def _parity_blocks(n_sites: int) -> tuple:
-    """Read-only (even, odd) basis indices of the two popcount-parity blocks."""
-    popcount = _popcount(n_sites)
-    blocks = tuple(np.flatnonzero(popcount % 2 == p) for p in (0, 1))
-    for rows in blocks:
-        rows.setflags(write=False)
-    return blocks
+def _spin_basis(n_sites: int) -> tuple:
+    """Read-only (place, bits, blocks) index data of the 2^N basis, built on first use per N.
+
+    Site j is bit N-1-j of an index, worth place[j]; bits[i, j] is that bit
+    of index i (int8, 1 for a down spin); blocks holds the (even, odd)
+    popcount-parity indices.  Refuses N outside [2, MAX_SITES].
+    """
+    if not 2 <= n_sites <= MAX_SITES:
+        raise ValueError(f"n_sites must lie in [2, {MAX_SITES}], got {n_sites}")
+    place = 1 << np.arange(n_sites - 1, -1, -1)
+    bits = ((np.arange(2**n_sites)[:, None] & place) != 0).astype(np.int8)
+    blocks = tuple(np.flatnonzero(bits.sum(axis=1) % 2 == p) for p in (0, 1))
+    for a in (place, bits, *blocks):
+        a.setflags(write=False)
+    return place, bits, blocks
+
+
+def parity_block_levels(h: np.ndarray) -> tuple:
+    """Sorted (even, odd) parity-block levels of one H(0) or a stack; one eigvalsh per block."""
+    _, _, blocks = _spin_basis(h.shape[-1].bit_length() - 1)
+    return tuple(np.linalg.eigvalsh(h[..., rows[:, None], rows]) for rows in blocks)
 
 
 def free_fermion_levels(n_sites: int, alpha, B) -> tuple:
@@ -103,12 +113,10 @@ def free_fermion_levels(n_sites: int, alpha, B) -> tuple:
     alpha and B broadcast against each other; each block comes back with
     shape broadcast(alpha, B).shape + (2^(N-1),), sorted along the last axis.
     """
-    if not 2 <= n_sites <= MAX_SITES:
-        raise ValueError(f"n_sites must lie in [2, {MAX_SITES}], got {n_sites}")
+    _, bits, blocks = _spin_basis(n_sites)
     alpha, B = (np.asarray(x, dtype=float)[..., None] for x in (alpha, B))
-    # the flip sets of either parity are the bits of that block's basis indices
-    flips = [((rows[:, None] >> np.arange(n_sites)) & 1).T.astype(float)
-             for rows in _parity_blocks(n_sites)]
+    # the flip sets of either parity are the site bits of that block's basis states
+    flips = [bits[rows].T.astype(float) for rows in blocks]
     levels = []
     for parity in (0, 1):
         j = 2 * np.arange(n_sites) + 1 - parity  # k = j pi / N
@@ -123,35 +131,36 @@ def free_fermion_levels(n_sites: int, alpha, B) -> tuple:
     return tuple(levels)
 
 
-def build_hamiltonian(n_sites: int, alpha: float, B: float, phi: float = 0.0) -> np.ndarray:
+def build_hamiltonian(n_sites: int, alpha, B, phi: float = 0.0) -> np.ndarray:
     """Dense 2^N x 2^N Hamiltonian of the rotated periodic chain; Hermitian by construction.
 
     Site j is bit n-1-j of the basis index, with |0> the sz = +1 state.  A
     bond term flips both of its bits; sy|b> = i(1 - 2b)|1-b> supplies the
     sign of the yy and xy amplitudes from the spins s = 1 - 2b of the ket:
     one pass per bond adds wx - wy s s' - i wxy (s + s') to the output.
-    The result is float64 exactly when wxy = (alpha/2) sin 2phi is 0.0, at
+    alpha and B broadcast: the result has shape broadcast(alpha, B).shape +
+    (2^N, 2^N), each matrix the bits of its own scalar build, phi one scalar.
+    It is float64 exactly when every wxy = (alpha/2) sin 2phi is 0.0, at
     phi = 0 or alpha = 0, and complex128 otherwise (sin 2pi is not 0.0).
     """
-    if not 2 <= n_sites <= MAX_SITES:
-        raise ValueError(f"n_sites must lie in [2, {MAX_SITES}], got {n_sites}")
-    if not alpha >= 0.0:
+    place, bits, _ = _spin_basis(n_sites)
+    a, b = np.broadcast_arrays(*(np.asarray(x, dtype=float)[..., None] for x in (alpha, B)))
+    if not np.all(a >= 0.0):
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     c2, s2 = math.cos(2.0 * phi), math.sin(2.0 * phi)
-    wx, wy, wxy = 0.5 * (1.0 + alpha * c2), 0.5 * (1.0 - alpha * c2), 0.5 * alpha * s2
-    dim = 2**n_sites
-    idx = np.arange(dim)
-    shifts = n_sites - 1 - np.arange(n_sites)
-    spin = 1 - 2 * ((idx[:, None] >> shifts) & 1)
-    h = np.zeros((dim, dim), dtype=float if wxy == 0.0 else complex)
+    wx, wy, wxy = 0.5 * (1.0 + a * c2), 0.5 * (1.0 - a * c2), 0.5 * a * s2
+    cross = bool(np.any(wxy != 0.0))
+    idx = np.arange(2**n_sites)
+    spin = 1 - 2 * bits
+    h = np.zeros(a.shape[:-1] + (idx.size, idx.size), dtype=complex if cross else float)
     for j in range(n_sites):
         jj = (j + 1) % n_sites
         amp = wx - wy * spin[:, j] * spin[:, jj]
-        if wxy != 0.0:
+        if cross:
             amp = amp - 1j * wxy * (spin[:, j] + spin[:, jj])
         # += because the two bonds of the N = 2 ring share one flip mask
-        h[idx ^ ((1 << int(shifts[j])) | (1 << int(shifts[jj]))), idx] += amp
-    h[idx, idx] = B * spin.sum(axis=1)
+        h[..., idx ^ (place[j] | place[jj]), idx] += amp
+    h[..., idx, idx] = b * spin.sum(axis=1)
     return h
 
 
@@ -206,8 +215,8 @@ def berry_phase_loop(n_sites: int, alpha: float, B: float, steps: int = 10000) -
     if steps < 100:
         raise ValueError(f"need steps >= 100 for a resolved loop, got {steps}")
     h = build_hamiltonian(n_sites, alpha, B)
-    blocks = _parity_blocks(n_sites)
-    levels = [np.linalg.eigvalsh(h[np.ix_(rows, rows)]) for rows in blocks]
+    _, bits, blocks = _spin_basis(n_sites)
+    levels = parity_block_levels(h)
     odd = int(levels[1][0] <= levels[0][0])  # exact ties go to the odd block
     two = np.sort(np.concatenate([w[:2] for w in levels]))
     scale = float(max(abs(two[0]), abs(max(w[-1] for w in levels)), 1e-300))
@@ -231,7 +240,7 @@ def berry_phase_loop(n_sites: int, alpha: float, B: float, steps: int = 10000) -
             parity=parity,
         )
     # U(delta) is exp(i delta sz / 2) on a basis state of sz = N - 2 popcount
-    sz = n_sites - 2 * _popcount(n_sites)[rows]
+    sz = n_sites - 2 * bits[rows].sum(axis=1)
     ov = complex(np.sum(np.abs(gs.vector) ** 2 * np.exp(0.5j * math.pi / steps * sz)))
     closing = (-1j) ** n_sites * (1 - 2 * odd)  # (-i)^N P
     phase = float((-(steps * np.angle(ov) + np.angle(closing))) % (2.0 * math.pi))

@@ -110,14 +110,16 @@ def kink_count(spec: ChainSpec, tau_q: float, safety_factor: float = 10.0) -> Ki
 def ramp_steps(k, alpha, schedule: QuenchSchedule, dt=None) -> tuple[int, float]:
     """The step rule of evolve_mode for one pair: (step count n, step length span / n).
 
-    dt defaults to _DEFAULT_STEP / max|H|; ValueError if dt * max|H| >= _MAX_STABLE_STEP
-    or the ramp needs more than _MAX_STEPS steps.
+    dt defaults to _DEFAULT_STEP / max|H|; ValueError names a dt that is not > 0 (NaN
+    too), then refuses dt * max|H| >= _MAX_STABLE_STEP and a ramp over _MAX_STEPS steps.
     """
     b_start = -schedule.t_start / schedule.tau_q
     h_max = 2.0 * math.hypot(abs(math.cos(k)) + b_start, alpha * math.sin(k))
     if dt is None:
         dt = _DEFAULT_STEP / h_max
-    if not dt > 0.0 or dt * h_max >= _MAX_STABLE_STEP:
+    if not dt > 0.0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    if dt * h_max >= _MAX_STABLE_STEP:
         raise ValueError(
             f"unstable step size: dt*max|H| = {dt * h_max:g} must stay below {_MAX_STABLE_STEP}"
         )

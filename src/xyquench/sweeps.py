@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec, gap_kernel, momentum_grid, refuse_over_budget
-from .edoracle import (_parity_blocks, berry_phase_loop, build_hamiltonian, free_fermion_levels,
-                       mode_berry_numeric)
+from .edoracle import (berry_phase_loop, build_hamiltonian, free_fermion_levels,
+                       mode_berry_numeric, parity_block_levels)
 from .geophase import mode_phase, noncontractibility_scan, phase_slope, total_phase
 from .quench import QuenchSchedule, evolve_mode, kink_count, ramp_steps
 from . import quench, rgflow
@@ -101,14 +101,15 @@ def _deriv_cells(k: float, b_values: np.ndarray, alpha):
     return np.ma.masked_array(phase_slope(s, lam), mask=~gapped)
 
 
-def _refuse_cells(cells: int, remedy: str = "use fewer samples") -> None:
-    """Refuse a grid over the cell budget before any of it is allocated."""
+def _refuse_cells(cells: int, remedy: str = "use fewer samples", axes=()) -> None:
+    """Refuse a grid over the cell budget before allocating; first name any axis under 2 samples."""
+    for samples in axes:
+        if samples < 2:
+            raise ValueError(f"need at least 2 samples per swept axis, got {samples}")
     refuse_over_budget(cells, _MAX_CELLS, "the grid has", "cells", remedy)
 
 
 def _time_axis(tmin: float, tmax: float, samples: int) -> np.ndarray:
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples per swept axis, got {samples}")
     if not (tmin < tmax <= 0.0):
         raise ValueError(f"need tmin < tmax <= 0, got [{tmin}, {tmax}]")
     return np.linspace(tmin, tmax, samples)
@@ -119,7 +120,7 @@ def fig1_grid(k, alphas, tau_qs, tmin=-3.0, tmax=0.0, samples=600) -> SweepGrid:
     for alpha in alphas:
         if not alpha >= 0.0:
             raise ValueError(f"alpha must be >= 0, got {alpha}")
-    _refuse_cells(len(alphas) * len(tau_qs) * samples)
+    _refuse_cells(len(alphas) * len(tau_qs) * samples, axes=(samples,))
     x = _time_axis(tmin, tmax, samples)
     for tau_q in tau_qs:
         if not tau_q > 0.0:
@@ -142,9 +143,7 @@ def fig2_grids(k, alpha_min=0.0, alpha_max=1.0, alpha_samples=200, tmin=-3.0, tm
     Both surfaces depend on time only through t/tau_q, so one table serves
     every quench time.
     """
-    _refuse_cells(alpha_samples * samples)
-    if alpha_samples < 2:
-        raise ValueError(f"need at least 2 samples per swept axis, got {alpha_samples}")
+    _refuse_cells(alpha_samples * samples, axes=(alpha_samples, samples))
     if not 0.0 <= alpha_min < alpha_max:
         raise ValueError(f"need 0 <= alpha_min < alpha_max, got [{alpha_min}, {alpha_max}]")
     x = _time_axis(tmin, tmax, samples)
@@ -182,7 +181,8 @@ def quench_grids(
         raise ValueError(f"evolve_modes must be >= 0, got {evolve_modes}")
     if evolve and not b_start > 0.0:
         raise ValueError(f"b_start must be > 0 for the evolved ramp, got {b_start}")
-    _refuse_cells(len(tau_qs) * n_sites, "use fewer sites or tau_q values")
+    # the momentum grid is built even for an empty tau_q list
+    _refuse_cells(max(len(tau_qs), 1) * n_sites, "use fewer sites or tau_q values")
     k_pos = momentum_grid(spec)
     k_all = np.concatenate((-k_pos[::-1], k_pos))
     reps, covered, uncovered, steps = [], [], set(), 0  # covered: (row, column, k, schedule)
@@ -249,7 +249,9 @@ def rg_grid(initials, l_max=5.0, dl=1e-3, alpha_cap=1e3) -> SweepGrid:
 
 
 def noncontract_grid(field=0.5, alphas=(10.0, 1.0, 0.1, 0.01, 1e-3, 1e-4), sizes=(100, 1000, 10000)) -> SweepGrid:
-    _refuse_cells(len(alphas) * sum(n // 2 for n in sizes), "use fewer or smaller sizes")
+    # each size is checked, and a bad one refused by name, before it counts against the budget
+    momenta = sum(ChainSpec(n_sites=int(n), alpha=1.0).n_sites // 2 for n in sizes)
+    _refuse_cells(len(alphas) * momenta, "use fewer or smaller sizes")
     rows = noncontractibility_scan(field, alphas, sizes)
     return SweepGrid({
         "alpha": np.repeat(np.asarray(alphas, dtype=float), len(sizes)),
@@ -280,10 +282,10 @@ def oracle_report(
     (odd-parity ground states are odd_sector rows, not failures); and the
     levels of H(0) at N = 6 against free_fermion_levels, numeric being the
     worst level difference over both parity blocks.  The spectrum cases are
-    stacked, so each parity block is one eigvalsh however many there are;
-    their phi is the third seeded draw of each case, reported as a
-    coordinate and not used.  A column a block lacks is masked on its rows.
-    A fixed seed gives a byte-identical report.
+    one broadcast build_hamiltonian and one eigvalsh per parity block,
+    however many there are; their phi is the third seeded draw of each case,
+    reported as a coordinate and not used.  A column a block lacks is masked
+    on its rows.  A fixed seed gives a byte-identical report.
     `nsites` picks the loop cases by size; a size with no loop case, a
     negative size or a report over the row budget raises ValueError before
     anything is drawn.  The failing rows are (case, abs_diff, tol) read from
@@ -345,12 +347,9 @@ def oracle_report(
 
     # phi is drawn and reported but not used: every level of H(0) has a closed form
     av, bv, phi = 1.5 * spec_draws[:, 0], 2.0 * spec_draws[:, 1], math.pi * spec_draws[:, 2]
-    h = np.empty((av.size, 2**6, 2**6))
-    for i, (a, b) in enumerate(zip(av, bv)):
-        h[i] = build_hamiltonian(6, a, b)
     drift = np.zeros(av.size)
-    for rows, ref in zip(_parity_blocks(6), free_fermion_levels(6, av, bv)):
-        levels = np.linalg.eigvalsh(h[:, rows[:, None], rows])  # one stacked solve per block
+    for levels, ref in zip(parity_block_levels(build_hamiltonian(6, av, bv)),
+                           free_fermion_levels(6, av, bv)):
         drift = np.maximum(drift, np.max(np.abs(levels - ref), axis=-1))
     spectra = dict(case=np.char.mod("spectrum_%02d", np.arange(drift.size)),
                    n_sites=np.full(drift.size, 6), alpha=av, field=bv, phi=phi,

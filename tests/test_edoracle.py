@@ -18,7 +18,7 @@ from xyquench import (
     total_phase,
 )
 from xyquench import edoracle
-from xyquench.edoracle import _parity_blocks, _popcount, free_fermion_levels
+from xyquench.edoracle import _spin_basis, free_fermion_levels, parity_block_levels
 
 TWO_PI = 2.0 * math.pi
 
@@ -29,7 +29,7 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 def state_parity(vector: np.ndarray) -> float:
     """Expectation of prod_j sz_j; +/-1 labels the fermion parity sector."""
-    signs = 1.0 - 2.0 * (_popcount(vector.size.bit_length() - 1) % 2)
+    signs = 1.0 - 2.0 * (_spin_basis(vector.size.bit_length() - 1)[1].sum(axis=1) % 2)
     return float(np.real(np.sum(np.abs(vector) ** 2 * signs)))
 
 
@@ -331,30 +331,80 @@ def test_loop_sends_exact_ties_to_the_odd_block():
 
 
 def test_popcount_counts_the_set_bits_of_every_basis_index():
+    # the basis table's one bit order: site j is bit n-1-j of the index
     for n in range(2, 9):
-        assert _popcount(n).tolist() == [bin(i).count("1") for i in range(2**n)]
+        place, bits, _ = _spin_basis(n)
+        assert place.tolist() == [2 ** (n - 1 - j) for j in range(n)]
+        assert bits.tolist() == [[(i >> (n - 1 - j)) & 1 for j in range(n)] for i in range(2**n)]
+        assert bits.sum(axis=1).tolist() == [bin(i).count("1") for i in range(2**n)]
 
 
 def test_parity_blocks_split_the_basis_by_popcount_and_are_read_only():
     for n in range(2, 9):
-        even, odd = _parity_blocks(n)
+        place, bits, (even, odd) = _spin_basis(n)
         assert even.tolist() == [i for i in range(2**n) if bin(i).count("1") % 2 == 0]
         assert odd.tolist() == [i for i in range(2**n) if bin(i).count("1") % 2 == 1]
-        assert _parity_blocks(n) is _parity_blocks(n)
-        with pytest.raises(ValueError):
-            even[0] = 1
+        assert _spin_basis(n) is _spin_basis(n)
+        for table in (place, bits, even, odd):
+            with pytest.raises(ValueError):
+                table[0] = 1
 
 
 def test_parity_blocks_are_built_on_first_use_not_at_import():
-    code = ("import xyquench; from xyquench.edoracle import _parity_blocks; "
-            "assert _parity_blocks.cache_info().currsize == 0")
+    code = ("import xyquench; from xyquench.edoracle import _spin_basis; "
+            "assert _spin_basis.cache_info().currsize == 0")
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_basis_table_is_index_data_not_an_operator():
+    # O(2^N N) bytes at N = 10, far below one 2^N x 2^N matrix (8.4 MB real)
+    place, bits, blocks = _spin_basis(10)
+    assert place.nbytes + bits.nbytes + sum(rows.nbytes for rows in blocks) < 2e4
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_stacked_build_is_each_scalar_build(n):
+    # alpha = 0 among alpha > 0, at phi = 0 and off it; every matrix == its own build
+    alphas = np.array([0.0, 0.7, 1.3][: 2 if n >= 9 else 3])
+    fields = np.array([0.4, -1.0, 2.0][: alphas.size])
+    for phi in (0.0, 0.9):
+        stack = build_hamiltonian(n, alphas, fields, phi)
+        assert stack.shape == (alphas.size, 2**n, 2**n)
+        assert stack.dtype == (np.complex128 if phi else np.float64)
+        for h, a, b in zip(stack, alphas, fields):
+            one = build_hamiltonian(n, float(a), float(b), phi)
+            assert one.ndim == 2 and np.array_equal(h, one)
+    # every cross weight 0.0: a stack of alpha = 0 off phi = 0 stays real
+    assert build_hamiltonian(n, np.zeros(2), fields[:2], 0.9).dtype == np.float64
+
+
+def test_build_broadcasts_alpha_against_the_field():
+    alphas, fields = np.array([[0.0], [0.5]]), np.array([-0.3, 0.0, 1.2])
+    stack = build_hamiltonian(4, alphas, fields, 0.4)
+    assert stack.shape == (2, 3, 16, 16)
+    for i, j in np.ndindex(2, 3):
+        assert np.array_equal(stack[i, j], build_hamiltonian(4, alphas[i, 0], fields[j], 0.4))
+    with pytest.raises(ValueError, match="alpha must be >= 0"):
+        build_hamiltonian(4, np.array([0.5, -0.1]), 0.0)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_parity_block_levels_are_the_eigvalsh_of_each_block(n):
+    rng = np.random.default_rng(90 + n)
+    alphas, fields = rng.uniform(0.0, 2.0, 3), rng.uniform(-2.0, 2.0, 3)
+    stack = build_hamiltonian(n, alphas, fields)
+    stacked = parity_block_levels(stack)
+    for i, h in enumerate(stack):
+        for rows, one, many in zip(_spin_basis(n)[2], parity_block_levels(h), stacked):
+            want = np.linalg.eigvalsh(h[np.ix_(rows, rows)])
+            assert np.array_equal(one, want) and np.array_equal(many[i], want)
+    assert [w.shape for w in parity_block_levels(stack[:0])] == [(0, 2 ** (n - 1))] * 2
 
 
 def assert_free_fermion_levels_match_ed(n, alpha, B):
     """Every level of both parity blocks of H(0) within 1e-12 x max(1, |level|)."""
     h = build_hamiltonian(n, alpha, B)
-    for rows, want in zip(_parity_blocks(n), free_fermion_levels(n, alpha, B)):
+    for rows, want in zip(_spin_basis(n)[2], free_fermion_levels(n, alpha, B)):
         assert want.shape == (2 ** (n - 1),)
         got = np.linalg.eigvalsh(h[np.ix_(rows, rows)])
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))

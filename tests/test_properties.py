@@ -22,7 +22,7 @@ from xyquench import (
     rg_flow,
 )
 from xyquench.chain import gap_kernel
-from xyquench.edoracle import _popcount
+from xyquench.edoracle import _spin_basis
 from xyquench.sweeps import _deriv_cells, _gamma_cells, oracle_report
 
 from test_edoracle import assert_free_fermion_levels_match_ed, holonomy_phase
@@ -135,7 +135,7 @@ def test_quarter_turn_maps_alpha_to_minus_alpha(n, alpha, B):
     # U(pi/2) = diag(exp(i (pi/2) sum_j sz_j / 2)) swaps the sx sx and sy sy weights
     h = build_hamiltonian(n, alpha, B)
     assert np.array_equal(_signed_alpha_hamiltonian(n, alpha, B), h)
-    u = np.exp(0.25j * math.pi * (n - 2.0 * _popcount(n)))
+    u = np.exp(0.25j * math.pi * (n - 2.0 * _spin_basis(n)[1].sum(axis=1)))
     rotated = u[:, None] * h * u.conj()[None, :]
     scale = np.max(np.abs(np.linalg.eigvalsh(h)))
     assert np.max(np.abs(rotated - _signed_alpha_hamiltonian(n, -alpha, B))) <= 1e-14 * scale

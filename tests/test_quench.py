@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -168,6 +169,13 @@ def test_evolve_window_not_covering_crossing_warns():
 def test_evolve_unstable_step_rejected():
     with pytest.raises(ValueError, match="unstable"):
         evolve_mode(math.pi / 50, 1.0, QuenchSchedule.from_field(5.0), dt=1.0)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.0, -0.01, math.nan])
+def test_ramp_steps_names_a_non_positive_dt_before_the_stability_check(dt):
+    # dt itself is the fault, not the stability product dt * max|H|
+    with pytest.raises(ValueError, match=rf"^dt must be > 0, got {re.escape(str(dt))}$"):
+        quench.ramp_steps(math.pi / 50, 1.0, QuenchSchedule.from_field(5.0), dt)
 
 
 def test_evolve_refuses_a_ramp_over_the_step_budget():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from xyquench import (ChainSpec, LoopResult, QuenchSchedule, SweepGrid, evolve_mode, mode_phase,
                       total_phase)
-from xyquench import cli, quench, rgflow, sweeps
+from xyquench import cli, edoracle, quench, rgflow, sweeps
 from xyquench.cli import COMMANDS, main
 from xyquench.sweeps import (
     InvariantViolation,
@@ -336,6 +336,7 @@ def _yy_sign_flipped(n, alpha, B, phi=0.0):
     xx = _build_hamiltonian(n, 1.0, 0.0)  # wx = 1, wy = 0
     half = _build_hamiltonian(n, 0.0, 0.0)  # wx = wy = 1/2
     field = _build_hamiltonian(n, 0.0, B) - half
+    alpha = np.asarray(alpha)[..., None, None]  # one matrix per stacked case
     return 0.5 * (1.0 + alpha) * xx - 0.5 * (1.0 - alpha) * (2.0 * half - xx) + field
 
 
@@ -358,21 +359,31 @@ def test_oracle_spectrum_rows_fail_a_chain_that_is_not_the_xy_chain(tmp_path, ca
 
 @pytest.mark.parametrize("nsites", [(4,), (4, 6)])
 def test_oracle_eigvalsh_calls_do_not_grow_with_the_spectrum_cases(monkeypatch, nsites):
-    # the spectrum cases are stacked: one eigvalsh per parity block, however many cases
-    calls = []
+    # the spectrum cases are stacked: one build and one eigvalsh per parity block,
+    # however many cases; every loop builds its own H(0) once
+    calls, builds = [], []
     eigvalsh = np.linalg.eigvalsh
 
     def counted(a, *args, **kwargs):
         calls.append(np.shape(a))
         return eigvalsh(a, *args, **kwargs)
 
+    def counted_build(n, alpha, B, phi=0.0):
+        builds.append(np.shape(alpha))
+        return _build_hamiltonian(n, alpha, B, phi)
+
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(sweeps, "build_hamiltonian", counted_build)
+    monkeypatch.setattr(edoracle, "build_hamiltonian", counted_build)
     counts = []
+    loops = sum(c[0] in nsites for c in sweeps._LOOP_CASES)
     for cases in (0, 2, 20):
         calls.clear()
+        builds.clear()
         oracle_report(seed=3, steps=300, grid_size=2, nsites=nsites, spectrum_cases=cases)
         counts.append(len(calls))
         assert calls[-2:] == [(cases, 32, 32)] * 2
+        assert builds == [()] * loops + [(cases,)]
     assert counts[0] == counts[1] == counts[2]
 
 
@@ -476,10 +487,13 @@ def test_cli_path_cases_cover_every_command():
 
 @pytest.mark.parametrize("cmd,flags", _PATH_CASES)
 def test_cli_handler_returns_the_paths_of_the_rule(cmd, flags):
+    # one (grid, bounds) per path of the rule, which main alone reads
     handler, _, options = COMMANDS[cmd]
     opts = {**options, **flags}
     tables, _, _ = handler(opts)
-    assert [path for _, path, _ in tables] == cli._table_paths(cmd, opts)
+    assert len(tables) == len(cli._table_paths(cmd, opts))
+    for grid, bounds in tables:
+        assert isinstance(grid, SweepGrid) and set(bounds) <= set(grid.columns)
 
 
 def test_cli_quench_evolve_names_uncovered_pairs_on_one_plain_line(tmp_path, capsys):
@@ -794,6 +808,46 @@ def test_cli_sizes_refused_before_allocation(tmp_path, capsys, monkeypatch, argv
     assert capsys.readouterr().err == (f"error: the grid has {cells} cells, above the budget "
                                        f"of {cells - 1:.0e}; {remedy}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,cfg,err", [
+    (["noncontract", "--nsites", "4000000", "--nsites", "-3999998"], None,
+     "n_sites must be a positive even integer, got -3999998"),  # signs must not cancel
+    (["quench"], {"tauq": [], "nsites": 8000000}, "the grid has 8000000 cells, above the budget "
+     "of 1e+06; use fewer sites or tau_q values"),  # no row, but N/2 momenta are built
+    (["fig2", "--samples", "-2000", "--alpha-samples", "-2000"], None,
+     "need at least 2 samples per swept axis, got -2000"),  # named, not multiplied
+], ids=["noncontract-mixed-sign", "quench-no-tauq", "fig2-negative-samples"])
+def test_cli_sizes_are_validated_and_counted_as_built(tmp_path, capsys, monkeypatch, argv, cfg,
+                                                      err):
+    # each size is validated, and counted as built, before anything is built
+    for name in ("momentum_grid", "noncontractibility_scan", "_time_axis"):
+        monkeypatch.setattr(sweeps, name, _never)
+    monkeypatch.setattr(cli, "momentum_grid", _never)
+    if cfg is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+    assert main([*argv, "--out", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+    assert [p.name for p in tmp_path.iterdir()] == (["cfg.json"] if cfg else [])
+
+
+def test_quench_budget_counts_the_momentum_grid_of_an_empty_tau_q_list(monkeypatch):
+    monkeypatch.setattr(sweeps, "_MAX_CELLS", 10)
+    modes, summary = quench_grids(n_sites=10, tau_qs=[])
+    assert len(modes) == len(summary) == 0
+    monkeypatch.setattr(sweeps, "_MAX_CELLS", 9)
+    with pytest.raises(ValueError, match="the grid has 10 cells"):
+        quench_grids(n_sites=10, tau_qs=[])
+
+
+@pytest.mark.parametrize("dt", ["0", "-0.01"])
+def test_cli_quench_names_a_non_positive_dt(tmp_path, capsys, monkeypatch, dt):
+    monkeypatch.setattr(sweeps, "evolve_mode", _never)
+    out = tmp_path / "q.csv"
+    assert main(["quench", "--evolve", "--dt", dt, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: dt must be > 0, got {float(dt)}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,err", [
