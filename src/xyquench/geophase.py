@@ -99,23 +99,21 @@ def phase_summary(spec: ChainSpec, b_initial: float, excluded=()) -> PhaseSummar
     )
 
 
-def noncontractibility_scan(field_b: float, alpha_sequence, size_sequence):
+def noncontractibility_scan(field_b: float, alpha_sequence, size_sequence) -> np.ndarray:
     """Gamma_g / M over a ladder of anisotropies and chain sizes, M = N/2.
 
     Inside the gapless window B in (-1, 1) the scan converges, as
     alpha -> 0 after M -> infinity, to 2pi * (1 - arccos(B)/pi) != 0: the
-    phase sequence cannot be contracted to a point.  Returns
-    (alpha, n_sites, gamma_g_over_m) rows in the given sequence order.
+    phase sequence cannot be contracted to a point.  Returns the (alpha, size)
+    array, one mode_phase broadcast per size; NaN and alpha <= 0 are refused.
     """
     if not -1.0 < field_b < 1.0:
         raise ValueError(f"field must lie in (-1, 1) for the scan, got {field_b}")
-    alphas = [float(a) for a in alpha_sequence]
-    if any(a <= 0.0 for a in alphas):
+    alphas = np.asarray(alpha_sequence, dtype=float)
+    if not np.all(alphas > 0.0):
         raise ValueError("alpha_sequence must be strictly positive")
-    rows = []
-    for a in alphas:
-        for n in size_sequence:
-            spec = ChainSpec(n_sites=int(n), alpha=a)
-            m = spec.n_sites // 2
-            rows.append((a, spec.n_sites, total_phase(spec, field_b) / m))
-    return rows
+    out = np.empty((alphas.size, len(size_sequence)))
+    for j, n in enumerate(size_sequence):
+        k = momentum_grid(ChainSpec(n_sites=int(n), alpha=1.0))
+        out[:, j] = np.sum(mode_phase(k, field_b, alphas[:, None]), axis=-1) / k.size
+    return out

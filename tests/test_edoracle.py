@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -187,6 +189,35 @@ def test_ground_state_flags_degeneracy():
     assert gs.degenerate
 
 
+def test_ground_state_of_one_level_has_no_gap():
+    gs = ground_state(np.array([[2.0]]))
+    assert (gs.energy, gs.gap, gs.degenerate) == (2.0, math.inf, False)
+
+
+def test_ground_state_degeneracy_threshold_scales_with_the_extreme_level():
+    # degenerate exactly when gap < _DEGENERACY_TOL * max(|w[0]|, |w[-1]|); eigh returns
+    # the entries of a diagonal matrix exactly, so each gap sits on the boundary bit for bit
+    top = 8.0
+    at = edoracle._DEGENERACY_TOL * top
+    assert not ground_state(np.diag([0.0, at, 2.0, top])).degenerate  # strict <
+    assert ground_state(np.diag([0.0, at / 2.0, 2.0, top])).degenerate  # w[-1], not w[1]
+    assert ground_state(np.diag([0.0, at, 2.0, 2.0 * top])).degenerate
+    assert ground_state(np.diag([-top, at / 2.0 - top, 0.0, 1.0])).degenerate  # |w[0]| here
+
+
+def test_ground_state_residual_threshold_scales_with_the_extreme_level():
+    # eigh reads only the lower triangle: an upper entry in the ground state's column keeps
+    # w and v exact and adds exactly |h[0, 1]| to the residual of v[:, 0] = +/-e_1
+    top = 8.0
+    at = edoracle._RESIDUAL_TOL * top
+    h = np.diag([1.0, 0.0, 2.0, top])
+    h[0, 1] = at
+    assert ground_state(h).energy == 0.0  # residual == tol * |H| passes: strict >
+    h[0, 1] = 2.0 * at
+    with pytest.raises(ArithmeticError, match="eigensolve residual"):
+        ground_state(h)
+
+
 def test_ground_state_residual_small():
     h = build_hamiltonian(6, 1.0, 0.5, 0.7)
     gs = ground_state(h)
@@ -215,14 +246,14 @@ def test_even_sector_ground_energy_matches_grid():
 
 def test_loop_matches_chain_phase_n4():
     res = berry_phase_loop(4, 0.5, 0.0, steps=512)
-    assert res.valid and not res.degenerate
+    assert not res.degenerate
     analytic = total_phase(ChainSpec(4, 0.5), 0.0) % TWO_PI
     assert _circ_diff(res.phase, analytic) < 1e-4
 
 
 def test_loop_matches_chain_phase_n6():
     res = berry_phase_loop(6, 1.0, 0.5, steps=512)
-    assert res.valid
+    assert not res.degenerate
     analytic = total_phase(ChainSpec(6, 1.0), 0.5) % TWO_PI
     assert _circ_diff(res.phase, analytic) < 1e-4
     assert res.parity == pytest.approx(1.0, abs=1e-10)
@@ -230,7 +261,7 @@ def test_loop_matches_chain_phase_n6():
 
 def test_loop_polarized_limit_vanishes():
     res = berry_phase_loop(4, 1.0, 25.0, steps=512)
-    assert res.valid
+    assert not res.degenerate
     assert min(res.phase, TWO_PI - res.phase) < 1e-2
 
 
@@ -241,10 +272,32 @@ def test_loop_flags_degenerate_ground_state():
     assert math.isnan(res.phase)
 
 
+def test_loop_valid_is_derived_from_degenerate():
+    for degenerate in (False, True):
+        res = LoopResult(phase=0.0, overlaps_min=1.0, degenerate=degenerate, parity=1.0)
+        assert res.valid is not degenerate
+    with pytest.raises(AttributeError):
+        res.valid = True
+    # results are values: neither a loop nor a ground state can be changed after the fact
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.degenerate = False
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ground_state(np.diag([0.0, 1.0])).gap = 0.0
+
+
 def test_loop_overlap_quality():
-    res = berry_phase_loop(4, 1.0, 0.5, steps=512)
-    assert res.overlaps_min > 0.999
-    assert not res.under_resolved
+    # |ov| >= Re ov >= cos(pi N / (2 steps)): every term of ov has an argument of at
+    # most pi N / (2 steps), so at steps >= 100 and N <= 10 no loop is under-resolved
+    parities = set()
+    for n in range(2, edoracle.MAX_SITES + 1):
+        for alpha, B in ((1.0, 0.5), (1.3, -0.45)):  # no degenerate ground state at any N
+            for steps in (100, 137, 1000):
+                res = berry_phase_loop(n, alpha, B, steps=steps)
+                assert not res.degenerate
+                bound = math.cos(math.pi * n / (2 * steps))
+                assert bound <= res.overlaps_min <= 1.0 + 1e-12, (n, alpha, B, steps)
+                parities.add(res.parity)
+    assert parities == {1.0, -1.0}  # (1.0, 0.5) is odd at every odd N
 
 
 def test_loop_rejects_coarse_discretization():
@@ -290,11 +343,10 @@ def _reference_loop(n, alpha, B, steps):
         if j == 0 or gs.degenerate:
             parity = state_parity(gs.vector)
         if gs.degenerate:
-            return LoopResult(math.nan, 0.0, False, True, False, parity)
+            return LoopResult(math.nan, 0.0, True, parity)
         states.append(gs.vector)
     phase, ov_min = holonomy_phase(states)
-    under = ov_min < 1e-6
-    return LoopResult(phase, ov_min, ov_min > 0.0 and not under, False, under, parity)
+    return LoopResult(phase, ov_min, False, parity)
 
 
 @pytest.mark.parametrize("n,alpha,B,steps", [
@@ -313,8 +365,7 @@ def _reference_loop(n, alpha, B, steps):
 def test_loop_matches_dense_reference(n, alpha, B, steps):
     got = berry_phase_loop(n, alpha, B, steps=steps)
     ref = _reference_loop(n, alpha, B, steps)
-    assert (got.valid, got.degenerate, got.under_resolved) == (
-        ref.valid, ref.degenerate, ref.under_resolved)
+    assert got.degenerate == ref.degenerate
     assert got.parity == pytest.approx(ref.parity, abs=1e-12)
     assert abs(got.overlaps_min - ref.overlaps_min) <= 1e-12
     if ref.degenerate:
@@ -353,7 +404,11 @@ def test_parity_blocks_split_the_basis_by_popcount_and_are_read_only():
 def test_parity_blocks_are_built_on_first_use_not_at_import():
     code = ("import xyquench; from xyquench.edoracle import _spin_basis; "
             "assert _spin_basis.cache_info().currsize == 0")
-    subprocess.run([sys.executable, "-c", code], check=True)
+    # the child finds the package where this process found it, installed or not
+    src = os.path.dirname(os.path.dirname(edoracle.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": path})
 
 
 def test_basis_table_is_index_data_not_an_operator():
@@ -469,6 +524,35 @@ def test_loop_refuses_a_ground_state_that_fails_the_full_space_residual(monkeypa
         berry_phase_loop(4, 1.0, 0.5, 150)
 
 
+def _diagonal_h0(gap, leak):
+    """An N = 3 stand-in for H(0): even-block levels 0, 3, 5, 8 and odd-block levels
+    gap, 2, 4, 6, on the diagonal, plus `leak` from the even ground state to an odd
+    basis state, which only the full-space residual sees."""
+    _, _, (even, odd) = _spin_basis(3)
+    h = np.zeros((8, 8))
+    h[even, even] = [0.0, 3.0, 5.0, 8.0]
+    h[odd, odd] = [gap, 2.0, 4.0, 6.0]
+    h[odd[0], even[0]] = leak
+    return h
+
+
+def test_loop_thresholds_scale_with_the_extreme_level(monkeypatch):
+    # the loop's |H| is the largest |level| over both blocks, here 8; the second level of
+    # either block is 3 at most, and the boundaries are strict
+    top = 8.0
+    gap, leak = edoracle._DEGENERACY_TOL * top, edoracle._RESIDUAL_TOL * top
+
+    def loop(g, r):
+        monkeypatch.setattr(edoracle, "build_hamiltonian", lambda n, a, b: _diagonal_h0(g, r))
+        return berry_phase_loop(3, 1.0, 0.5, 100)
+
+    res = loop(gap, leak)
+    assert not res.degenerate and res.parity == 1.0
+    assert loop(gap / 2.0, 0.0).degenerate
+    with pytest.raises(ArithmeticError, match="eigensolve residual"):
+        loop(gap, 2.0 * leak)
+
+
 def test_loop_overlap_is_the_rotated_ground_state_overlap():
     # every step overlap is <psi_0| U(pi/steps) |psi_0>, from the dense phi = 0 state
     for n, alpha, B, steps in ((3, 0.7, 0.4, 100), (4, 1.0, 0.5, 150), (6, 0.8, 0.3, 1000),
@@ -582,6 +666,16 @@ def test_mode_berry_gapless_rejected():
 def test_mode_berry_step_validation():
     with pytest.raises(ValueError):
         mode_berry_numeric(1.0, 0.5, 1.0, steps=50)
+    with pytest.raises(ValueError):
+        mode_berry_numeric(1.0, 0.5, 1.0, steps=99)
+    assert mode_berry_numeric(1.0, 0.5, 1.0, steps=100) > 0.0  # the smallest allowed loop
+
+
+def test_mode_berry_scalars_give_a_float_and_arrays_an_array():
+    one = mode_berry_numeric(1.0, 0.5, 1.0, steps=200)
+    both = mode_berry_numeric(np.array([1.0, 2.0]), 0.5, 1.0, steps=200)
+    assert type(one) is float
+    assert both.shape == (2,) and both[0] == one
 
 
 def test_loop_step_doubling_stability():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -234,6 +235,32 @@ def test_dphase_tiny_gap_does_not_underflow():
     assert cells[0] == pytest.approx(math.pi * 1e110, rel=1e-14)
 
 
+def test_dphase_reads_the_field_as_minus_t_over_tau_q():
+    k, alpha, tau_q = 0.7, 0.6, 3.0
+    t = np.array([-2.4, -1.2, -0.3])
+    s = alpha * math.sin(k)
+    want = math.pi * s**2 / ((math.cos(k) + t / tau_q) ** 2 + s**2) ** 1.5
+    assert dphase_db(k, t, tau_q, alpha) == pytest.approx(want, rel=1e-13)
+    # t and tau_q enter only through their ratio
+    assert dphase_db(k, -1.2, tau_q, alpha) == pytest.approx(dphase_db(k, -0.4, 1.0, alpha),
+                                                             rel=1e-15)
+
+
+@pytest.mark.parametrize("tau_q", [0.0, -1.0, math.nan])
+def test_dphase_refuses_tau_q_not_above_zero(tau_q):
+    with pytest.raises(ValueError, match="tau_q must be > 0"):
+        dphase_db(0.7, -0.5, tau_q, 1.0)
+
+
+def test_phase_slope_off_the_crossing_where_the_cube_under_or_overflows():
+    # s != Lambda: the pi (s/Lambda)^2/Lambda branch keeps both the ratio and the 1/Lambda
+    for s, lam in ((3e-110, 5e-110), (3e110, 5e110)):
+        assert phase_slope(s, lam) == pytest.approx(0.36 * math.pi / lam, rel=1e-14)
+    # k = pi/2 at B = 1e200, reached from t = -4e200 at tau_q = 4: Lambda = sqrt(2) 1e200
+    got = dphase_db(math.pi / 2, -4e200, 4.0, 1e200)
+    assert got == pytest.approx(0.5 * math.pi / (math.sqrt(2.0) * 1e200), rel=1e-14)
+
+
 @pytest.mark.parametrize("alpha", [1e103, 1e200, 1e300])
 def test_dphase_huge_gap_does_not_overflow(alpha):
     # at k = pi/2, B = 0 the gap is alpha; past 5.6e102 its cube is inf, so pi s^2/Lambda^3
@@ -302,6 +329,8 @@ def test_phase_summary_final_drop_matches():
     )
     assert ps.gamma_critical == critical_phase(spec)
     assert k0 in ps.excluded_modes
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ps.gamma_final = 0.0
 
 
 # -------------------------------------------------- noncontractibility_scan
@@ -313,20 +342,23 @@ def test_noncontract_rejects_field_outside_window():
 
 
 def test_noncontract_rejects_nonpositive_alpha():
-    with pytest.raises(ValueError):
-        noncontractibility_scan(0.5, [0.1, 0.0], [100])
+    # one np.all over the ladder; NaN > 0 is false, so NaN is refused with the rest
+    for alpha in (0.0, -1e-3, math.nan):
+        with pytest.raises(ValueError, match="alpha_sequence must be strictly positive"):
+            noncontractibility_scan(0.5, [0.1, alpha], [100])
 
 
 def test_noncontract_b0_gives_pi_exactly():
     # grid is symmetric under k -> pi - k, so half the modes carry 2pi
-    rows = noncontractibility_scan(0.0, [1e-3, 1.0], [100, 1000])
-    for _, _, g in rows:
+    scan = noncontractibility_scan(0.0, [1e-3, 1.0], [100, 1000])
+    assert scan.shape == (2, 2)
+    for g in scan.ravel():
         assert g == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_noncontract_limit_value_brute_force():
-    rows = noncontractibility_scan(0.5, [1e-4], [10000])
-    alpha, n, got = rows[0]
+    alpha, n = 1e-4, 10000
+    got = noncontractibility_scan(0.5, [alpha], [n])[0, 0]
     # independent brute-force sum over the half-integer grid
     acc = 0.0
     for m in range(1, n // 2 + 1):
@@ -339,5 +371,15 @@ def test_noncontract_limit_value_brute_force():
 
 
 def test_noncontract_row_order_follows_sequences():
-    rows = noncontractibility_scan(0.2, [0.5, 0.1], [10, 20])
-    assert [(r[0], r[1]) for r in rows] == [(0.5, 10), (0.5, 20), (0.1, 10), (0.1, 20)]
+    # scan[i, j] is alpha i at size j, with the bits of the chain sum at that one cell
+    alphas, sizes = [0.5, 0.1, 3.0], [10, 20]
+    scan = noncontractibility_scan(0.2, alphas, sizes)
+    assert scan.shape == (3, 2) and scan.dtype == np.float64
+    for i, a in enumerate(alphas):
+        for j, n in enumerate(sizes):
+            assert scan[i, j] == total_phase(ChainSpec(n, a), 0.2) / (n // 2)
+
+
+def test_noncontract_empty_ladders_keep_their_shape():
+    assert noncontractibility_scan(0.5, [], [10, 20]).shape == (0, 2)
+    assert noncontractibility_scan(0.5, [0.1, 1.0], []).shape == (2, 0)

@@ -437,3 +437,31 @@ def test_evolve_bits_equal_the_strided_kernel_without_coupling():
 def test_evolve_bits_equal_the_strided_kernel_off_the_crossing():
     with pytest.warns(UserWarning, match="does not cover"):
         _pinned(math.pi / 4, 1.0, QuenchSchedule(tau_q=10.0, t_start=-5.0))
+
+
+# ------------------------------------------------ alignment of the propagator scratch
+
+def test_propagator_scratch_is_64_byte_aligned():
+    for cols in (1, 2, 4, 1024, quench._CHUNK):
+        work = quench._aligned_scratch(8, cols)
+        assert work.shape == (8, cols) and work.flags.c_contiguous
+        assert work.ctypes.data % 64 == 0
+
+
+@pytest.mark.parametrize("m", [quench._CHUNK, 1000, 7])  # a full chunk, and padded ones
+def test_chunk_product_bits_do_not_depend_on_the_scratch_offset(m):
+    k, alpha, schedule = math.pi / 100, 1.0, QuenchSchedule.from_field(1000.0)
+    n, dt = quench.ramp_steps(k, alpha, schedule)  # about 3e5 steps: n - m >= 0
+    cx = 2.0 * alpha * math.sin(k)
+    cy = -cx * dt * dt / (3.0 * schedule.tau_q)
+    size = 1 << (m - 1).bit_length()
+    flat = np.empty(8 * size + 16)
+    base = (-flat.ctypes.data % 64) // 8
+    got = set()
+    for offset in (0, 16, 32, 48):
+        work = flat[base + offset // 8:][:8 * size].reshape(8, size)
+        assert work.ctypes.data % 64 == offset
+        for lo in (0, n - m):
+            q = quench._chunk_product(schedule, math.cos(k), cx, cy, dt, lo, m, work)
+            got.add((lo, q.tobytes()))
+    assert len(got) == 2  # one quaternion per chunk start, whatever the offset

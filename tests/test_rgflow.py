@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -117,6 +118,25 @@ def test_states_are_the_columns_bit_for_bit(initial, alpha_cap, status):
     rows = [(st.l, st.alpha, st.K) for st in traj.states]
     cols = list(zip(traj.l.tolist(), traj.alpha.tolist(), traj.K.tolist()))
     assert [tuple(map(float.hex, r)) for r in rows] == [tuple(map(float.hex, c)) for c in cols]
+
+
+def test_alpha_cap_is_exclusive():
+    # a flow that lands exactly on the cap runs on; the first step past it stops the flow
+    free = rg_flow(RGState(0.1, 1.0), l_max=6.0, dl=1e-2, alpha_cap=1e300)
+    capped = rg_flow(RGState(0.1, 1.0), l_max=6.0, dl=1e-2, alpha_cap=float(free.alpha[300]))
+    assert capped.status == STRONG_COUPLING
+    assert capped.alpha.tolist() == free.alpha[:302].tolist()
+
+
+def test_states_and_trajectories_are_frozen_values():
+    traj = rg_flow(RGState(0.1, 1.0), l_max=1.0, dl=1e-2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        traj.states[0].K = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        traj.status = COMPLETED
+    # array columns have no boolean ==, so a trajectory is equal only to itself
+    again = rg_flow(RGState(0.1, 1.0), l_max=1.0, dl=1e-2)
+    assert traj == traj and traj != again and len({traj, again}) == 2
 
 
 def test_rg_flow_refuses_a_run_over_the_step_budget(monkeypatch):
@@ -240,6 +260,35 @@ def test_classify_scale_consistency():
         lam = rng.uniform(0.1, 5.0)
         c = rng.uniform(0.1, 10.0)
         assert classify_phase(K, a, B, lam) is classify_phase(K, a, c * B, c * lam)
+
+
+def test_classify_band_edges_are_liquid():
+    # alpha = 2 and cutoff = 1 give ln M = 0 exactly, and ln(1 -+ 1/2) = log1p(-+1/2) in
+    # floating point, so B = 0.5 and 1.5 sit on the band edges bit for bit
+    assert math.log(0.5) == math.log1p(-0.5) and math.log(1.5) == math.log1p(0.5)
+    label = {B: classify_phase(1.0, 2.0, B, 1.0, band=0.5)
+             for B in (math.nextafter(0.5, 0.0), 0.5, 1.5, math.nextafter(1.5, 2.0))}
+    assert list(label.values()) == [PhaseLabel.STAGGERED_ORDER, PhaseLabel.LUTTINGER_LIQUID,
+                                    PhaseLabel.LUTTINGER_LIQUID, PhaseLabel.FERROMAGNETIC]
+
+
+def test_classify_at_k_one_half_takes_the_irrelevant_branch():
+    # K = 1/2 exactly: no gap, so the band edge B = 1 alone decides
+    assert classify_phase(0.5, 1.0, 0.5, 1.0) is PhaseLabel.LUTTINGER_LIQUID
+    assert classify_phase(0.5, 1.0, 1.5, 1.0) is PhaseLabel.FERROMAGNETIC
+
+
+@pytest.mark.parametrize("band", [0.0, 1.0])
+def test_classify_refuses_a_band_on_its_edges(band):
+    with pytest.raises(ValueError, match="band must lie in"):
+        classify_phase(1.0, 1.0, 0.5, 1.0, band=band)
+
+
+def test_rg_flow_refuses_a_zero_step_and_an_empty_interval():
+    with pytest.raises(ValueError, match="dl must be > 0"):
+        rg_flow(RGState(0.1, 1.0), l_max=1.0, dl=0.0)
+    with pytest.raises(ValueError, match="l_max must exceed"):
+        rg_flow(RGState(0.1, 1.0, l=2.0), l_max=2.0)
 
 
 def test_classify_validation():

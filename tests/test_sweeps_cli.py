@@ -685,16 +685,15 @@ def _loop_at_analytic(**flags):
     """A berry_phase_loop stand-in whose phase is the analytic one, with the given flags."""
     def loop(n_sites, alpha, B, steps):
         phase = total_phase(ChainSpec(n_sites=n_sites, alpha=alpha), B) % TWO_PI
-        return LoopResult(**{**dict(phase=phase, overlaps_min=1.0, valid=True, degenerate=False,
-                                    under_resolved=False, parity=1.0), **flags})
+        return LoopResult(**{**dict(phase=phase, overlaps_min=1.0, degenerate=False,
+                                    parity=1.0), **flags})
     return loop
 
 
 @pytest.mark.parametrize("flags,status,fail_line,code", [
-    (dict(valid=False, degenerate=True), "degenerate", "FAIL loop_00: |diff|=None tol=0.001", 1),
-    (dict(valid=False, under_resolved=True), "fail", "FAIL loop_00: |diff|=0.0 tol=0.001", 1),
+    (dict(degenerate=True), "degenerate", "FAIL loop_00: |diff|=None tol=0.001", 1),
     (dict(parity=-1.0), "odd_sector", None, 0),
-], ids=["degenerate", "under_resolved", "odd_parity"])
+], ids=["degenerate", "odd_parity"])
 def test_cli_oracle_loop_row_status_rules(tmp_path, capsys, monkeypatch, flags, status,
                                           fail_line, code):
     monkeypatch.setattr(sweeps, "berry_phase_loop", _loop_at_analytic(**flags))
@@ -930,6 +929,7 @@ def test_cli_config_file_flags_win(tmp_path):
     ("rg", {"initial": []}, "traj,l,alpha,K,status"),
     ("quench", {"tauq": []}, "tau_q,k,p_k"),
     ("quench", {"tauq": [], "evolve": True}, "tau_q,k,p_k,p_evolved"),
+    ("noncontract", {"nsites": []}, "alpha,n_sites,gamma_g_over_m"),
 ])
 def test_cli_empty_tables_write_header_only(tmp_path, cmd, section, header):
     cfg = tmp_path / "cfg.json"
