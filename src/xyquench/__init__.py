@@ -19,7 +19,6 @@ from .edoracle import (
 from .geophase import (
     PhaseSummary,
     critical_phase,
-    dphase_db,
     final_phase,
     mode_phase,
     noncontractibility_scan,
@@ -64,7 +63,6 @@ __all__ = [
     "mode_berry_numeric",
     "PhaseSummary",
     "critical_phase",
-    "dphase_db",
     "final_phase",
     "mode_phase",
     "noncontractibility_scan",

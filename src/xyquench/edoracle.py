@@ -52,12 +52,10 @@ _DEGENERACY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class GroundState:
-    """Lowest eigenpair plus the gap to the next level."""
+    """Lowest eigenpair; degeneracy is the caller's decision (berry_phase_loop makes it)."""
 
     energy: float
     vector: np.ndarray
-    gap: float
-    degenerate: bool
 
 
 @dataclass(frozen=True)
@@ -174,7 +172,7 @@ def _residual_error(residual: float, scale: float) -> ArithmeticError:
 
 
 def ground_state(h: np.ndarray) -> GroundState:
-    """Lowest eigenpair of a dense Hermitian matrix, with residual and gap checks."""
+    """Lowest eigenpair of a dense Hermitian matrix, with a residual check scaled by |H|."""
     w, v = np.linalg.eigh(h)
     energy = float(w[0])
     vec = v[:, 0]
@@ -182,10 +180,7 @@ def ground_state(h: np.ndarray) -> GroundState:
     residual = float(np.linalg.norm(h @ vec - energy * vec))
     if residual > _RESIDUAL_TOL * scale:
         raise _residual_error(residual, scale)
-    gap = float(w[1] - w[0]) if w.size > 1 else math.inf
-    return GroundState(
-        energy=energy, vector=vec, gap=gap, degenerate=bool(gap < _DEGENERACY_TOL * scale)
-    )
+    return GroundState(energy=energy, vector=vec)
 
 
 def berry_phase_loop(n_sites: int, alpha: float, B: float, steps: int = 10000) -> LoopResult:
@@ -210,11 +205,12 @@ def berry_phase_loop(n_sites: int, alpha: float, B: float, steps: int = 10000) -
 
     H(0) is sliced into its even- and odd-popcount blocks.  One eigvalsh per
     block picks the ground block (exact ties go to the odd one) and gives
-    the gap, the second-lowest level over both blocks minus the lowest, with
-    the same degeneracy test as ground_state.  ground_state then solves the
-    ground block once, and its vector is embedded into the full space,
-    where it must pass the full-space residual check.  The reported parity
-    is the sign of that block, +1 even and -1 odd.
+    the gap, the second-lowest level over both blocks minus the lowest: the
+    ground state is degenerate when the gap is below 1e-8 max(|E0|, |Emax|).
+    ground_state then solves the ground block once, and its vector is
+    embedded into the full space, where it must pass the full-space
+    residual check.  The reported parity is the sign of that block, +1 even
+    and -1 odd.
     """
     if steps < 100:
         raise ValueError(f"need steps >= 100 for a resolved loop, got {steps}")
@@ -268,8 +264,7 @@ def mode_berry_numeric(k, B, alpha, steps: int = 10000):
     require_gapped(k, B, alpha, gapped)
     h0 = np.empty(np.broadcast(c, s).shape + (2, 2), dtype=complex)
     h0[..., 0, 0] = -2.0 * c
-    h0[..., 0, 1] = -2.0j * s
-    h0[..., 1, 0] = 2.0j * s
+    h0[..., 1, 0] = 2.0j * s  # eigh reads only the lower triangle (UPLO='L')
     h0[..., 1, 1] = 2.0 * c
     _, v = np.linalg.eigh(h0)
     w = np.abs(v[..., 0]) ** 2

@@ -5,11 +5,11 @@ spin about z by phi in [0, pi] encloses the solid angle
 
     Gamma_k = pi * (1 - cos(theta_k)),
 
-and the chain phase is Gamma_g = sum over positive grid momenta.  Under
-the linear schedule B(t <= 0) = -t/tau_q the per-mode phase and its field
-derivative d(Gamma_k)/dB are closed-form in (k, t/tau_q, alpha); the
-derivative diverges on the alpha -> 0 critical line, which is the
-criticality probe.
+and the chain phase is Gamma_g = sum over positive grid momenta.  The
+field derivative d(Gamma_k)/dB = pi alpha^2 sin^2 k / Lambda_k^3 is
+phase_slope of the gap kernel's (s, Lambda); sweeps._deriv_cells applies
+it on the fig2 grid.  It diverges on the alpha -> 0 critical line, which
+is the criticality probe.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainSpec, bogoliubov_angle, gap_kernel, momentum_grid, require_gapped
+from .chain import ChainSpec, bogoliubov_angle, momentum_grid
 
 
 @dataclass(frozen=True)
@@ -62,21 +62,6 @@ def final_phase(spec: ChainSpec, excluded=()) -> float:
             raise ValueError(f"excluded momentum {kx!r} is not on the N={spec.n_sites} grid")
         keep[hit] = False
     return float(np.sum(gam[keep]))
-
-
-def dphase_db(k, t, tau_q, alpha):
-    """d(Gamma_k)/dB = pi alpha^2 sin^2 k / ((cos k + t/tau_q)^2 + alpha^2 sin^2 k)^(3/2).
-
-    Algebraic in t/tau_q, so t is not restricted to the ramp window; the
-    only requirement is a gapped denominator.
-    """
-    if not tau_q > 0.0:
-        raise ValueError(f"tau_q must be > 0, got {tau_q}")
-    B = np.negative(t) / tau_q
-    _, s, lam, gapped = gap_kernel(k, B, alpha)
-    require_gapped(k, B, alpha, gapped)
-    out = phase_slope(s, lam)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def phase_slope(s, lam):

@@ -104,11 +104,9 @@ def rg_flow(
         da4, dk4 = _rhs(a + h * da3, k + h * dk3)
         a = a + (h / 6.0) * (da1 + 2.0 * da2 + 2.0 * da3 + da4)
         k = k + (h / 6.0) * (dk1 + 2.0 * dk2 + 2.0 * dk3 + dk4)
-        # the checks of RGState, without building one per step
+        # RGState's alpha check, without building one per step; K never decreases
         if not a >= 0.0:
             raise ValueError(f"alpha must be >= 0, got {a}")
-        if not k > 0.0:
-            raise ValueError(f"K must be > 0, got {k}")
         alphas.append(a)
         ks.append(k)
         if a > alpha_cap:

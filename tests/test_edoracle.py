@@ -181,28 +181,13 @@ def test_ground_state_diagonal_matrix():
     gs = ground_state(h)
     assert gs.energy == -2.0
     assert abs(gs.vector[1]) == pytest.approx(1.0, rel=1e-12)
-    assert not gs.degenerate
-
-
-def test_ground_state_flags_degeneracy():
-    gs = ground_state(np.eye(4, dtype=complex))
-    assert gs.degenerate
 
 
 def test_ground_state_of_one_level_has_no_gap():
+    # a ground state is the lowest eigenpair alone: one level is enough
     gs = ground_state(np.array([[2.0]]))
-    assert (gs.energy, gs.gap, gs.degenerate) == (2.0, math.inf, False)
-
-
-def test_ground_state_degeneracy_threshold_scales_with_the_extreme_level():
-    # degenerate exactly when gap < _DEGENERACY_TOL * max(|w[0]|, |w[-1]|); eigh returns
-    # the entries of a diagonal matrix exactly, so each gap sits on the boundary bit for bit
-    top = 8.0
-    at = edoracle._DEGENERACY_TOL * top
-    assert not ground_state(np.diag([0.0, at, 2.0, top])).degenerate  # strict <
-    assert ground_state(np.diag([0.0, at / 2.0, 2.0, top])).degenerate  # w[-1], not w[1]
-    assert ground_state(np.diag([0.0, at, 2.0, 2.0 * top])).degenerate
-    assert ground_state(np.diag([-top, at / 2.0 - top, 0.0, 1.0])).degenerate  # |w[0]| here
+    assert (gs.energy, gs.vector.tolist()) == (2.0, [1.0])
+    assert [f.name for f in dataclasses.fields(gs)] == ["energy", "vector"]
 
 
 def test_ground_state_residual_threshold_scales_with_the_extreme_level():
@@ -282,7 +267,7 @@ def test_loop_valid_is_derived_from_degenerate():
     with pytest.raises(dataclasses.FrozenInstanceError):
         res.degenerate = False
     with pytest.raises(dataclasses.FrozenInstanceError):
-        ground_state(np.diag([0.0, 1.0])).gap = 0.0
+        ground_state(np.diag([0.0, 1.0])).energy = 1.0
 
 
 def test_loop_overlap_quality():
@@ -333,18 +318,23 @@ def holonomy_phase(states) -> tuple[float, float]:
 
 
 def _reference_loop(n, alpha, B, steps):
-    """The per-step loop that the closed form replaced: one dense eigh of H(phi) per step."""
+    """The per-step loop that the closed form replaced: one dense eigh of H(phi) per step.
+
+    It decides degeneracy from its own eigh, with the loop's rule:
+    w[1] - w[0] < 1e-8 max(|w[0]|, |w[-1]|).
+    """
     parity = 0.0
     states = []
     for j in range(steps):
         # complex at every step, phi = 0 too: the real and the complex eigensolver
         # pick different vectors from the exactly degenerate pair at the Ising point
-        gs = ground_state(build_hamiltonian(n, alpha, B, j * math.pi / steps).astype(complex))
-        if j == 0 or gs.degenerate:
-            parity = state_parity(gs.vector)
-        if gs.degenerate:
+        w, v = np.linalg.eigh(build_hamiltonian(n, alpha, B, j * math.pi / steps).astype(complex))
+        degenerate = w[1] - w[0] < 1e-8 * max(abs(w[0]), abs(w[-1]))
+        if j == 0 or degenerate:
+            parity = state_parity(v[:, 0])
+        if degenerate:
             return LoopResult(math.nan, 0.0, True, parity)
-        states.append(gs.vector)
+        states.append(v[:, 0])
     phase, ov_min = holonomy_phase(states)
     return LoopResult(phase, ov_min, False, parity)
 
@@ -517,7 +507,7 @@ def test_loop_refuses_a_ground_state_that_fails_the_full_space_residual(monkeypa
         gs = ground_state(h)
         vec = gs.vector.copy()
         vec[0] += 1e-3
-        return edoracle.GroundState(gs.energy, vec / np.linalg.norm(vec), gs.gap, gs.degenerate)
+        return edoracle.GroundState(gs.energy, vec / np.linalg.norm(vec))
 
     monkeypatch.setattr(edoracle, "ground_state", perturbed)
     with pytest.raises(ArithmeticError, match="eigensolve residual"):

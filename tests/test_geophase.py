@@ -8,7 +8,6 @@ from xyquench import (
     ChainSpec,
     DegeneratePointError,
     critical_phase,
-    dphase_db,
     final_phase,
     mode_phase,
     momentum_grid,
@@ -211,53 +210,40 @@ def test_final_phase_rejects_off_grid_momentum():
         final_phase(ChainSpec(4, 1.0), {0.123})
 
 
-# ---------------------------------------------------------------- dphase_db
+# ------------------------------------------------ d(Gamma_k)/dB: _deriv_cells, phase_slope
+
+def _slope(k, B, alpha):
+    """One fig2 derivative cell, as a float (None where the cell is gapless)."""
+    return _deriv_cells(k, np.array([B]), alpha).tolist()[0]
+
 
 def test_dphase_zero_for_isotropic_chain():
-    assert dphase_db(0.7, -0.5, 1.0, 0.0) == 0.0
+    assert _slope(0.7, 0.5, 0.0) == 0.0
 
 
 def test_dphase_zero_at_band_edges():
-    assert dphase_db(0.0, -0.5, 1.0, 1.0) == pytest.approx(0.0, abs=1e-30)
-    assert dphase_db(math.pi, -0.5, 1.0, 1.0) == pytest.approx(0.0, abs=1e-30)
+    assert _slope(0.0, 0.5, 1.0) == 0.0
+    assert _slope(math.pi, 0.5, 1.0) == pytest.approx(0.0, abs=1e-30)
 
 
 def test_dphase_on_crossing_value():
     # k = pi/2 at its crossing B = 0: pi * s^2 / s^3 = pi / (alpha sin k)
-    assert dphase_db(math.pi / 2, -0.0, 1.0, 1.0) == pytest.approx(math.pi, rel=1e-14)
+    assert _slope(math.pi / 2, 0.0, 1.0) == pytest.approx(math.pi, rel=1e-14)
 
 
 def test_dphase_tiny_gap_does_not_underflow():
     # at B = cos k = 1 the gap is alpha sin k = 1e-110, whose cube underflows
-    assert dphase_db(1e-110, -1.0, 1.0, 1.0) == pytest.approx(math.pi * 1e110, rel=1e-14)
-    assert dphase_db(2.2e-309, -1.0, 1.0, 1.0) == math.inf  # pi / 2.2e-309 overflows
     cells = _deriv_cells(1e-110, np.array([1.0, 0.0]), 1.0).tolist()
     assert cells[0] == pytest.approx(math.pi * 1e110, rel=1e-14)
-
-
-def test_dphase_reads_the_field_as_minus_t_over_tau_q():
-    k, alpha, tau_q = 0.7, 0.6, 3.0
-    t = np.array([-2.4, -1.2, -0.3])
-    s = alpha * math.sin(k)
-    want = math.pi * s**2 / ((math.cos(k) + t / tau_q) ** 2 + s**2) ** 1.5
-    assert dphase_db(k, t, tau_q, alpha) == pytest.approx(want, rel=1e-13)
-    # t and tau_q enter only through their ratio
-    assert dphase_db(k, -1.2, tau_q, alpha) == pytest.approx(dphase_db(k, -0.4, 1.0, alpha),
-                                                             rel=1e-15)
-
-
-@pytest.mark.parametrize("tau_q", [0.0, -1.0, math.nan])
-def test_dphase_refuses_tau_q_not_above_zero(tau_q):
-    with pytest.raises(ValueError, match="tau_q must be > 0"):
-        dphase_db(0.7, -0.5, tau_q, 1.0)
+    assert _slope(2.2e-309, 1.0, 1.0) == math.inf  # pi / 2.2e-309 overflows
 
 
 def test_phase_slope_off_the_crossing_where_the_cube_under_or_overflows():
     # s != Lambda: the pi (s/Lambda)^2/Lambda branch keeps both the ratio and the 1/Lambda
     for s, lam in ((3e-110, 5e-110), (3e110, 5e110)):
         assert phase_slope(s, lam) == pytest.approx(0.36 * math.pi / lam, rel=1e-14)
-    # k = pi/2 at B = 1e200, reached from t = -4e200 at tau_q = 4: Lambda = sqrt(2) 1e200
-    got = dphase_db(math.pi / 2, -4e200, 4.0, 1e200)
+    # k = pi/2 at B = 1e200 with alpha = 1e200: Lambda = sqrt(2) 1e200
+    got = _slope(math.pi / 2, 1e200, 1e200)
     assert got == pytest.approx(0.5 * math.pi / (math.sqrt(2.0) * 1e200), rel=1e-14)
 
 
@@ -266,17 +252,18 @@ def test_dphase_huge_gap_does_not_overflow(alpha):
     # at k = pi/2, B = 0 the gap is alpha; past 5.6e102 its cube is inf, so pi s^2/Lambda^3
     # would read 0 (finite s^2) or NaN (s^2 = inf) where the value is pi/alpha
     expected = pytest.approx(math.pi / alpha, rel=1e-14, abs=0.0)
-    assert dphase_db(math.pi / 2, 0.0, 1.0, alpha) == expected
+    assert _slope(math.pi / 2, 0.0, alpha) == expected
     assert phase_slope(alpha, alpha) == expected
 
 
 def test_dphase_nonnegative_random():
     rng = np.random.default_rng(31)
     k = rng.uniform(0.0, math.pi, 2000)
-    t = -rng.uniform(0.0, 3.0, 2000)
+    B = rng.uniform(0.0, 3.0, 2000)
     a = rng.uniform(0.0, 2.0, 2000)
-    vals = np.array([dphase_db(ki, ti, 1.0, ai) for ki, ti, ai in zip(k, t, a)])
-    assert np.all(vals >= 0.0)
+    vals = _deriv_cells(k, B, a)
+    assert not np.ma.is_masked(vals)
+    assert np.all(vals.data >= 0.0)
 
 
 def test_dphase_matches_central_difference():
@@ -290,15 +277,17 @@ def test_dphase_matches_central_difference():
         lam = math.hypot(math.cos(k) - B, a * math.sin(k))
         if lam <= 0.1:
             continue
-        analytic = dphase_db(k, -B, 1.0, a)
+        analytic = _slope(k, B, a)
         fd = (float(mode_phase(k, B + h, a)) - float(mode_phase(k, B - h, a))) / (2.0 * h)
         assert abs(fd - analytic) / abs(analytic) < 1e-5
         checked += 1
 
 
 def test_dphase_degenerate_raises():
+    # alpha = 0 at B = cos k: Lambda = 0, where mode_phase raises
+    assert _slope(math.pi / 3, math.cos(math.pi / 3), 0.0) is None
     with pytest.raises(DegeneratePointError):
-        dphase_db(math.pi / 3, -math.cos(math.pi / 3), 1.0, 0.0)
+        mode_phase(math.pi / 3, math.cos(math.pi / 3), 0.0)
 
 
 def _peak_slope_density(n: int) -> float:

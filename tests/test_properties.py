@@ -14,7 +14,6 @@ from xyquench import (
     RGState,
     berry_phase_loop,
     build_hamiltonian,
-    dphase_db,
     evolve_mode,
     ground_state,
     mode_berry_numeric,
@@ -47,20 +46,25 @@ def test_cells_match_scalar_api_and_mask_exactly_the_raises(k, b, alpha):
             gamma = mode_phase(k, bi, alpha)
         except DegeneratePointError:
             assert g is None and d is None
-            with pytest.raises(DegeneratePointError):
-                dphase_db(k, -bi, 1.0, alpha)
             gapped.append(False)
         else:
             assert g is not None and d is not None
             # a scalar call gives the same bits as its cell
             assert float(gamma) == g
-            assert dphase_db(k, -bi, 1.0, alpha) == d
             gapped.append(True)
     gapped = np.array(gapped)
     if gapped.any():
         kept = b[gapped]
         assert np.array_equal(mode_phase(k, kept, alpha), [g for g in gcells if g is not None])
-        assert np.array_equal(dphase_db(k, -kept, 1.0, alpha), [d for d in dcells if d is not None])
+        # d(Gamma_k)/dB = pi s s / Lambda^3, cubed on an array (a float64 scalar's power can
+        # differ in the last bit); pi (s/Lambda)^2 / Lambda where the cube under- or overflows
+        s = alpha * np.sin(k)
+        lam = np.hypot(np.cos(k) - kept, s)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            cube = lam**3
+            want = np.where((0.0 < cube) & (cube < np.inf), np.pi * s * s / cube,
+                            np.pi * (s / lam) ** 2 / lam)
+        assert np.array_equal(want, [d for d in dcells if d is not None])
 
 
 @given(k=st.floats(0.05, math.pi - 0.05), B=fields, alpha=st.floats(0.05, 2.0))
@@ -74,7 +78,7 @@ def test_particle_hole_partner_phases_sum_to_two_pi(k, B, alpha):
 def test_phase_bounded_and_nondecreasing_in_field(k, B, alpha):
     assume(gap_kernel(k, B, alpha)[2] > 0.0)
     assert 0.0 <= mode_phase(k, B, alpha) <= TWO_PI
-    assert dphase_db(k, -B, 1.0, alpha) >= 0.0
+    assert _deriv_cells(k, np.array([B]), alpha)[0] >= 0.0
 
 
 @settings(max_examples=8, deadline=None)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -26,6 +27,25 @@ def test_schedule_validation():
         QuenchSchedule(tau_q=-1.0, t_start=-5.0)
     with pytest.raises(ValueError, match="need t_start < 0"):
         QuenchSchedule(tau_q=1.0, t_start=0.0)
+    with pytest.raises(ValueError, match=r"^tau_q must be > 0, got 0\.0$"):
+        QuenchSchedule(tau_q=0.0, t_start=-1.0)
+
+
+def test_schedule_covers_the_crossing_strictly_inside_the_window():
+    # the window B in [0, -t_start/tau_q] must hold cos k strictly: B(t_start) = 1 = cos 0
+    assert not QuenchSchedule(tau_q=2.0, t_start=-2.0).covers(0.0)
+    assert QuenchSchedule(tau_q=2.0, t_start=-2.0 - 1e-12).covers(0.0)
+
+
+def test_results_are_frozen_values():
+    sched = QuenchSchedule(tau_q=1.0, t_start=-5.0)
+    res = evolve_mode(math.pi / 4, 1.0, sched)
+    a, b = kink_count(ChainSpec(4, 1.0), 1.0), kink_count(ChainSpec(4, 1.0), 1.0)
+    for obj, name in ((sched, "tau_q"), (res, "probability"), (a, "kink_count")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, 0.0)
+    # a report holds an array, so it compares by identity and hashes
+    assert a != b and a == a and hash(a) != hash(b)
 
 
 def test_schedule_from_field():
@@ -111,6 +131,16 @@ def test_adiabatic_flag_thresholds():
     spec = ChainSpec(100, 1.0)
     assert not kink_count(spec, 1000.0).adiabatic  # 1000 < 10 * 161.26
     assert kink_count(spec, 2000.0).adiabatic
+    at = 10.0 * adiabatic_threshold(100)
+    assert not kink_count(spec, at).adiabatic  # tau_q > safety * threshold, strictly
+    assert kink_count(spec, math.nextafter(at, math.inf)).adiabatic
+    assert kink_count(spec, at, safety_factor=5.0).adiabatic
+
+
+@pytest.mark.parametrize("safety", [0.0, -1.0, math.nan])
+def test_kink_count_refuses_a_safety_factor_not_above_zero(safety):
+    with pytest.raises(ValueError, match="safety_factor must be > 0"):
+        kink_count(ChainSpec(10, 1.0), 1.0, safety_factor=safety)
 
 
 def test_single_pair_regime():
@@ -169,6 +199,17 @@ def test_evolve_window_not_covering_crossing_warns():
 def test_evolve_unstable_step_rejected():
     with pytest.raises(ValueError, match="unstable"):
         evolve_mode(math.pi / 50, 1.0, QuenchSchedule.from_field(5.0), dt=1.0)
+
+
+def test_ramp_steps_refuses_a_step_of_exactly_the_stable_limit():
+    # dt * max|H| must stay strictly below _MAX_STABLE_STEP
+    k, alpha, sched = math.pi / 50, 1.0, QuenchSchedule.from_field(5.0)
+    h_max = 2.0 * math.hypot(abs(math.cos(k)) + 5.0, alpha * math.sin(k))
+    dt = quench._MAX_STABLE_STEP / h_max
+    assert dt * h_max == quench._MAX_STABLE_STEP
+    with pytest.raises(ValueError, match="unstable step size"):
+        quench.ramp_steps(k, alpha, sched, dt)
+    assert quench.ramp_steps(k, alpha, sched, math.nextafter(dt, 0.0))[0] > 0
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.0, -0.01, math.nan])
@@ -465,3 +506,23 @@ def test_chunk_product_bits_do_not_depend_on_the_scratch_offset(m):
             q = quench._chunk_product(schedule, math.cos(k), cx, cy, dt, lo, m, work)
             got.add((lo, q.tobytes()))
     assert len(got) == 2  # one quaternion per chunk start, whatever the offset
+
+
+def test_bit_reversal_table_is_read_only():
+    order = quench._bit_reversal()
+    assert not order.flags.writeable
+    with pytest.raises(ValueError):
+        order[0] = 1
+
+
+@pytest.mark.parametrize("s", [0.0, 0.3, -0.3])
+@pytest.mark.parametrize("c0,b", [(0.8, 0.0), (-0.8, 0.0), (0.2, 5.0)])
+@pytest.mark.parametrize("excited", [False, True])
+def test_pair_eigenvector_solves_the_pair_hamiltonian(c0, b, s, excited):
+    # both signs of cz, with and without coupling: the branch must never divide 0 by 0
+    cz, cx = -2.0 * (c0 - b), 2.0 * s
+    v0, v1 = quench._pair_eigenvector(c0, s, b, excited)
+    target = math.hypot(cz, cx) * (1.0 if excited else -1.0)
+    assert abs(v0) ** 2 + abs(v1) ** 2 == pytest.approx(1.0, abs=1e-15)
+    assert abs(cz * v0 + cx * v1 - target * v0) < 1e-14
+    assert abs(cx * v0 - cz * v1 - target * v1) < 1e-14

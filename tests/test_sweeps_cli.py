@@ -239,6 +239,21 @@ def test_fig2_shapes_and_ridge():
 def test_fig2_validation():
     with pytest.raises(ValueError):
         fig2_grids(k=1.0, alpha_min=0.5, alpha_max=0.2)
+    with pytest.raises(ValueError, match=r"need 0 <= alpha_min < alpha_max, got \[0\.5, 0\.5\]"):
+        fig2_grids(k=1.0, alpha_min=0.5, alpha_max=0.5, alpha_samples=5, samples=5)
+
+
+def test_grid_compares_and_hashes_by_identity():
+    # columns are arrays, so equal content is not equality: a grid is only equal to itself
+    g1, g2 = (SweepGrid({"x": np.arange(3.0)}) for _ in range(2))
+    assert g1 == g1 and g1 != g2 and hash(g1) != hash(g2)
+
+
+def test_fig1_refuses_an_empty_time_window_and_tau_q_zero():
+    with pytest.raises(ValueError, match=r"need tmin < tmax <= 0, got \[-1\.0, -1\.0\]"):
+        fig1_grid(k=0.8, alphas=[0.5], tau_qs=[1.0], tmin=-1.0, tmax=-1.0, samples=5)
+    with pytest.raises(ValueError, match=r"^tau_q must be > 0, got 0\.0$"):
+        fig1_grid(k=0.8, alphas=[0.5], tau_qs=[1.0, 0.0], samples=5)
 
 
 # ------------------------------------------------------------------ quench grid
@@ -270,6 +285,16 @@ def test_quench_grid_masks_pairs_whose_crossing_the_ramp_misses():
     masked = np.ma.getmaskarray(modes.columns["p_evolved"])
     evolved = np.isclose(np.abs(k) % (2 * math.pi / 10), math.pi / 10) & (np.abs(k) < 2.0)
     assert np.array_equal(masked, ~evolved)
+
+
+def test_quench_grid_evolves_no_mode_at_evolve_modes_zero():
+    modes, _ = quench_grids(n_sites=10, tau_qs=(1.0,), evolve=True, evolve_modes=0)
+    assert np.ma.getmaskarray(modes.columns["p_evolved"]).all()
+
+
+def test_quench_grid_refuses_a_ramp_that_starts_at_zero_field():
+    with pytest.raises(ValueError, match=r"^b_start must be > 0 for the evolved ramp, got 0\.0$"):
+        quench_grids(n_sites=10, tau_qs=(1.0,), evolve=True, b_start=0.0)
 
 
 def test_quench_summary_flags():
@@ -325,6 +350,47 @@ def test_oracle_report_deterministic():
     g1, _ = oracle_report(seed=9, steps=1000, grid_size=3, spectrum_cases=2)
     g2, _ = oracle_report(seed=9, steps=1000, grid_size=3, spectrum_cases=2)
     assert g1.csv_text() == g2.csv_text()
+
+
+def test_oracle_report_seeded_draws_span_their_ranges():
+    grid, _ = oracle_report(seed=0, steps=100, grid_size=20, nsites=(4,), spectrum_cases=20)
+    c = grid.columns
+    cases = c["case"].data.astype(str)
+    mode, spec = np.char.startswith(cases, "mode_"), np.char.startswith(cases, "spectrum_")
+    fields, alphas = c["field"].data[mode], c["alpha"].data[mode]
+    assert -1.5 <= fields.min() < 0.0 < fields.max() < 1.5
+    assert 0.05 <= alphas.min() and alphas.max() < 2.0
+    for name, top in (("alpha", 1.5), ("field", 2.0), ("phi", math.pi)):
+        v = c[name].data[spec]
+        assert 0.0 <= v.min() and v.max() < top and v.max() > 0.5 * top, name
+
+
+@pytest.mark.parametrize("family,tol", [("mode_", "mode_tol"), ("loop_", "loop_tol"),
+                                        ("spectrum_", "spectrum_tol")])
+def test_oracle_report_accepts_a_difference_equal_to_the_tolerance(family, tol):
+    sizes = dict(seed=1, steps=100, grid_size=2, nsites=(4,), spectrum_cases=2)
+    grid, _ = oracle_report(**sizes)
+    row = next(i for i, case in enumerate(grid.columns["case"].tolist()) if case.startswith(family))
+    diff = float(grid.columns["abs_diff"][row])
+    grid, _ = oracle_report(**sizes, **{tol: diff})
+    assert grid.columns["status"][row] == "ok"
+    grid, _ = oracle_report(**sizes, **{tol: math.nextafter(diff, 0.0)})
+    assert grid.columns["status"][row] == "fail"
+
+
+@pytest.mark.parametrize("analytic,phase,numeric", [
+    (TWO_PI - 1e-4, 1e-4, 1e-4 + TWO_PI),  # the loop phase wrapped past 2pi
+    (1e-4, TWO_PI - 1e-4, TWO_PI - 1e-4 - TWO_PI),  # and below 0
+])
+def test_oracle_loop_numeric_is_the_representative_nearest_analytic(monkeypatch, analytic,
+                                                                    phase, numeric):
+    monkeypatch.setattr(sweeps, "total_phase", lambda spec, B: analytic)
+    monkeypatch.setattr(sweeps, "berry_phase_loop", lambda n, a, b, steps: LoopResult(
+        phase=phase, overlaps_min=1.0, degenerate=False, parity=1.0))
+    grid, failures = oracle_report(steps=100, grid_size=0, nsites=(4,), spectrum_cases=0)
+    assert failures == []
+    assert grid.columns["numeric"].tolist() == [numeric, numeric]
+    assert grid.columns["abs_diff"].tolist() == pytest.approx([2e-4, 2e-4], rel=1e-9)
 
 
 def _anisotropy_off_by_a_percent(n, alpha, B, phi=0.0):
@@ -540,6 +606,26 @@ def test_cli_rg_classify(tmp_path, capsys):
     assert rc == 0
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("{")]
     assert json.loads(lines[0])["phase"] == "ferromagnetic"
+
+
+@pytest.mark.parametrize("cmd,flags", [
+    ("quench", ["--nsites", "10", "--tauq", "2000"]),
+    ("rg", ["--initial", "1.0,1.0", "--lmax", "0.5", "--dl", "0.01", "--classify"]),
+])
+def test_cli_stdout_json_has_sorted_keys(tmp_path, capsys, cmd, flags):
+    assert main([cmd, "--out", str(tmp_path / "t.csv")] + flags) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("{")]
+    assert lines and all(list(json.loads(ln)) == sorted(json.loads(ln)) for ln in lines)
+
+
+def test_cli_rg_classify_edges_of_the_gap_formula(tmp_path, capsys):
+    # K = 1/2 exactly takes the K <= 1/2 branch even at alpha = 0; alpha = 0 with K > 1/2
+    # sits on the fixed line, where the gap is undefined and the label is null
+    argv = ["rg", "--out", str(tmp_path / "rg.csv"), "--lmax", "0.5", "--dl", "0.01",
+            "--initial", "0,0.5", "--initial", "0,1", "--classify", "--field", "0.3"]
+    assert main(argv) == 0
+    lines = [json.loads(ln) for ln in capsys.readouterr().out.splitlines() if ln.startswith("{")]
+    assert [(d["K"], d["phase"]) for d in lines] == [(0.5, "luttinger_liquid"), (1.0, None)]
 
 
 def test_cli_rg_default_csv_bytes(tmp_path):
@@ -977,6 +1063,27 @@ def test_cli_non_finite_floats_exit_2(tmp_path, capsys, argv, option):
     assert not list(tmp_path.glob("x*.csv"))
 
 
+def test_cli_rg_config_initial_pairs_run_like_the_flag(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rg": {"initial": [[0.1, 1.0], [0, 1]]}}))
+    base = ["rg", "--lmax", "0.5", "--dl", "0.01"]
+    assert main(base + ["--out", str(tmp_path / "c.csv"), "--config", str(cfg)]) == 0
+    assert main(base + ["--out", str(tmp_path / "f.csv"), "--initial", "0.1,1.0",
+                        "--initial", "0,1"]) == 0
+    assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "f.csv").read_bytes()
+
+
+@pytest.mark.parametrize("cmd,key", [("fig1", "k"), ("quench", "nsites"), ("rg", "initial")])
+def test_cli_config_null_only_where_the_default_is_null(tmp_path, capsys, cmd, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: None}))
+    out = tmp_path / "t.csv"
+    assert main([cmd, "--out", str(out), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"config key {key!r} of {cmd} must be" in err and err.endswith("got None\n")
+    assert "or null" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("item", [[0.1], [0.1, 1.0, 7], [True, 1.0]])
 def test_cli_rg_config_initial_needs_pairs(tmp_path, capsys, item):
     cfg = tmp_path / "cfg.json"
@@ -1103,10 +1210,31 @@ def test_cli_every_option_has_an_effect(tmp_path, capsys, monkeypatch):
     assert inert == []
 
 
-def test_cli_bad_subcommand_exit_2():
+def test_cli_fig1_default_momentum_is_pi_over_100(tmp_path):
+    out = tmp_path / "fig1.csv"
+    assert main(["fig1", "--out", str(out), "--tauq", "1", "--alpha", "0.5"]) == 0
+    first = _read_csv(out)[0]
+    assert float(first["t_over_tauq"]) == -3.0
+    assert float(first["gamma_k"]) == float(mode_phase(math.pi / 100, 3.0, 0.5))
+
+
+def test_cli_refuses_a_handler_that_returns_fewer_tables_than_paths(tmp_path, capsys,
+                                                                    monkeypatch):
+    handler, help_line, options = COMMANDS["fig2"]
+    one = SweepGrid({"value": np.array([1.0])})
+    monkeypatch.setitem(COMMANDS, "fig2", (lambda o: ([(one, {})], [], 0), help_line, options))
+    assert main(["fig2", "--out", str(tmp_path / "surf.csv")]) == 2
+    assert "zip() argument 2 is longer than argument 1" in capsys.readouterr().err
+
+
+def test_cli_bad_subcommand_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main([])  # no subcommand at all
+    assert exc.value.code == 2
+    assert "required: command" in capsys.readouterr().err
 
 
 def _one_row(**row):

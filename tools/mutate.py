@@ -3,7 +3,7 @@
 Run from the root of a checkout (standard library only; the tests need
 pytest and numpy):
 
-    python tools/mutate.py                              # chain, geophase, edoracle, rgflow
+    python tools/mutate.py                              # all seven modules
     python tools/mutate.py --module rgflow --verbose    # one module, every mutant's fate
 
 Each mutant changes one token of src/xyquench/<module>.py:
@@ -16,8 +16,8 @@ Each mutant changes one token of src/xyquench/<module>.py:
 Tokens inside strings, comments and docstrings are left alone, and a
 mutant that does not compile is dropped.  The sweep copies src/, tests/
 and pyproject.toml to a temporary directory, never touching the
-checkout, checks that the module's test files pass there unmutated, and
-then runs them once per mutant with ``pytest -x``.  A mutant is killed
+checkout, checks that the module's test file (TEST_FILES) passes there
+unmutated, and then runs it once per mutant with ``pytest -x``.  A mutant is killed
 when pytest fails, crashes or runs past the timeout (set from the
 unmutated run), and survives when every test passes.
 
@@ -44,7 +44,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 EQUIVALENT = Path(__file__).with_name("equivalent_mutants.json")
-MODULES = ("chain", "geophase", "edoracle", "rgflow")
+# the test file that guards each module; sweeps and cli share one, and the
+# acceptance file is red by design, so it cannot be a baseline
+TEST_FILES = {
+    "chain": "tests/test_chain.py",
+    "geophase": "tests/test_geophase.py",
+    "edoracle": "tests/test_edoracle.py",
+    "rgflow": "tests/test_rgflow.py",
+    "quench": "tests/test_quench.py",
+    "sweeps": "tests/test_sweeps_cli.py",
+    "cli": "tests/test_sweeps_cli.py",
+}
+MODULES = tuple(TEST_FILES)
 MEMORY_LIMIT = 3 << 30  # bytes of address space per test run; a mutant may allocate wildly
 
 OPERATORS = {
@@ -130,9 +141,9 @@ def run_tests(work: Path, test_file: str, timeout: float) -> tuple:
 
 
 def sweep(module: str, work: Path, equivalent: set, verbose: bool) -> dict:
-    """Run every mutant of module against tests/test_<module>.py in the copy at work."""
+    """Run every mutant of module against its TEST_FILES entry in the copy at work."""
     target = work / "src" / "xyquench" / f"{module}.py"
-    test_file = f"tests/test_{module}.py"
+    test_file = TEST_FILES[module]
     source = target.read_text()
     ok, seconds = run_tests(work, test_file, timeout=600.0)
     if not ok:
@@ -162,7 +173,7 @@ def sweep(module: str, work: Path, equivalent: set, verbose: bool) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--module", action="append", choices=MODULES,
-                        help="module to mutate (repeatable; default: all four)")
+                        help="module to mutate (repeatable; default: all seven)")
     parser.add_argument("--verbose", action="store_true", help="print every mutant's fate")
     args = parser.parse_args(argv)
     modules = args.module or list(MODULES)
