@@ -7,7 +7,6 @@ from .chain import (
     momentum_grid,
 )
 from .edoracle import (
-    GroundState,
     LoopResult,
     MAX_SITES,
     berry_phase_loop,
@@ -53,7 +52,6 @@ __all__ = [
     "DegeneratePointError",
     "bogoliubov_angle",
     "momentum_grid",
-    "GroundState",
     "LoopResult",
     "MAX_SITES",
     "berry_phase_loop",

@@ -48,8 +48,10 @@ class ChainSpec:
 def refuse_over_budget(count, budget, subject: str, unit: str, remedy: str) -> None:
     """ValueError naming count and budget unless count <= budget; NaN and inf are refused."""
     if not count <= budget:
+        # :g turns an int into a float, which overflows past 1.8e308
+        shown = "over 1e+308" if isinstance(count, int) and count > 1e308 else f"{count:.10g}"
         raise ValueError(
-            f"{subject} {count:.10g} {unit}, above the budget of {budget:.0e}; {remedy}")
+            f"{subject} {shown} {unit}, above the budget of {budget:.0e}; {remedy}")
 
 
 def momentum_grid(spec: ChainSpec) -> np.ndarray:

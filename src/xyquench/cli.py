@@ -33,9 +33,7 @@ from .chain import ChainSpec, momentum_grid
 from .geophase import phase_summary
 from .quench import kink_count
 from .rgflow import classify_phase
-from .sweeps import InvariantViolation
-
-TWO_PI = 2.0 * math.pi
+from .sweeps import TWO_PI, InvariantViolation
 
 # The kind of each option whose default is None; `config` is a flag of every command.
 _NONE_KINDS = {"dt": float, "summary": str, "config": str}
@@ -210,7 +208,7 @@ def _run_quench(o):
             "gamma_initial": ps.gamma_initial,
             "gamma_critical": ps.gamma_critical,
             "gamma_final": ps.gamma_final,
-            "excluded_modes": sorted(ps.excluded_modes),
+            "excluded_modes": sorted(excluded),
         }, sort_keys=True))
     return tables, lines, 0
 

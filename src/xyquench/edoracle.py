@@ -8,8 +8,8 @@ spin Hamiltonian is built for the rotated family
 which expands to bond couplings (1 +/- alpha cos 2phi)/2 on sx sx / sy sy,
 a -(alpha/2) sin 2phi cross term on (sx sy + sy sx), and the field B sz.
 H(phi) is pi-periodic and isospectral in phi.  Where the cross weight is
-0.0 (phi = 0, alpha = 0) H is built float64, else complex128, and
-ground_state of a real H returns a real vector.  Geometric phases come from
+0.0 (phi = 0, alpha = 0) H is built float64, else complex128, so H(0) and
+its ground-state vector are always real.  Geometric phases come from
 the gauge-invariant product of consecutive ground-state overlaps around
 the closed phi in [0, pi) loop, never from the analytic angle.
 
@@ -23,8 +23,8 @@ conserves the parity prod_j sz_j (Lieb, Schultz & Mattis, Ann. Phys. 16,
 block.  parity_block_levels makes one eigvalsh per block, of one H(0) or
 of a stack: in the loop it picks the ground block and decides degeneracy,
 ground_state solves that block, and the vector is embedded back into the
-full 2^N space, where it must pass the same residual check as a dense
-eigensolve.  Every routine here reads the basis from one cached, read-only
+full 2^N space, where it must pass _check_residual as a dense eigensolve
+does.  Every routine here reads the basis from one cached, read-only
 table per N, _spin_basis: site j is bit N-1-j, and the two blocks.
 
 Each block is also a free-fermion system with its own boundary
@@ -42,20 +42,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import gap_kernel, require_gapped
+from .chain import gap_kernel, refuse_over_budget, require_gapped
 
 MAX_SITES = 10  # an N = 10 loop takes about 0.07 s, an N = 12 one 2.7 s and 436 MB
 
 _RESIDUAL_TOL = 1e-8
 _DEGENERACY_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class GroundState:
-    """Lowest eigenpair; degeneracy is the caller's decision (berry_phase_loop makes it)."""
-
-    energy: float
-    vector: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -147,6 +139,8 @@ def build_hamiltonian(n_sites: int, alpha, B, phi: float = 0.0) -> np.ndarray:
     a, b = np.broadcast_arrays(*(np.asarray(x, dtype=float)[..., None] for x in (alpha, B)))
     if not np.all(a >= 0.0):
         raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError(f"alpha and B must be finite, got alpha = {alpha}, B = {B}")
     c2, s2 = math.cos(2.0 * phi), math.sin(2.0 * phi)
     wx, wy, wxy = 0.5 * (1.0 + a * c2), 0.5 * (1.0 - a * c2), 0.5 * a * s2
     cross = bool(np.any(wxy != 0.0))
@@ -164,23 +158,22 @@ def build_hamiltonian(n_sites: int, alpha, B, phi: float = 0.0) -> np.ndarray:
     return h
 
 
-def _residual_error(residual: float, scale: float) -> ArithmeticError:
-    return ArithmeticError(
-        f"eigensolve residual {residual:g} exceeds {_RESIDUAL_TOL:g} * |H| = "
-        f"{_RESIDUAL_TOL * scale:g}"
-    )
-
-
-def ground_state(h: np.ndarray) -> GroundState:
-    """Lowest eigenpair of a dense Hermitian matrix, with a residual check scaled by |H|."""
-    w, v = np.linalg.eigh(h)
-    energy = float(w[0])
-    vec = v[:, 0]
-    scale = float(max(abs(w[0]), abs(w[-1]), 1e-300))
+def _check_residual(h: np.ndarray, vec: np.ndarray, energy: float, scale: float) -> None:
+    """ArithmeticError unless |h vec - energy vec| <= _RESIDUAL_TOL * scale, scale being |H|."""
     residual = float(np.linalg.norm(h @ vec - energy * vec))
     if residual > _RESIDUAL_TOL * scale:
-        raise _residual_error(residual, scale)
-    return GroundState(energy=energy, vector=vec)
+        raise ArithmeticError(
+            f"eigensolve residual {residual:g} exceeds {_RESIDUAL_TOL:g} * |H| = "
+            f"{_RESIDUAL_TOL * scale:g}"
+        )
+
+
+def ground_state(h: np.ndarray) -> tuple:
+    """Lowest eigenpair (energy, vector) of a dense Hermitian matrix, _check_residual at its |H|."""
+    w, v = np.linalg.eigh(h)
+    energy, vec = float(w[0]), v[:, 0]
+    _check_residual(h, vec, energy, float(max(abs(w[0]), abs(w[-1]), 1e-300)))
+    return energy, vec
 
 
 def berry_phase_loop(n_sites: int, alpha: float, B: float, steps: int = 10000) -> LoopResult:
@@ -207,13 +200,15 @@ def berry_phase_loop(n_sites: int, alpha: float, B: float, steps: int = 10000) -
     block picks the ground block (exact ties go to the odd one) and gives
     the gap, the second-lowest level over both blocks minus the lowest: the
     ground state is degenerate when the gap is below 1e-8 max(|E0|, |Emax|).
-    ground_state then solves the ground block once, and its vector is
-    embedded into the full space, where it must pass the full-space
-    residual check.  The reported parity is the sign of that block, +1 even
-    and -1 odd.
+    ground_state then solves the ground block once.  H(0) is real, so its
+    vector embeds into a float64 psi of the full space, which must pass
+    _check_residual against the dense H(0) with that |H|.  The reported
+    parity is the sign of that block, +1 even and -1 odd.  A step count
+    below 100, or past 1e308 (steps must convert to a float), is a ValueError.
     """
     if steps < 100:
         raise ValueError(f"need steps >= 100 for a resolved loop, got {steps}")
+    refuse_over_budget(steps, 1e308, "the loop has", "steps", "use fewer steps")
     h = build_hamiltonian(n_sites, alpha, B)
     _, bits, blocks = _spin_basis(n_sites)
     levels = parity_block_levels(h)
@@ -222,19 +217,16 @@ def berry_phase_loop(n_sites: int, alpha: float, B: float, steps: int = 10000) -
     scale = float(max(abs(two[0]), abs(max(w[-1] for w in levels)), 1e-300))
     rows = blocks[odd]
 
-    gs = ground_state(h[np.ix_(rows, rows)])
-    # the dtype of the block vector: a complex psi would make h @ psi copy the real H(0)
-    psi = np.zeros(2**n_sites, dtype=gs.vector.dtype)
-    psi[rows] = gs.vector
-    residual = float(np.linalg.norm(h @ psi - gs.energy * psi))
-    if residual > _RESIDUAL_TOL * scale:
-        raise _residual_error(residual, scale)
+    energy, vec = ground_state(h[np.ix_(rows, rows)])
+    psi = np.zeros(2**n_sites)
+    psi[rows] = vec
+    _check_residual(h, psi, energy, scale)
     parity = 1.0 - 2.0 * odd  # psi lives in one parity block
     if two[1] - two[0] < _DEGENERACY_TOL * scale:
         return LoopResult(phase=math.nan, overlaps_min=0.0, degenerate=True, parity=parity)
     # U(delta) is exp(i delta sz / 2) on a basis state of sz = N - 2 popcount
     sz = n_sites - 2 * bits[rows].sum(axis=1)
-    ov = complex(np.sum(np.abs(gs.vector) ** 2 * np.exp(0.5j * math.pi / steps * sz)))
+    ov = complex(np.sum(np.abs(vec) ** 2 * np.exp(0.5j * math.pi / steps * sz)))
     closing = (-1j) ** n_sites * (1 - 2 * odd)  # (-i)^N P
     phase = float((-(steps * np.angle(ov) + np.angle(closing))) % (2.0 * math.pi))
     return LoopResult(phase=phase, overlaps_min=abs(ov), degenerate=False, parity=parity)
@@ -260,6 +252,7 @@ def mode_berry_numeric(k, B, alpha, steps: int = 10000):
     """
     if steps < 100:
         raise ValueError(f"need steps >= 100 for a resolved loop, got {steps}")
+    refuse_over_budget(steps, 1e308, "the loop has", "steps", "use fewer steps")
     c, s, _, gapped = gap_kernel(k, B, alpha)
     require_gapped(k, B, alpha, gapped)
     h0 = np.empty(np.broadcast(c, s).shape + (2, 2), dtype=complex)

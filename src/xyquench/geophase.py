@@ -14,7 +14,7 @@ is the criticality probe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class PhaseSummary:
     gamma_initial: float
     gamma_critical: float
     gamma_final: float
-    excluded_modes: frozenset = field(default_factory=frozenset)
 
 
 def mode_phase(k, B, alpha):
@@ -80,7 +79,6 @@ def phase_summary(spec: ChainSpec, b_initial: float, excluded=()) -> PhaseSummar
         gamma_initial=total_phase(spec, b_initial),
         gamma_critical=critical_phase(spec),
         gamma_final=final_phase(spec, excluded),
-        excluded_modes=frozenset(float(k) for k in excluded),
     )
 
 

@@ -168,13 +168,13 @@ def quench_grids(
 ):
     """Per-mode excitation table and per-tau_q kink summary.
 
-    With evolve=True the evolve_modes smallest momentum pairs get a
-    real-time cross-check column (alpha enters only there; the closed-form
-    p_k carries no anisotropy dependence).  A pair whose crossing B = cos k
-    the ramp window does not cover is not evolved: its cells stay masked,
-    and one UserWarning names every such k.  Before any pair runs, the step
-    rule quench.ramp_steps refuses with ValueError a covered pair, and then
-    a table, of more than quench._MAX_STEPS steps.
+    p_k is the paper's alpha = 1 Landau-Zener form exp(-2 pi tau_q k^2),
+    unchanged at every alpha; with evolve=True the evolve_modes smallest
+    momentum pairs get a real-time column, the only one that reads alpha.
+    A pair whose crossing B = cos k the ramp window does not cover is not
+    evolved: its cells stay masked, and one UserWarning names every such k.
+    Before any pair runs, the step rule quench.ramp_steps refuses with
+    ValueError a covered pair, then a table, over quench._MAX_STEPS steps.
     """
     spec = ChainSpec(n_sites=n_sites, alpha=alpha)
     if evolve and not evolve_modes >= 0:
@@ -275,20 +275,20 @@ def oracle_report(
 ):
     """Analytic-vs-numeric equivalence suite; returns (report grid, failing rows).
 
-    The grid stacks three column blocks: per-mode loops against
-    pi*(1 - cos theta_k) on a seeded (field, alpha) grid, solved in one call;
-    many-body ground-state loops against the chain phase sum modulo 2pi
-    (odd-parity ground states are odd_sector rows, not failures); and the
+    The grid stacks three blocks, each built column by column: per-mode
+    loops against pi*(1 - cos theta_k) on a seeded (field, alpha) grid, in
+    one call; one berry_phase_loop per many-body case against the chain
+    phase sum modulo 2pi, its status the first that holds of degenerate,
+    odd_sector (an odd-parity ground state, not a failure), ok and fail; the
     levels of H(0) at N = 6 against free_fermion_levels, numeric being the
-    worst level difference over both parity blocks.  The spectrum cases are
-    one broadcast build_hamiltonian and one eigvalsh per parity block,
-    however many there are; their phi is the third seeded draw of each case,
-    reported as a coordinate and not used.  A column a block lacks is masked
-    on its rows.  A fixed seed gives a byte-identical report.
+    worst level difference over both parity blocks, from one broadcast
+    build_hamiltonian and one eigvalsh per block.  Their phi is the third
+    seeded draw of each case, reported as a coordinate and not used.  A
+    column a block lacks is masked on its rows, as are numeric and abs_diff
+    of a degenerate loop.  A fixed seed gives a byte-identical report.
     `nsites` picks the loop cases by size; a size with no loop case, a
     negative size or a report over the row budget raises ValueError before
-    anything is drawn.  The failing rows are (case, abs_diff, tol) read from
-    the grid, with abs_diff None for a degenerate loop.
+    anything is drawn.  Failing rows are (case, abs_diff, tol), None if masked.
     """
     for name, size in (("grid", grid_size), ("spectrum_cases", spectrum_cases)):
         if not size >= 0:
@@ -320,29 +320,25 @@ def oracle_report(
                  numeric=numeric, abs_diff=diff, tol=np.full(diff.size, mode_tol),
                  status=np.where(diff <= mode_tol, "ok", "fail"))
 
-    # a degenerate loop has no phase, so its numeric and abs_diff stay masked
-    n_loops = len(loop_cases)
-    loops = dict(case=np.char.mod("loop_%02d", np.arange(n_loops)),
+    # a degenerate loop has no phase, so its numeric and abs_diff are masked
+    analytic = np.array([total_phase(ChainSpec(n_sites=n, alpha=av), bv) % TWO_PI
+                         for n, av, bv in loop_cases], dtype=float)
+    res = [berry_phase_loop(n, av, bv, steps=steps) for n, av, bv in loop_cases]
+    phase = np.array([r.phase for r in res], dtype=float)
+    parity = np.array([r.parity for r in res], dtype=float)
+    degenerate = np.array([r.degenerate for r in res], dtype=bool)
+    diff = np.abs((analytic - phase + math.pi) % TWO_PI - math.pi)
+    # the representative of the phase nearest analytic, so that
+    # abs_diff = |numeric - analytic| on either side of the 0/2pi cut
+    numeric = phase + TWO_PI * np.round((analytic - phase) / TWO_PI)
+    loops = dict(case=np.char.mod("loop_%02d", np.arange(analytic.size)),
                  n_sites=np.array([c[0] for c in loop_cases], dtype=int),
                  alpha=[c[1] for c in loop_cases], field=[c[2] for c in loop_cases],
-                 analytic=np.zeros(n_loops), numeric=np.ma.masked_all(n_loops),
-                 abs_diff=np.ma.masked_all(n_loops), tol=np.full(n_loops, loop_tol),
-                 status=np.full(n_loops, "degenerate"))
-    for i, (n, av, bv) in enumerate(loop_cases):
-        analytic = loops["analytic"][i] = total_phase(ChainSpec(n_sites=n, alpha=av), bv) % TWO_PI
-        res = berry_phase_loop(n, av, bv, steps=steps)
-        if not res.degenerate:
-            diff = abs((analytic - res.phase + math.pi) % TWO_PI - math.pi)
-            if res.parity < 0.0:
-                loops["status"][i] = "odd_sector"
-            elif diff <= loop_tol:
-                loops["status"][i] = "ok"
-            else:
-                loops["status"][i] = "fail"
-            # the representative of the phase nearest analytic, so that
-            # abs_diff = |numeric - analytic| on either side of the 0/2pi cut
-            loops["numeric"][i] = res.phase + TWO_PI * round((analytic - res.phase) / TWO_PI)
-            loops["abs_diff"][i] = diff
+                 analytic=analytic, numeric=np.ma.masked_array(numeric, mask=degenerate),
+                 abs_diff=np.ma.masked_array(diff, mask=degenerate),
+                 tol=np.full(analytic.size, loop_tol),
+                 status=np.select([degenerate, parity < 0.0, diff <= loop_tol],
+                                  ["degenerate", "odd_sector", "ok"], "fail"))
 
     # phi is drawn and reported but not used: every level of H(0) has a closed form
     av, bv, phi = 1.5 * spec_draws[:, 0], 2.0 * spec_draws[:, 1], math.pi * spec_draws[:, 2]

@@ -136,3 +136,15 @@ def test_refuse_over_budget_passes_the_budget_and_refuses_past_it():
     for count in (math.nan, math.inf):
         with pytest.raises(ValueError, match=f"the run needs {count} steps, above the budget"):
             refuse_over_budget(count, 10**8, "the run needs", "steps", "use fewer")
+
+
+@pytest.mark.parametrize("count,shown", [
+    (10**400, "over 1e+308"), (3 * 10**2000 + 7, "over 1e+308"), (int(1e308) + 1, "over 1e+308"),
+    (int(1e308), "1e+308"), (10**308 + 1, "1e+308"), (12345678901, "1.23456789e+10"),
+])
+def test_refuse_over_budget_names_an_int_past_the_float_range(count, shown):
+    # :g converts an int to a float, which overflows past 1.8e308; such a count is still refused
+    with pytest.raises(ValueError) as exc:
+        refuse_over_budget(count, 100, "the grid has", "cells", "use fewer samples")
+    assert str(exc.value) == (f"the grid has {shown} cells, above the budget of 1e+02; "
+                              "use fewer samples")

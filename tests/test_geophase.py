@@ -317,7 +317,10 @@ def test_phase_summary_final_drop_matches():
         total_phase(spec, 0.0) - float(mode_phase(k0, 0.0, 1.0)), rel=1e-12
     )
     assert ps.gamma_critical == critical_phase(spec)
-    assert k0 in ps.excluded_modes
+    # the summary holds the three phases; the caller keeps the excluded momenta it passed
+    assert ps.gamma_final == final_phase(spec, (k0,))
+    assert [f.name for f in dataclasses.fields(ps)] == [
+        "gamma_initial", "gamma_critical", "gamma_final"]
     with pytest.raises(dataclasses.FrozenInstanceError):
         ps.gamma_final = 0.0
 

@@ -90,7 +90,7 @@ def test_loop_equals_holonomy_of_explicit_ground_states(n, alpha, B):
     res = berry_phase_loop(n, alpha, B, steps=steps)
     assume(not res.degenerate)
     states = [
-        ground_state(build_hamiltonian(n, alpha, B, j * math.pi / steps)).vector
+        ground_state(build_hamiltonian(n, alpha, B, j * math.pi / steps))[1]
         for j in range(steps)
     ]
     phase, ov_min = holonomy_phase(states)

@@ -874,6 +874,9 @@ def _never(*args, **kwargs):
     raise AssertionError("called before the budget check")
 
 
+_HUGE = str(10**400)  # an int size that no float holds
+
+
 @pytest.mark.parametrize("argv,cells,remedy", [
     (["quench", "--nsites", "10", "--tauq", "1", "--tauq", "2"], 20,
      "use fewer sites or tau_q values"),  # CSV rows: 2 tau_q x 10 modes
@@ -902,11 +905,34 @@ def test_cli_sizes_refused_before_allocation(tmp_path, capsys, monkeypatch, argv
      "of 1e+06; use fewer sites or tau_q values"),  # no row, but N/2 momenta are built
     (["fig2", "--samples", "-2000", "--alpha-samples", "-2000"], None,
      "need at least 2 samples per swept axis, got -2000"),  # named, not multiplied
-], ids=["noncontract-mixed-sign", "quench-no-tauq", "fig2-negative-samples"])
+    # an int past 1.8e308 has no float form, so the count reads as over 1e+308
+    (["fig1", "--samples", _HUGE], None,
+     "the grid has over 1e+308 cells, above the budget of 1e+06; use fewer samples"),
+    (["fig2", "--alpha-samples", _HUGE], None,
+     "the grid has over 1e+308 cells, above the budget of 1e+06; use fewer samples"),
+    (["fig2"], {"samples": 10**400}, "the grid has over 1e+308 cells, above the budget of "
+     "1e+06; use fewer samples"),
+    (["quench", "--nsites", _HUGE], None, "the grid has over 1e+308 cells, above the "
+     "budget of 1e+06; use fewer sites or tau_q values"),
+    (["noncontract", "--nsites", _HUGE], None, "the grid has over 1e+308 cells, above the "
+     "budget of 1e+06; use fewer or smaller sizes"),
+    (["oracle", "--grid", _HUGE], None, "the grid has over 1e+308 cells, above the budget "
+     "of 1e+06; use a smaller grid or fewer spectrum cases"),
+    (["oracle", "--spectrum-cases", _HUGE], None, "the grid has over 1e+308 cells, above "
+     "the budget of 1e+06; use a smaller grid or fewer spectrum cases"),
+    (["oracle", "--steps", _HUGE], None,
+     "the loop has over 1e+308 steps, above the budget of 1e+308; use fewer steps"),
+    (["oracle"], {"steps": 10**400},
+     "the loop has over 1e+308 steps, above the budget of 1e+308; use fewer steps"),
+], ids=["noncontract-mixed-sign", "quench-no-tauq", "fig2-negative-samples", "fig1-huge-samples",
+        "fig2-huge-alpha-samples", "fig2-huge-samples-config", "quench-huge-nsites",
+        "noncontract-huge-nsites", "oracle-huge-grid", "oracle-huge-spectrum-cases",
+        "oracle-huge-steps", "oracle-huge-steps-config"])
 def test_cli_sizes_are_validated_and_counted_as_built(tmp_path, capsys, monkeypatch, argv, cfg,
                                                       err):
     # each size is validated, and counted as built, before anything is built
-    for name in ("momentum_grid", "noncontractibility_scan", "_time_axis"):
+    for name in ("momentum_grid", "noncontractibility_scan", "_time_axis", "berry_phase_loop",
+                 "build_hamiltonian"):
         monkeypatch.setattr(sweeps, name, _never)
     monkeypatch.setattr(cli, "momentum_grid", _never)
     if cfg is not None:
