@@ -198,8 +198,7 @@ def _run_quench(o):
     lines = []
     for tau_q in o["tauq"]:
         rep = kink_count(spec, tau_q, safety_factor=o["safety_factor"])
-        excluded = (k0,) if rep.adiabatic else ()
-        ps = phase_summary(spec, b_initial=o["b_start"], excluded=excluded)
+        ps = phase_summary(spec, b_initial=o["b_start"], drop_k0=rep.adiabatic)
         lines.append(json.dumps({
             "tau_q": tau_q,
             "kink_count": rep.kink_count,
@@ -208,7 +207,7 @@ def _run_quench(o):
             "gamma_initial": ps.gamma_initial,
             "gamma_critical": ps.gamma_critical,
             "gamma_final": ps.gamma_final,
-            "excluded_modes": sorted(excluded),
+            "excluded_modes": [k0] if rep.adiabatic else [],
         }, sort_keys=True))
     return tables, lines, 0
 
@@ -219,14 +218,9 @@ def _run_rg(o):
     lines = []
     if o["classify"]:
         for a0, k0 in initials:
-            if k0 > 0.5 and a0 <= 0.0:
-                label_value = None  # gap formula undefined on the alpha = 0 fixed line
-            else:
-                label_value = classify_phase(
-                    K=k0, alpha=a0, B=o["field"], cutoff=o["cutoff"], band=o["band"]
-                ).value
+            label = classify_phase(K=k0, alpha=a0, B=o["field"], cutoff=o["cutoff"], band=o["band"])
             lines.append(json.dumps({
-                "alpha": a0, "K": k0, "field": o["field"], "phase": label_value,
+                "alpha": a0, "K": k0, "field": o["field"], "phase": label and label.value,
             }, sort_keys=True))
     return [(grid, {})], lines, 0
 
@@ -294,7 +288,7 @@ def main(argv=None) -> int:
         for line in lines:
             print(line, file=sys.stderr if code else sys.stdout)
         return code
-    except InvariantViolation as exc:
+    except (InvariantViolation, ArithmeticError) as exc:  # ArithmeticError: an eigensolve residual
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

@@ -46,21 +46,14 @@ def critical_phase(spec: ChainSpec) -> float:
     return total_phase(spec, 1.0)
 
 
-def final_phase(spec: ChainSpec, excluded=()) -> float:
-    """Chain phase at B = 0 with the given grid momenta left out.
+def final_phase(spec: ChainSpec, drop_k0: bool = False) -> float:
+    """Chain phase at B = 0, without the minimum-gap pair +/-k0 if drop_k0.
 
-    Kink formation removes the +/-k0 pair from the product state, so its
-    term drops from the sum; `excluded` lists positive grid momenta.
+    Kink formation removes the +/-k0 pair, k0 = pi/N the first grid
+    momentum, from the product state, so its term drops from the sum.
     """
-    k = momentum_grid(spec)
-    gam = mode_phase(k, 0.0, spec.alpha)
-    keep = np.ones(k.size, dtype=bool)
-    for kx in excluded:
-        hit = np.flatnonzero(np.isclose(k, kx, rtol=1e-12, atol=1e-12))
-        if hit.size == 0:
-            raise ValueError(f"excluded momentum {kx!r} is not on the N={spec.n_sites} grid")
-        keep[hit] = False
-    return float(np.sum(gam[keep]))
+    gam = mode_phase(momentum_grid(spec), 0.0, spec.alpha)
+    return float(np.sum(gam[1:] if drop_k0 else gam))
 
 
 def phase_slope(s, lam):
@@ -73,12 +66,12 @@ def phase_slope(s, lam):
         return np.where(finite, np.pi * s * s / cube, np.pi * (s / lam) ** 2 / lam)
 
 
-def phase_summary(spec: ChainSpec, b_initial: float, excluded=()) -> PhaseSummary:
-    """Initial, critical and final chain phases of one quench run."""
+def phase_summary(spec: ChainSpec, b_initial: float, drop_k0: bool = False) -> PhaseSummary:
+    """Initial, critical and final chain phases of one quench run; drop_k0 as in final_phase."""
     return PhaseSummary(
         gamma_initial=total_phase(spec, b_initial),
         gamma_critical=critical_phase(spec),
-        gamma_final=final_phase(spec, excluded),
+        gamma_final=final_phase(spec, drop_k0),
     )
 
 

@@ -34,19 +34,16 @@ class PhaseLabel(enum.Enum):
 
 @dataclass(frozen=True)
 class RGState:
-    """Running couplings (alpha, K) at logarithmic scale l."""
+    """Running couplings (alpha, K); every flow starts at scale l = 0."""
 
     alpha: float
     K: float
-    l: float = 0.0
 
     def __post_init__(self):
         if not self.alpha >= 0.0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if not self.K > 0.0:
             raise ValueError(f"K must be > 0, got {self.K}")
-        if not self.l >= 0.0:
-            raise ValueError(f"l must be >= 0, got {self.l}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,22 +57,21 @@ class RGTrajectory:
 
     @functools.cached_property
     def states(self) -> tuple:
-        """The rows as RGStates, built on first access."""
-        rows = zip(self.l.tolist(), self.alpha.tolist(), self.K.tolist())
-        return tuple(RGState(alpha=a, K=k, l=l) for l, a, k in rows)
+        """The (alpha, K) rows as RGStates, built on first access."""
+        return tuple(RGState(alpha=a, K=k) for a, k in zip(self.alpha.tolist(), self.K.tolist()))
 
 
 def _rhs(alpha: float, K: float) -> tuple[float, float]:
     return (2.0 - 1.0 / K) * alpha, alpha * alpha / 4.0
 
 
-def step_estimate(initial: RGState, l_max: float, dl: float) -> float:
-    """The RK4 steps of a flow from `initial` to l_max; ValueError over the budget."""
+def step_estimate(l_max: float, dl: float) -> float:
+    """The RK4 steps l_max / dl of one flow from l = 0; ValueError over the budget."""
     if not dl > 0.0:
         raise ValueError(f"dl must be > 0, got {dl}")
-    if not l_max > initial.l:
-        raise ValueError(f"l_max must exceed initial.l = {initial.l}, got {l_max}")
-    estimate = (l_max - initial.l) / dl
+    if not l_max > 0.0:
+        raise ValueError(f"l_max must be > 0, got {l_max}")
+    estimate = l_max / dl
     refuse_over_budget(estimate, _MAX_STEPS, "the flow needs about", "RK4 steps",
                        "use a larger dl or a smaller l_max")
     return estimate
@@ -84,15 +80,15 @@ def step_estimate(initial: RGState, l_max: float, dl: float) -> float:
 def rg_flow(
     initial: RGState, l_max: float, dl: float = 1e-3, alpha_cap: float = 1e3
 ) -> RGTrajectory:
-    """Integrate the flow with fixed-step classical RK4 from initial.l to l_max.
+    """Integrate the flow with fixed-step classical RK4 from l = 0, which no rule reads, to l_max.
 
     The fixed step keeps trajectories reproducible bit for bit.  If alpha
     exceeds alpha_cap the run stops early with status "strong_coupling"
     (the perturbative equations have left their domain); otherwise the
     status is "completed".
     """
-    n = max(1, int(round(step_estimate(initial, l_max, dl))))
-    h = (l_max - initial.l) / n
+    n = max(1, int(round(step_estimate(l_max, dl))))
+    h = l_max / n
 
     a, k = initial.alpha, initial.K
     alphas, ks = [a], [k]
@@ -112,8 +108,7 @@ def rg_flow(
         if a > alpha_cap:
             status = STRONG_COUPLING
             break
-    l = initial.l + np.arange(len(alphas)) * h
-    l[0] = initial.l  # bit for bit: -0.0 + 0 * h is 0.0
+    l = np.arange(len(alphas)) * h
     return RGTrajectory(l=l, alpha=np.array(alphas), K=np.array(ks), status=status)
 
 
@@ -139,8 +134,8 @@ def mass_gap(alpha: float, K: float, cutoff: float) -> float:
 
 def classify_phase(
     K: float, alpha: float, B: float, cutoff: float, band: float = 0.5
-) -> PhaseLabel:
-    """Static phase of the chain under a quench-induced field B.
+) -> PhaseLabel | None:
+    """Static phase of the chain under a quench-induced field B; None at alpha = 0 with K > 1/2.
 
     K <= 1/2: the coupling is irrelevant; the Luttinger liquid survives
     until the field exceeds the single-particle band edge B = 1, after
@@ -149,7 +144,8 @@ def classify_phase(
     field of the order of M (relative band `band`) restores the Luttinger
     liquid.  The comparison is ln B against ln((1 +- band) M): ln M is
     finite for every K > 1/2, where M itself under- or overflows near
-    K = 1/2, so B = 0 is always staggered there.
+    K = 1/2, so B = 0 is always staggered there.  On the alpha = 0 fixed
+    line no gap forms: band and B are checked, cutoff is not read.
     """
     if not 0.0 < band < 1.0:
         raise ValueError(f"band must lie in (0, 1), got {band}")
@@ -157,6 +153,8 @@ def classify_phase(
         raise ValueError(f"quench field must be >= 0, got {B}")
     if K <= 0.5:
         return PhaseLabel.FERROMAGNETIC if B > 1.0 else PhaseLabel.LUTTINGER_LIQUID
+    if alpha == 0.0:
+        return None
     exponent = _gap_exponent(alpha, K, cutoff)
     log_m = math.log(cutoff) + (math.log(alpha) - math.log(2.0)) * exponent
     log_b = math.log(B) if B > 0.0 else -math.inf

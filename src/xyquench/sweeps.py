@@ -233,7 +233,7 @@ def rg_grid(initials, l_max=5.0, dl=1e-3, alpha_cap=1e3) -> SweepGrid:
     their sum, refused before the first flow runs.
     """
     starts = [RGState(alpha=a0, K=k0) for a0, k0 in initials]
-    total = sum(rgflow.step_estimate(st, l_max, dl) for st in starts)
+    total = sum(rgflow.step_estimate(l_max, dl) for _ in starts)
     refuse_over_budget(total, rgflow._MAX_STEPS, f"the {len(starts)} flows need about",
                        "RK4 steps in all",
                        "use fewer initial points, a larger dl or a smaller l_max")

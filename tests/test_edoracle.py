@@ -447,6 +447,31 @@ def test_non_finite_couplings_are_refused_before_the_build(alpha, B):
             berry_phase_loop(4, alpha, B, 100)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("slot", range(3))
+def test_reference_side_refuses_non_finite_inputs_as_the_build_does(slot, bad):
+    # one rule, by name, for the pair loop, the closed-form levels and the dense build
+    for arg in (bad, np.array([0.4, bad])):
+        k, B, alpha = [arg if i == slot else 0.5 for i in range(3)]
+        with pytest.raises(ValueError) as exc:
+            mode_berry_numeric(k, B, alpha, steps=100)
+        assert str(exc.value) == (f"k, B and alpha must be finite, "
+                                  f"got k = {k}, B = {B}, alpha = {alpha}")
+        if slot == 0:
+            continue
+        err = f"alpha and B must be finite, got alpha = {alpha}, B = {B}"
+        # refused before the basis table is read, so an unsupported size does not matter
+        for n in (4, 1, edoracle.MAX_SITES + 1):
+            with pytest.raises(ValueError) as exc:
+                free_fermion_levels(n, alpha, B)
+            assert str(exc.value) == err
+        with pytest.raises(ValueError) as exc:
+            build_hamiltonian(4, alpha, B)
+        # the build reads a NaN or -inf alpha as a negative one first
+        negative = slot == 2 and not bad > 0.0
+        assert str(exc.value) == (f"alpha must be >= 0, got {alpha}" if negative else err)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_parity_block_levels_are_the_eigvalsh_of_each_block(n):
     rng = np.random.default_rng(90 + n)

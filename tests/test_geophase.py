@@ -192,9 +192,15 @@ def test_final_phase_no_exclusions_is_total_at_zero_field():
 
 def test_final_phase_excluding_k0():
     spec = ChainSpec(4, 1.0)
-    k0 = float(momentum_grid(spec)[0])
     # only the k = 3pi/4 term survives
-    assert final_phase(spec, {k0}) == pytest.approx(5.363034122668976, rel=1e-13)
+    assert final_phase(spec, drop_k0=True) == pytest.approx(5.363034122668976, rel=1e-13)
+    # the sum drops exactly the first grid term, bit for bit, at every size
+    for n in (2, 4, 10, 100, 1002):
+        spec = ChainSpec(n, 0.7)
+        gam = mode_phase(momentum_grid(spec), 0.0, 0.7)
+        keep = np.arange(gam.size) > 0
+        assert final_phase(spec, drop_k0=True) == float(np.sum(gam[keep]))
+        assert final_phase(spec, drop_k0=False) == float(np.sum(gam)) == total_phase(spec, 0.0)
 
 
 def test_final_phase_xx_step_terms():
@@ -203,11 +209,6 @@ def test_final_phase_xx_step_terms():
     k = momentum_grid(spec)
     expected = sum(TWO_PI if math.cos(float(ki)) < 0.0 else 0.0 for ki in k)
     assert got == expected
-
-
-def test_final_phase_rejects_off_grid_momentum():
-    with pytest.raises(ValueError):
-        final_phase(ChainSpec(4, 1.0), {0.123})
 
 
 # ------------------------------------------------ d(Gamma_k)/dB: _deriv_cells, phase_slope
@@ -312,13 +313,14 @@ def test_derivative_peak_grows_as_half_log_n():
 def test_phase_summary_final_drop_matches():
     spec = ChainSpec(8, 1.0)
     k0 = float(momentum_grid(spec)[0])
-    ps = phase_summary(spec, b_initial=5.0, excluded=(k0,))
+    ps = phase_summary(spec, b_initial=5.0, drop_k0=True)
     assert ps.gamma_final == pytest.approx(
         total_phase(spec, 0.0) - float(mode_phase(k0, 0.0, 1.0)), rel=1e-12
     )
     assert ps.gamma_critical == critical_phase(spec)
-    # the summary holds the three phases; the caller keeps the excluded momenta it passed
-    assert ps.gamma_final == final_phase(spec, (k0,))
+    # the summary holds the three phases; the caller knows whether it dropped k0
+    assert ps.gamma_final == final_phase(spec, drop_k0=True)
+    assert phase_summary(spec, b_initial=5.0).gamma_final == final_phase(spec)
     assert [f.name for f in dataclasses.fields(ps)] == [
         "gamma_initial", "gamma_critical", "gamma_final"]
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -80,15 +80,12 @@ def test_separatrix_sign():
 
 def test_l_grid_is_uniform_and_hits_l_max():
     traj = rg_flow(RGState(0.05, 0.8), l_max=1.0, dl=0.25)
-    ls = [s.l for s in traj.states]
-    assert ls == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0], rel=1e-15)
+    assert traj.l.tolist() == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0], rel=1e-15)
 
 
 def test_rg_flow_validation():
     with pytest.raises(ValueError):
         rg_flow(RGState(0.1, 1.0), l_max=1.0, dl=-0.1)
-    with pytest.raises(ValueError):
-        rg_flow(RGState(0.1, 1.0, l=2.0), l_max=1.0)
     with pytest.raises(ValueError):
         RGState(-0.1, 1.0)
     with pytest.raises(ValueError):
@@ -104,19 +101,18 @@ def test_rg_flow_rejects_an_rk4_overshoot_below_alpha_zero():
 
 @pytest.mark.parametrize("initial,alpha_cap,status", [
     (RGState(0.1, 0.3), 1e3, COMPLETED),
-    (RGState(0.1, 1.0, l=0.5), 10.0, STRONG_COUPLING),
-    (RGState(0.0, 0.8, l=-0.0), 1e3, COMPLETED),  # the first row keeps the sign of zero
+    (RGState(0.1, 1.0), 10.0, STRONG_COUPLING),
+    (RGState(0.0, 0.8), 1e3, COMPLETED),  # the alpha = 0 fixed line
 ])
 def test_states_are_the_columns_bit_for_bit(initial, alpha_cap, status):
     traj = rg_flow(initial, l_max=6.0, dl=1e-2, alpha_cap=alpha_cap)
     assert traj.status == status
     assert len(traj.l) == len(traj.alpha) == len(traj.K) == len(traj.states)
     assert traj.states[0] == initial
-    assert float.hex(traj.l[0]) == float.hex(initial.l)
-    h = (6.0 - initial.l) / round((6.0 - initial.l) / 1e-2)
-    assert traj.l.tolist() == [initial.l + i * h for i in range(len(traj.l))]
-    rows = [(st.l, st.alpha, st.K) for st in traj.states]
-    cols = list(zip(traj.l.tolist(), traj.alpha.tolist(), traj.K.tolist()))
+    h = 6.0 / round(6.0 / 1e-2)
+    assert traj.l.tolist() == [i * h for i in range(len(traj.l))]
+    rows = [(st.alpha, st.K) for st in traj.states]
+    cols = list(zip(traj.alpha.tolist(), traj.K.tolist()))
     assert [tuple(map(float.hex, r)) for r in rows] == [tuple(map(float.hex, c)) for c in cols]
 
 
@@ -244,6 +240,21 @@ def test_classify_labels_are_monotone_across_the_gap_under_and_overflow(alpha, e
     assert set(ranks.ravel()) == {0, 1, 2}
 
 
+def test_classify_the_alpha_zero_fixed_line_has_no_label():
+    # K > 1/2 at alpha = 0: no gap forms, so there is no label and the cutoff is not read
+    for K in (math.nextafter(0.5, 1.0), 1.0, 3.0):
+        for alpha in (0.0, -0.0):
+            assert classify_phase(K, alpha, 0.3, 1.0) is None
+            assert classify_phase(K, alpha, 0.3, -1.0) is None
+    assert classify_phase(0.5, 0.0, 0.3, 1.0) is PhaseLabel.LUTTINGER_LIQUID
+    assert classify_phase(1.0, 5e-324, 0.0, 1.0) is PhaseLabel.STAGGERED_ORDER
+    # band and field are checked first, on the fixed line too
+    with pytest.raises(ValueError, match="band must lie in"):
+        classify_phase(1.0, 0.0, 0.3, 1.0, band=2.0)
+    with pytest.raises(ValueError, match="quench field must be >= 0"):
+        classify_phase(1.0, 0.0, -0.5, 1.0)
+
+
 def test_classify_underflowing_gap_at_zero_field_is_staggered():
     # (1/2)^2500 underflows to 0.0, yet the gap is positive
     assert mass_gap(1.0, 0.5001, 1.0) == 0.0
@@ -287,8 +298,11 @@ def test_classify_refuses_a_band_on_its_edges(band):
 def test_rg_flow_refuses_a_zero_step_and_an_empty_interval():
     with pytest.raises(ValueError, match="dl must be > 0"):
         rg_flow(RGState(0.1, 1.0), l_max=1.0, dl=0.0)
-    with pytest.raises(ValueError, match="l_max must exceed"):
-        rg_flow(RGState(0.1, 1.0, l=2.0), l_max=2.0)
+    for l_max in (0.0, -0.0, -1.0, math.nan):  # every flow starts at l = 0
+        with pytest.raises(ValueError, match=rf"^l_max must be > 0, got {l_max}$"):
+            rg_flow(RGState(0.1, 1.0), l_max=l_max)
+    # the smallest interval flows in one step from l = 0
+    assert rg_flow(RGState(0.1, 1.0), l_max=5e-324).l.tolist() == [0.0, 5e-324]
 
 
 def test_classify_validation():

@@ -1284,6 +1284,45 @@ def test_cli_invariant_violation_exit_1(tmp_path, monkeypatch, cmd):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cli_eigensolve_residual_breach_is_one_line_exit_1(tmp_path, monkeypatch, capsys):
+    # a loop whose eigensolve misses the residual bound fails the run as a bound breach does
+    monkeypatch.setattr(edoracle, "_RESIDUAL_TOL", 0.0)
+    monkeypatch.chdir(tmp_path)
+    argv = ["oracle", "--nsites", "4", "--grid", "1", "--spectrum-cases", "1", "--steps", "200"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invariant violation: eigensolve residual ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def _required_only(cmd):
+    """The tables of `cmd` from its builder, given only the arguments that have no default."""
+    o = COMMANDS[cmd][2]
+    if cmd == "fig1":
+        return [fig1_grid(k=o["k"], alphas=o["alpha"], tau_qs=o["tauq"])]
+    if cmd == "fig2":
+        return list(fig2_grids(k=o["k"]))
+    if cmd == "quench":
+        return [quench_grids()[0]]  # the summary is written only under --summary
+    if cmd == "rg":
+        return [rg_grid(cli._parse_initial(o["initial"]))]
+    if cmd == "noncontract":
+        return [noncontract_grid()]
+    return [oracle_report()[0]]
+
+
+@pytest.mark.parametrize("cmd", sorted(COMMANDS))
+def test_builder_defaults_are_the_command_defaults(tmp_path, monkeypatch, cmd):
+    # the defaults are stated twice, in COMMANDS and in the builders' signatures
+    monkeypatch.chdir(tmp_path)
+    assert main([cmd]) == 0
+    paths = cli._table_paths(cmd, COMMANDS[cmd][2])
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(paths)
+    written = [(tmp_path / path).read_text(encoding="ascii") for path in paths]
+    assert written == [grid.csv_text() for grid in _required_only(cmd)]
+
+
 def test_cli_emitted_phase_values_in_range(tmp_path):
     out = tmp_path / "f.csv"
     main(["fig1", "--out", str(out), "--samples", "100"])
