@@ -91,6 +91,11 @@ def _require_finite(**values) -> None:
                          + ", ".join(f"{name} = {v}" for name, v in values.items()))
 
 
+def _require_nonnegative(alpha) -> None:
+    if not np.all(np.asarray(alpha) >= 0.0):
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
+
+
 def parity_block_levels(h: np.ndarray) -> tuple:
     """Sorted (even, odd) parity-block levels of one H(0) or a stack; one eigvalsh per block."""
     _, _, blocks = _spin_basis(h.shape[-1].bit_length() - 1)
@@ -112,9 +117,11 @@ def free_fermion_levels(n_sites: int, alpha, B) -> tuple:
 
     alpha and B broadcast against each other; each block comes back with
     shape broadcast(alpha, B).shape + (2^(N-1),), sorted along the last axis.
-    A non-finite alpha or B is a ValueError, as in build_hamiltonian.
+    A non-finite alpha or B, then a negative alpha, is a ValueError, as in
+    build_hamiltonian.
     """
     _require_finite(alpha=alpha, B=B)
+    _require_nonnegative(alpha)
     _, bits, blocks = _spin_basis(n_sites)
     alpha, B = (np.asarray(x, dtype=float)[..., None] for x in (alpha, B))
     # the flip sets of either parity are the site bits of that block's basis states
@@ -147,8 +154,7 @@ def build_hamiltonian(n_sites: int, alpha, B, phi: float = 0.0) -> np.ndarray:
     """
     place, bits, _ = _spin_basis(n_sites)
     a, b = np.broadcast_arrays(*(np.asarray(x, dtype=float)[..., None] for x in (alpha, B)))
-    if not np.all(a >= 0.0):
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    _require_nonnegative(alpha)
     _require_finite(alpha=alpha, B=B)
     c2, s2 = math.cos(2.0 * phi), math.sin(2.0 * phi)
     wx, wy, wxy = 0.5 * (1.0 + a * c2), 0.5 * (1.0 - a * c2), 0.5 * a * s2
@@ -258,9 +264,11 @@ def mode_berry_numeric(k, B, alpha, steps: int = 10000):
     point the bits of its own scalar call.  Scalar inputs return a float,
     arrays an array of the broadcast shape; any gapless point raises
     DegeneratePointError naming the first one in C order, and a
-    non-finite k, B or alpha a ValueError before anything is solved.
+    non-finite k, B or alpha, then a negative alpha, a ValueError before
+    anything is solved.
     """
     _require_finite(k=k, B=B, alpha=alpha)
+    _require_nonnegative(alpha)
     if steps < 100:
         raise ValueError(f"need steps >= 100 for a resolved loop, got {steps}")
     refuse_over_budget(steps, 1e308, "the loop has", "steps", "use fewer steps")

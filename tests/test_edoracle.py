@@ -472,6 +472,22 @@ def test_reference_side_refuses_non_finite_inputs_as_the_build_does(slot, bad):
         assert str(exc.value) == (f"alpha must be >= 0, got {alpha}" if negative else err)
 
 
+@pytest.mark.parametrize("alpha", [-0.5, -5e-324, np.array([0.5, -0.1])])
+def test_reference_side_refuses_a_negative_alpha_as_the_build_does(alpha):
+    # both closed forms read alpha only through alpha^2 or |alpha sin k|, so a
+    # negative one would silently get the answer of |alpha|
+    err = f"alpha must be >= 0, got {alpha}"
+    for call in (lambda: mode_berry_numeric(1.0, 0.5, alpha, steps=100),
+                 lambda: free_fermion_levels(edoracle.MAX_SITES + 1, alpha, 0.5),
+                 lambda: build_hamiltonian(4, alpha, 0.5)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == err
+    # -0.0 >= 0, as in the build
+    assert np.array_equal(free_fermion_levels(4, -0.0, 0.5), free_fermion_levels(4, 0.0, 0.5))
+    assert mode_berry_numeric(1.0, 0.5, -0.0, steps=100) == 0.0
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_parity_block_levels_are_the_eigvalsh_of_each_block(n):
     rng = np.random.default_rng(90 + n)
