@@ -29,6 +29,9 @@ _DEFAULT_STEP = 0.2
 _MAX_STABLE_STEP = 0.3
 _MAX_STEPS = 10**8  # step budget per pair and per table; refused up front, before any allocation
 _CHUNK = 1 << 15  # steps multiplied per numpy chunk; memory does not grow with tau_q
+# tree levels of at most this many products are multiplied in Python floats: one
+# product costs about 0.35 us there, and a numpy level about 16 us at any width up to 64
+_FLOAT_TOP = 32
 
 
 @dataclass(frozen=True)
@@ -154,8 +157,10 @@ def evolve_mode(k, alpha, schedule: QuenchSchedule, dt=None) -> EvolveResult:
     (2i + 1)(2i), then those products the same way, with identity padding
     to a power of two; it stores the leaves in bit-reversed order so that
     every level reads contiguous halves and writes into one scratch buffer
-    that all chunks of the call share, 64-byte aligned.  Any layout with
-    these pairs gives the same bits.
+    that all chunks of the call share, 64-byte aligned.  The narrow levels
+    at the top, of _FLOAT_TOP products or fewer, are multiplied in Python
+    floats, where numpy's per-call cost would dominate.  Any layout with
+    these pairs and these left-to-right sums gives the same bits.
     The state starts in the instantaneous ground state at t_start.  The
     result carries the probability |<excited(0)|psi(0)>|^2, the worst
     norm drift |<psi|psi> - 1| at the chunk ends, the step count, and
@@ -209,8 +214,10 @@ def _chunk_product(schedule: QuenchSchedule, c0, cx, cy, dt, lo, m, work):
     The leaves are padded with identities to a power of two, size, and
     stored in bit-reversed step order, so the tree's pairs (2i, 2i + 1) sit
     at j and j + size/2: each level multiplies the contiguous upper half by
-    the contiguous lower half into the other of two buffers.  work is
-    float scratch of at least (8, size), reused from chunk to chunk.
+    the contiguous lower half into the other of two buffers.  Once a level
+    holds _FLOAT_TOP products or fewer, the rest of the tree runs on Python
+    floats (_quat_mul_float), with the same pairs.  work is float scratch
+    of at least (8, size), reused from chunk to chunk.
     """
     size = 1 << (m - 1).bit_length()
     order = _bit_reversal()[:size] >> (_CHUNK.bit_length() - size.bit_length())
@@ -239,11 +246,15 @@ def _chunk_product(schedule: QuenchSchedule, c0, cx, cy, dt, lo, m, work):
         q[1:, pad] = 0.0
     half = size // 2
     a, b, tmp = q, work[4:, :half], work[4:, half:size]
-    while size > 1:
+    while size > 2 * _FLOAT_TOP:
         size //= 2
         _quat_mul(a[:, size:2 * size], a[:, :size], b[:, :size], tmp[:, :size])
         a, b = b, a
-    return a[:, 0]
+    top = list(zip(*a[:, :size].tolist()))
+    while size > 1:
+        size //= 2
+        top = [_quat_mul_float(p, q) for p, q in zip(top[size:], top)]
+    return np.array(top[0])
 
 
 def _aligned_scratch(rows: int, cols: int) -> np.ndarray:
@@ -294,6 +305,16 @@ def _quat_mul(p, q, out, tmp):
         np.multiply(a, b, out=tmp[row])
     np.subtract(out, tmp, out=out)
     return out
+
+
+def _quat_mul_float(p, q):
+    """_quat_mul of one pair of (w, x, y, z) tuples in Python floats, with the same bits."""
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return (pw * qw - px * qx - py * qy - pz * qz,
+            pw * qx + px * qw + py * qz - pz * qy,
+            pw * qy + py * qw + pz * qx - px * qz,
+            pw * qz + pz * qw + px * qy - py * qx)
 
 
 def _pair_eigenvector(c0, s, b, excited):

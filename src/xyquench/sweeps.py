@@ -8,9 +8,12 @@ distinct value of a column is formatted once, by its dtype: floats as
 '{:.17g}' (17 significant digits, so that parsing the text recovers them
 exactly), ints and strings with str, bools as true/false, masked cells
 as "".  In a float column of at least 512 distinct values, those with
-1e-3 <= |x| < 1e15 get the same bytes from exact integer arithmetic in
-numpy (_fixed17); Python formats the rest.  Rows are joined as bytes, in
-blocks of 4096.  Identical inputs give byte-identical files.
+1e-4 <= |x| < 1e15 get the same bytes from exact integer arithmetic in
+numpy (_fixed17): x = m / 2^s with s in [3, 66], and the shift s - q of
+its digit product lies in [1, 46].  Python formats the rest, among them
+the values below 1e-4, which '.17g' writes in scientific notation.  Rows
+are joined as bytes, in blocks of 4096.  Identical inputs give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ _MAX_CELLS = 10**6
 # distinct values from which a float column takes _fixed17: below, Python's
 # formatter (about 0.5 us a value) beats _fixed17's fixed cost (about 0.13 ms)
 _VECTOR_MIN = 512
-_POW5 = np.array([5**q for q in range(20)], dtype=np.uint64)
+_POW5 = np.array([5**q for q in range(21)], dtype=np.uint64)  # 5^20 < 2^47
 # "00".."99" as two ASCII bytes, then again with the zeros that end a pair as NUL
 _PAIRS = np.frombuffer("".join([f"{i:02}" for i in range(100)] + [
     f"{i:02}".rstrip("0").ljust(2, "\0") for i in range(100)]).encode(), np.uint16)
@@ -47,25 +50,28 @@ class InvariantViolation(RuntimeError):
 
 
 def _fixed17(x):
-    """'{:.17g}' of each float with 1e-3 <= |x| < 1e15 as S24, and a mask of the exact ones.
+    """'{:.17g}' of each float with 1e-4 <= |x| < 1e15 as S24, and a mask of the exact ones.
 
-    x = m / 2^s with m < 2^53 and s in [3, 62].  With E = floor(log10 |x|)
+    x = m / 2^s with m < 2^53 and s in [3, 66].  With E = floor(log10 |x|)
     and q = 16 - E, the 17 digits are N = round-half-even(m 10^q / 2^s) =
     round-half-even(m 5^q / 2^(s - q)), exact from 32-bit limbs: the digits
     of CPython's correctly rounded dtoa (Gay, 1990).  Next to a power of ten
     log10 can miss the decade; N then leaves [10^16, 10^17), and the entry
-    is not exact.  The text is fixed-point, as '.17g' writes this window,
-    with the zeros that end the fraction dropped.
+    is not exact.  q is clipped to [2, 20], so the shift s - q stays in
+    [1, 46] and m 5^q < 2^100 fits the two 64-bit words.  The text is
+    fixed-point, as '.17g' writes this window down to E = -4 ("0.000" and
+    17 digits fill 22 of the 24 bytes, 23 with a sign), with the zeros
+    that end the fraction dropped.
     """
     bits = x.view(np.uint64)
     m = bits & np.uint64(2**52 - 1) | np.uint64(2**52)
-    q = np.clip(16 - np.floor(np.log10(np.abs(x))).astype(np.int64), 2, 19)
+    q = np.clip(16 - np.floor(np.log10(np.abs(x))).astype(np.int64), 2, 20)
     f = _POW5[q]
     lo = (m & 0xFFFFFFFF) * (f & 0xFFFFFFFF)
     mid = (lo >> 32) + (m >> 32) * (f & 0xFFFFFFFF) + (m & 0xFFFFFFFF) * (f >> 32)
     top = (m >> 32) * (f >> 32) + (mid >> 32)  # m 5^q = top 2^64 + low
     low = mid << 32 | lo & 0xFFFFFFFF
-    shift = (1075 - (bits >> 52 & 0x7FF)) - q.astype(np.uint64)  # s - q, in [1, 43]
+    shift = (1075 - (bits >> 52 & 0x7FF)) - q.astype(np.uint64)  # s - q, in [1, 46]
     n = top << (64 - shift) | low >> shift
     n += (low & (np.uint64(1) << shift) - 1) + (n & 1) > np.uint64(1) << shift - 1  # half to even
     exact = (10**16 <= n) & (n < 10**17)
@@ -84,9 +90,9 @@ def _fixed17(x):
     digits = np.concatenate([v[:, :1].astype(np.uint8) + ord("0"),
                              pairs.view(np.uint8).reshape(x.size, 16)], axis=1)
     # one layout per (E, sign), written for each run of equal keys: sorted input
-    # (np.unique's order) has one run per key
+    # (np.unique's order) has one run per key; keys lie in [-8, 29], so -9 is no key
     key = 2 * (16 - q) + np.signbit(x)
-    cuts = np.flatnonzero(np.diff(key, prepend=-7, append=-7)).tolist()
+    cuts = np.flatnonzero(np.diff(key, prepend=-9, append=-9)).tolist()
     text = np.zeros(x.size, "S24")
     buf = text.view(np.uint8).reshape(x.size, 24)
     for start, stop in zip(cuts, cuts[1:]):
@@ -97,8 +103,8 @@ def _fixed17(x):
             b[:, sign:sign + e + 1] = np.maximum(d[:, :e + 1], ord("0"))
             b[:, sign + e + 1] = (d[:, e + 1] > 0) * ord(".")
             b[:, sign + e + 2:sign + 18] = d[:, e + 1:]
-        else:  # 0.00ddd
-            b[:, sign:sign + 1 - e] = np.frombuffer(b"0.00"[:1 - e], np.uint8)
+        else:  # 0.000ddd
+            b[:, sign:sign + 1 - e] = np.frombuffer(b"0.000"[:1 - e], np.uint8)
             b[:, sign + 1 - e:sign + 18 - e] = d
     return text, exact
 
@@ -119,7 +125,7 @@ def _column_cells(col) -> np.ndarray:
         text = np.zeros(values.size, "S24")
         slow = np.ones(values.size, dtype=bool)
         if values.size >= _VECTOR_MIN:
-            fast = np.flatnonzero((1e-3 <= np.abs(values)) & (np.abs(values) < 1e15))
+            fast = np.flatnonzero((1e-4 <= np.abs(values)) & (np.abs(values) < 1e15))
             for i in range(0, fast.size, 8192):  # blocks small enough to stay in cache
                 part = fast[i:i + 8192]
                 text[part], exact = _fixed17(values[part])

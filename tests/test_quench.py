@@ -451,8 +451,10 @@ def _pinned(k, alpha, schedule, dt=None):
     return res
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, quench._CHUNK - 1, quench._CHUNK, quench._CHUNK + 1,
-                               2 * quench._CHUNK + 1])
+# 63-65 and 127-129 sit around the float top of the tree: up to 64 leaves no level runs
+# in numpy, 65-128 take one numpy level and 129 two; Python floats take the rest
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 127, 128, 129, quench._CHUNK - 1,
+                               quench._CHUNK, quench._CHUNK + 1, 2 * quench._CHUNK + 1])
 def test_evolve_bits_equal_the_strided_kernel_at_every_chunk_edge(n):
     # tau_q grows with n so that dt * max|H| stays below 0.2; a step of span / (n - 1/2) gives n
     sched = QuenchSchedule.from_field(0.01 * n, b_start=1.5)
@@ -506,6 +508,19 @@ def test_chunk_product_bits_do_not_depend_on_the_scratch_offset(m):
             q = quench._chunk_product(schedule, math.cos(k), cx, cy, dt, lo, m, work)
             got.add((lo, q.tobytes()))
     assert len(got) == 2  # one quaternion per chunk start, whatever the offset
+
+
+def test_float_top_products_are_quat_mul_bit_for_bit():
+    rng = np.random.default_rng(31)
+    q = rng.normal(size=(4, 400))
+    q[:, :200] /= np.linalg.norm(q[:, :200], axis=0)  # unit quaternions, and raw ones
+    q[:, 200:260] = np.where(rng.random((4, 60)) < 0.5, 0.0, -0.0)  # signed zeros
+    q[:, 260:300] *= rng.random((4, 40)) < 0.5  # zeros of either sign among the others
+    q[:, 300:320] = [[1.0], [0.0], [0.0], [0.0]]  # identity padding
+    p = q[:, rng.permutation(400)]
+    want = _quat_mul(p, q, np.empty((4, 400)), np.empty((4, 400)))
+    got = np.array([quench._quat_mul_float(a, b) for a, b in zip(p.T.tolist(), q.T.tolist())])
+    assert got.T.tobytes() == want.tobytes()  # bytes tell -0.0 from 0.0
 
 
 def test_bit_reversal_table_is_read_only():

@@ -116,6 +116,49 @@ def test_states_are_the_columns_bit_for_bit(initial, alpha_cap, status):
     assert [tuple(map(float.hex, r)) for r in rows] == [tuple(map(float.hex, c)) for c in cols]
 
 
+def _rk4_from_rhs(initial, l_max, dl, alpha_cap):
+    """rg_flow's loop with its four _rhs calls: (l, alpha, K, status) as lists."""
+    n = max(1, int(round(l_max / dl)))
+    h = l_max / n
+    a, k = initial.alpha, initial.K
+    alphas, ks, status = [a], [k], COMPLETED
+    for _ in range(n):
+        da1, dk1 = _rhs(a, k)
+        da2, dk2 = _rhs(a + 0.5 * h * da1, k + 0.5 * h * dk1)
+        da3, dk3 = _rhs(a + 0.5 * h * da2, k + 0.5 * h * dk2)
+        da4, dk4 = _rhs(a + h * da3, k + h * dk3)
+        a = a + (h / 6.0) * (da1 + 2.0 * da2 + 2.0 * da3 + da4)
+        k = k + (h / 6.0) * (dk1 + 2.0 * dk2 + 2.0 * dk3 + dk4)
+        alphas.append(a)
+        ks.append(k)
+        if a > alpha_cap:
+            status = STRONG_COUPLING
+            break
+    return [i * h for i in range(len(alphas))], alphas, ks, status
+
+
+@pytest.mark.parametrize("alpha,K,dl,status", [
+    (0.1, 0.3, 1e-3, COMPLETED),
+    (3.0, 0.4, 1e-3, STRONG_COUPLING),  # K crosses 1/2 on the way to the cap
+    (2.0, 0.3, 1e-3, STRONG_COUPLING),
+    # the fixed line in both signs: -0.0 turns into 0.0 below K = 1/2, where 2 - 1/K < 0
+    # makes the derivative +0.0, and stays -0.0 above it
+    (0.0, 0.3, 1e-3, COMPLETED),
+    (0.0, 0.8, 1e-3, COMPLETED),
+    (-0.0, 0.3, 1e-3, COMPLETED),
+    (-0.0, 0.8, 1e-3, COMPLETED),
+    (0.1, 1.0, 1e-5, COMPLETED),  # a small step: 10^5 of them
+])
+def test_inlined_flow_is_rk4_of_rhs_bit_for_bit(alpha, K, dl, status):
+    l_max = 5.0 if dl >= 1e-3 else 1.0
+    traj = rg_flow(RGState(alpha, K), l_max=l_max, dl=dl)
+    l, alphas, ks, want = _rk4_from_rhs(RGState(alpha, K), l_max, dl, 1e3)
+    assert traj.status == want == status
+    # hex tells -0.0 from +0.0
+    for got, ref in ((traj.l, l), (traj.alpha, alphas), (traj.K, ks)):
+        assert list(map(float.hex, got.tolist())) == list(map(float.hex, ref))
+
+
 def test_alpha_cap_is_exclusive():
     # a flow that lands exactly on the cap runs on; the first step past it stops the flow
     free = rg_flow(RGState(0.1, 1.0), l_max=6.0, dl=1e-2, alpha_cap=1e300)

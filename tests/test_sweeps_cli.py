@@ -131,9 +131,13 @@ def test_csv_text_matches_per_cell_reference(builder):
 
 @pytest.mark.parametrize("cmd", ["fig2", "rg"])
 def test_csv_text_matches_per_cell_reference_at_default_size(cmd):
-    # thousands of distinct floats per column: the vectorized formatter's path
+    # thousands of distinct floats per column: the vectorized formatter's path.  Line by
+    # line, with the first differing lines as the message: pytest's diff of two
+    # different multi-MB strings runs for minutes
     for grid in _required_only(cmd):
-        assert grid.csv_text() == _reference_csv(grid)
+        got, want = grid.csv_text().split("\n"), _reference_csv(grid).split("\n")
+        differ = [(g, w) for g, w in zip(got, want) if g != w]
+        assert (len(got), differ[:3]) == (len(want), [])
 
 
 # ------------------------------------------------- exact vectorized .17g cells
@@ -145,7 +149,7 @@ def _cells(values) -> list:
 
 # 512 distinct values in the window put the column on the vectorized path
 _FILLER = np.arange(1, 513) / 7.0
-_LO, _HI = np.array([1e-3, 1e15]).view(np.uint64).tolist()
+_LO, _HI = np.array([1e-4, 1e15]).view(np.uint64).tolist()
 float_bits = st.one_of(
     st.integers(0, 2**64 - 1),  # any pattern: NaN payloads, subnormals, +-inf, -0.0
     st.integers(_LO, _HI - 1), st.integers(_LO | 1 << 63, (_HI - 1) | 1 << 63),  # the window
@@ -153,14 +157,18 @@ float_bits = st.one_of(
 
 
 def _edge_values() -> np.ndarray:
-    powers = 10.0 ** np.arange(-3, 16)
+    powers = 10.0 ** np.arange(-4, 16)
     return np.concatenate([
         powers, np.nextafter(powers, -np.inf), np.nextafter(powers, np.inf),
-        np.nextafter([1e-3, 1e15], 0.0), np.nextafter(np.nextafter([1e-3, 1e15], 0.0), 0.0),
+        np.nextafter([1e-4, 1e15], 0.0), np.nextafter(np.nextafter([1e-4, 1e15], 0.0), 0.0),
         # odd k / 2^20 in [1e-3, 1e-2): m 10^19 / 2^s is an exact half, rounded to even
         np.arange(1049, 10486, 2) / 2.0**20,
+        # k / 2^24 in [1e-4, 1e-3): m 10^20 / 2^s is k 5^20 / 16, an exact half where
+        # k = 8 mod 16 and some other multiple of 1/16 elsewhere
+        np.arange(1678, 16778) / 2.0**24,
         # 17-digit literals just below a power of ten: each parses to the power itself
-        [0.0099999999999999998, 0.99999999999999999, 9.9999999999999999, 99999999999999.999],
+        [0.00099999999999999999, 0.0099999999999999998, 0.99999999999999999,
+         9.9999999999999999, 99999999999999.999],
         [0.0, np.nan, np.inf, 5e-324, 2.2250738585072014e-308, 1e-4, 1e16, 1.7e308],
     ])
 
@@ -172,17 +180,17 @@ def test_vectorized_cells_are_python_17g_at_the_edges():
 
 def test_fixed17_is_exact_wherever_log10_finds_the_decade():
     values = np.concatenate([_edge_values(), _FILLER])
-    values = values[(1e-3 <= values) & (values < 1e15)]
+    values = values[(1e-4 <= values) & (values < 1e15)]
     values = np.concatenate([values, -values])
     text, exact = sweeps._fixed17(values)
     decade = np.array([int(f"{v:.16e}".partition("e")[2]) for v in values.tolist()])
     # next to a power of ten log10 can round into the next decade: those, and only those,
     # are flagged (the guess at 1e15 - 0.125 lands on 15 and is clipped back to 14)
-    assert np.array_equal(exact, np.clip(np.floor(np.log10(np.abs(values))), -3, 14) == decade)
+    assert np.array_equal(exact, np.clip(np.floor(np.log10(np.abs(values))), -4, 14) == decade)
     assert not exact.all()
     assert text[exact].tolist() == [f"{v:.17g}".encode() for v in values[exact].tolist()]
     # each (decade, sign) layout alone, so that no key can pass for the sentinel around the runs
-    for v in np.outer(1.25 * 10.0 ** np.arange(-3, 15), [1.0, -1.0]).ravel().tolist():
+    for v in np.outer(1.25 * 10.0 ** np.arange(-4, 15), [1.0, -1.0]).ravel().tolist():
         assert sweeps._fixed17(np.array([v]))[0].tolist() == [f"{v:.17g}".encode()]
     # one layout per run of (decade, sign): unsorted input takes more runs, not other bytes
     order = np.random.default_rng(0).permutation(values.size)
@@ -193,15 +201,18 @@ def test_fixed17_is_exact_wherever_log10_finds_the_decade():
 def test_columns_from_512_distinct_values_take_the_vectorized_path(monkeypatch, distinct):
     sizes, fixed17 = [], sweeps._fixed17
     monkeypatch.setattr(sweeps, "_fixed17", lambda x: sizes.append(x.size) or fixed17(x))
-    # a repeat, a masked cell, the window's ends and -0.0 besides 0.0: the count is of the
-    # distinct bit patterns shown, and 1e-3 is in the window while 1e15 is not
-    values = np.concatenate([np.arange(1, distinct - 3) / 3.0, [1.0, 1e-3, 1e15, 0.0, -0.0, 2e20]])
+    # a repeat, a masked cell, the window's ends and their outer neighbours, and -0.0
+    # besides 0.0: the count is of the distinct bit patterns shown; 1e-4 and 1e-3 are in
+    # the window, while 1e15 and the double below 1e-4 are not
+    below, inside = np.nextafter(1e-4, 0.0), distinct - 4
+    values = np.concatenate([np.arange(1, distinct - 5) / 3.0,
+                             [1.0, 1e-4, 1e-3, below, 1e15, 0.0, -0.0, 2e20]])
     column = np.ma.masked_array(values, mask=values == 2e20)
     text = SweepGrid({"x": column}).csv_text().split("\n")[1:-1]
     assert text == [f"{v:.17g}" for v in values[:-1].tolist()] + [""]
     # every window value goes to numpy, in blocks of at most 8192
-    assert sizes == ([] if distinct < 512 else [min(8192, distinct - 3 - i)
-                                               for i in range(0, distinct - 3, 8192)])
+    assert sizes == ([] if distinct < 512 else [min(8192, inside - i)
+                                               for i in range(0, inside, 8192)])
 
 
 @given(bits=st.lists(float_bits, max_size=100))

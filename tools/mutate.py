@@ -4,7 +4,7 @@ Run from the root of a checkout (standard library only; the tests need
 pytest and numpy):
 
     python tools/mutate.py                              # all seven modules
-    python tools/mutate.py --module rgflow --verbose    # one module, every mutant's fate
+    python tools/mutate.py --module rgflow --verbose    # one module, every mutant's fate and time
 
 Each mutant changes one token of src/xyquench/<module>.py:
 
@@ -124,7 +124,7 @@ def _limit_memory():
 
 
 def run_tests(work: Path, test_file: str, timeout: float) -> tuple:
-    """(passed, seconds) of one pytest -x run of test_file in the copy."""
+    """(passed, seconds, timed_out) of one pytest -x run of test_file in the copy."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env.update(PYTHONDONTWRITEBYTECODE="1", OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
@@ -134,10 +134,10 @@ def run_tests(work: Path, test_file: str, timeout: float) -> tuple:
                               test_file], cwd=work, env=env, stdout=subprocess.DEVNULL,
                              stderr=subprocess.DEVNULL, timeout=timeout,
                              preexec_fn=_limit_memory)
-        passed = res.returncode == 0
+        passed, timed_out = res.returncode == 0, False
     except subprocess.TimeoutExpired:
-        passed = False
-    return passed, time.perf_counter() - t0
+        passed, timed_out = False, True
+    return passed, time.perf_counter() - t0, timed_out
 
 
 def sweep(module: str, work: Path, equivalent: set, verbose: bool) -> dict:
@@ -145,16 +145,18 @@ def sweep(module: str, work: Path, equivalent: set, verbose: bool) -> dict:
     target = work / "src" / "xyquench" / f"{module}.py"
     test_file = TEST_FILES[module]
     source = target.read_text()
-    ok, seconds = run_tests(work, test_file, timeout=600.0)
+    ok, seconds, _ = run_tests(work, test_file, timeout=600.0)
     if not ok:
         raise SystemExit(f"{module}: {test_file} fails before any mutation")
     timeout = 10.0 * seconds + 10.0
+    if verbose:
+        print(f"  baseline {seconds:6.1f} s  {test_file}, timeout {timeout:.0f} s", flush=True)
     lines = source.splitlines(keepends=True)
     counts = {"mutants": 0, "killed": 0, "equivalent": 0, "unexplained": []}
     try:
         for m in mutants(module, source):
             target.write_text(m.apply(lines))
-            passed, _ = run_tests(work, test_file, timeout)
+            passed, seconds, timed_out = run_tests(work, test_file, timeout)
             counts["mutants"] += 1
             if not passed:
                 counts["killed"] += 1
@@ -163,8 +165,8 @@ def sweep(module: str, work: Path, equivalent: set, verbose: bool) -> dict:
             else:
                 counts["unexplained"].append(m)
             if verbose:
-                state = "killed" if not passed else "survived"
-                print(f"  {state:8} {m.label()}", flush=True)
+                state = "timeout" if timed_out else "killed" if not passed else "survived"
+                print(f"  {state:8} {seconds:6.1f} s  {m.label()}", flush=True)
     finally:
         target.write_text(source)
     return counts
@@ -174,7 +176,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--module", action="append", choices=MODULES,
                         help="module to mutate (repeatable; default: all seven)")
-    parser.add_argument("--verbose", action="store_true", help="print every mutant's fate")
+    parser.add_argument("--verbose", action="store_true",
+                        help="print every mutant's fate (killed, timeout or survived) and seconds")
     args = parser.parse_args(argv)
     modules = args.module or list(MODULES)
     equivalent = {(e["module"], e["line"], e["col"], e["from"], e["to"])
