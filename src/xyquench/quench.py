@@ -5,13 +5,18 @@ critical point B = 1 at t = -tau_q.  Each (k, -k) pair crosses its own
 avoided level crossing at B = cos k; the excitation probability of the
 slow sweep is p_k ~ exp(-2 pi tau_q k^2), the expected kink number is the
 sum of p_k, and a finite chain stays adiabatic only for
-tau_q >> N^2 / (2 pi^3).
+tau_q >> N^2 / (2 pi^3).  evolve_mode integrates one pair in real time;
+its first call starts one daemon thread that computes the leaves of the
+propagator tree (see _LeafWorker), and nothing else here starts one.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import queue
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -156,11 +161,17 @@ def evolve_mode(k, alpha, schedule: QuenchSchedule, dt=None) -> EvolveResult:
     memory stays bounded however long the ramp.  The tree pairs steps
     (2i + 1)(2i), then those products the same way, with identity padding
     to a power of two; it stores the leaves in bit-reversed order so that
-    every level reads contiguous halves and writes into one scratch buffer
-    that all chunks of the call share, 64-byte aligned.  The narrow levels
+    every level reads contiguous halves and writes into one scratch buffer,
+    64-byte aligned, that all calls share (_scratch).  The narrow levels
     at the top, of _FLOAT_TOP products or fewer, are multiplied in Python
-    floats, where numpy's per-call cost would dominate.  Any layout with
-    these pairs and these left-to-right sums gives the same bits.
+    floats, where numpy's per-call cost would dominate.  The leaf kernel
+    (_leaves: cz, lam, cos and sin, mostly libm) of chunk j + 1 runs on a
+    daemon worker thread (_LeafWorker) while this thread divides by lam,
+    pads and multiplies the tree of chunk j, in the other of two sets of
+    rows; the first chunk's leaves are split by columns between the two
+    threads.  Any layout with these pairs and these left-to-right sums
+    gives the same bits, and no job is in flight when the call returns or
+    raises.
     The state starts in the instantaneous ground state at t_start.  The
     result carries the probability |<excited(0)|psi(0)>|^2, the worst
     norm drift |<psi|psi> - 1| at the chunk ends, the step count, and
@@ -188,16 +199,36 @@ def evolve_mode(k, alpha, schedule: QuenchSchedule, dt=None) -> EvolveResult:
     # Step i is exp(-i dt (cx X + cy Y + cz Z)) with cz = -2(cos k - B(t_i + dt/2)).
     cx = 2.0 * s
     cy = -cx * dt * dt / (3.0 * schedule.tau_q)
+    h = math.hypot(cx, cy)
+    field = (schedule.t_start, schedule.tau_q, c0, h, dt)
     psi0, psi1 = _pair_eigenvector(c0, s, b_start, excited=False)
     drift = 0.0
-    work = _aligned_scratch(8, 1 << (min(n, _CHUNK) - 1).bit_length())
-    for lo in range(0, n, _CHUNK):
-        w, x, y, z = _chunk_product(schedule, c0, cx, cy, dt, lo, min(_CHUNK, n - lo), work)
-        psi0, psi1 = (
-            complex(w, -z) * psi0 + complex(-y, -x) * psi1,
-            complex(y, -x) * psi0 + complex(w, z) * psi1,
-        )
-        drift = max(drift, abs(abs(psi0) ** 2 + abs(psi1) ** 2 - 1.0))
+    with _LOCK:
+        worker = _leaf_worker()
+        work = _scratch()
+        sets = (work, work[::-1])
+        try:
+            rows, order, m = _chunk_rows(sets, 0, n)
+            cut = rows.shape[1] // 2  # the first chunk's leaves: upper columns on the worker
+            worker.submit(rows, order, 0, slice(cut, None), *field)
+            _leaves(rows, order, 0, slice(0, cut), *field)
+            worker.wait()
+            for lo in range(0, n, _CHUNK):
+                nxt_lo = lo + _CHUNK
+                if nxt_lo < n:  # the next chunk's leaves go to the other set while this tree runs
+                    nxt = _chunk_rows(sets, nxt_lo, n)
+                    worker.submit(nxt[0], nxt[1], nxt_lo, slice(None), *field)
+                w, x, y, z = _chunk_product(rows, order, cx, cy, h, m)
+                psi0, psi1 = (
+                    complex(w, -z) * psi0 + complex(-y, -x) * psi1,
+                    complex(y, -x) * psi0 + complex(w, z) * psi1,
+                )
+                drift = max(drift, abs(abs(psi0) ** 2 + abs(psi1) ** 2 - 1.0))
+                if nxt_lo < n:
+                    worker.wait()
+                    rows, order, m = nxt
+        finally:
+            worker.drain()
 
     e0, e1 = _pair_eigenvector(c0, s, 0.0, excited=True)
     return EvolveResult(
@@ -208,44 +239,67 @@ def evolve_mode(k, alpha, schedule: QuenchSchedule, dt=None) -> EvolveResult:
     )
 
 
-def _chunk_product(schedule: QuenchSchedule, c0, cx, cy, dt, lo, m, work):
-    """SU(2) quaternion (w, x, y, z) of the m steps lo .. lo + m - 1, later steps on the left.
+def _chunk_rows(sets, lo, n):
+    """(rows, order, m) of the chunk that starts at step lo.
+
+    rows is its set of leaf rows cut to the padded size, order the
+    bit-reversed leaf order of that size (a read-only view), and m its
+    step count.
+    """
+    m = min(_CHUNK, n - lo)
+    size = 1 << (m - 1).bit_length()
+    return sets[lo // _CHUNK % 2][:, :size], _bit_reversal()[::_CHUNK // size], m
+
+
+def _leaves(rows, order, lo, cols, t_start, tau_q, c0, h, dt):
+    """The leaf kernel: cz, lam = hypot(cz, h), cos and sin of lam dt, in columns cols.
+
+    rows is one leaf set of the scratch (see _scratch); the leaf at column
+    j is step lo + order[j].  It writes the set's w, z, lam and sin rows
+    and reads nothing else of the scratch, so it can run on the worker
+    thread while the tree of the other set runs.
+    """
+    w, z, lam, sin_a = rows[0, cols], rows[6, cols], rows[8, cols], rows[10, cols]
+    np.copyto(z, order[cols])  # a cast in np.add would allocate buffers on this thread
+    np.add(z, lo + 0.5, out=z)  # (lo + i) + 0.5, exact
+    np.multiply(z, dt, out=z)
+    np.add(z, t_start, out=z)  # t_mid
+    np.divide(z, tau_q, out=z)
+    np.add(z, c0, out=z)  # c0 - (-t_mid)/tau_q, bit for bit
+    np.multiply(z, -2.0, out=z)
+    np.hypot(z, h, out=lam)
+    np.multiply(lam, dt, out=sin_a)
+    np.cos(sin_a, out=w)
+    np.sin(sin_a, out=sin_a)
+
+
+def _chunk_product(rows, order, cx, cy, h, m):
+    """SU(2) quaternion (w, x, y, z) of m steps whose leaves _leaves wrote, later steps on the left.
 
     The leaves are padded with identities to a power of two, size, and
     stored in bit-reversed step order, so the tree's pairs (2i, 2i + 1) sit
     at j and j + size/2: each level multiplies the contiguous upper half by
-    the contiguous lower half into the other of two buffers.  Once a level
-    holds _FLOAT_TOP products or fewer, the rest of the tree runs on Python
-    floats (_quat_mul_float), with the same pairs.  work is float scratch
-    of at least (8, size), reused from chunk to chunk.
+    the contiguous lower half into the other of two buffers.  Those are the
+    set's (w, x, y, z) rows and, once the divisions by lam have consumed
+    them, its lam and sin rows together with the other set's x and y rows,
+    which the worker never writes.  Once a level holds _FLOAT_TOP products
+    or fewer, the rest of the tree runs on Python floats (_quat_mul_float),
+    with the same pairs.
     """
-    size = 1 << (m - 1).bit_length()
-    order = _bit_reversal()[:size] >> (_CHUNK.bit_length() - size.bit_length())
-    q, lam, sin_a = work[:4, :size], work[4, :size], work[5, :size]
-    cz = q[3]
-    np.add(order, lo + 0.5, out=cz)  # (lo + i) + 0.5, exact
-    np.multiply(cz, dt, out=cz)
-    np.add(cz, schedule.t_start, out=cz)  # t_mid
-    np.divide(cz, schedule.tau_q, out=cz)
-    np.add(cz, c0, out=cz)  # c0 - (-t_mid)/tau_q, bit for bit
-    np.multiply(cz, -2.0, out=cz)
-    h = math.hypot(cx, cy)
-    np.hypot(cz, h, out=lam)
-    np.multiply(lam, dt, out=sin_a)
-    np.cos(sin_a, out=q[0])
-    np.sin(sin_a, out=sin_a)
+    size = rows.shape[1]
+    q, lam, sin_a = rows[0:7:2], rows[8], rows[10]
     if h == 0.0:
         lam[lam == 0.0] = 1.0  # lam = 0 only where cz = h = 0
     np.divide(cx, lam, out=q[1])
     np.divide(cy, lam, out=q[2])
-    np.divide(cz, lam, out=cz)
+    np.divide(q[3], lam, out=q[3])
     np.multiply(q[1:], sin_a, out=q[1:])
     if m < size:
         pad = order >= m
         q[0, pad] = 1.0
         q[1:, pad] = 0.0
     half = size // 2
-    a, b, tmp = q, work[4:, :half], work[4:, half:size]
+    a, b, tmp = q, rows[7:11, :half], rows[7:11, half:]
     while size > 2 * _FLOAT_TOP:
         size //= 2
         _quat_mul(a[:, size:2 * size], a[:, :size], b[:, :size], tmp[:, :size])
@@ -254,7 +308,20 @@ def _chunk_product(schedule: QuenchSchedule, c0, cx, cy, dt, lo, m, work):
     while size > 1:
         size //= 2
         top = [_quat_mul_float(p, q) for p, q in zip(top[size:], top)]
-    return np.array(top[0])
+    return top[0]
+
+
+@functools.cache
+def _scratch() -> np.ndarray:
+    """The (12, _CHUNK) float scratch that every evolve_mode call shares, built on first use.
+
+    It holds two sets of leaf rows, the set itself and the set read
+    upside down (work[::-1]): in either, the rows 0, 2, 4, 6 are the
+    quaternion (w, x, y, z) of a leaf, 8 is lam and 10 is sin(lam dt), and
+    7-10 are the tree's scratch.  A chunk of padded size s uses columns
+    :s; evolve_mode holds _LOCK while it uses the buffer.
+    """
+    return _aligned_scratch(12, _CHUNK)
 
 
 def _aligned_scratch(rows: int, cols: int) -> np.ndarray:
@@ -268,14 +335,87 @@ def _aligned_scratch(rows: int, cols: int) -> np.ndarray:
 def _bit_reversal() -> np.ndarray:
     """Read-only bit-reversed order of 0 .. _CHUNK - 1, built on first use, not at import.
 
-    Shifted right by b bits, its first _CHUNK >> b entries are the order of a
-    chunk of that size.
+    Reversing the bits of j * 2^b gives the reversed b fewer bits of j, so
+    every 2^b-th entry is the order of a chunk of _CHUNK >> b steps.
     """
     order = np.zeros(1, dtype=np.min_scalar_type(_CHUNK))
     while order.size < _CHUNK:
         order = np.concatenate((2 * order, 2 * order + 1))
     order.flags.writeable = False
     return order
+
+
+class _LeafWorker:
+    """The daemon thread that runs _leaves jobs for the holder of _LOCK, one job at a time.
+
+    numpy releases the GIL inside the long hypot, cos and sin loops, so
+    the leaves of the next chunk overlap the tree of this one.  The worker
+    calls nothing that perfbench binds.  An exception in a job is raised
+    again by the wait that collects it, and the worker lives on.
+    """
+
+    def __init__(self):
+        self._jobs = queue.SimpleQueue()
+        self._done = threading.Event()
+        self._done.set()
+        self._error = None
+        threading.Thread(target=self._serve, name="xyquench-leaves", daemon=True).start()
+
+    def _serve(self):
+        for args in iter(self._jobs.get, None):
+            try:
+                _leaves(*args)
+            except BaseException as exc:
+                self._error = exc
+            self._done.set()
+
+    def submit(self, *args):
+        """Start a job; the one before it must have been waited for."""
+        self._done.clear()
+        self._jobs.put(args)
+
+    def wait(self):
+        """Block until the job is done; raise what it raised."""
+        self._done.wait()
+        exc, self._error = self._error, None
+        if exc is not None:
+            raise exc
+
+    def drain(self):
+        """Block until no job is in flight, dropping its error.
+
+        A signal's exception (KeyboardInterrupt) that arrives meanwhile is
+        raised once the job is done, so that no caller leaves a job writing
+        into the scratch.
+        """
+        caught = None
+        while not self._done.is_set():
+            try:
+                self._done.wait()
+            except BaseException as exc:
+                caught = exc
+        self._error = None
+        if caught is not None:
+            raise caught
+
+
+_LOCK = threading.Lock()
+
+
+@functools.cache
+def _leaf_worker() -> _LeafWorker:
+    """The process's leaf worker, started by the first evolve_mode call, not at import."""
+    return _LeafWorker()
+
+
+def _after_fork_in_child():
+    """A forked child has the parent's scratch but not its worker thread: start afresh."""
+    global _LOCK
+    _LOCK = threading.Lock()
+    _leaf_worker.cache_clear()
+
+
+os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def _quat_mul(p, q, out, tmp):

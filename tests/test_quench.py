@@ -1,8 +1,17 @@
 import dataclasses
+import functools
 import math
+import os
 import re
+import runpy
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +27,8 @@ from xyquench import (
 )
 from xyquench import quench
 from xyquench.quench import _quat_mul
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # ------------------------------------------------------------------ schedule
@@ -452,13 +463,19 @@ def _pinned(k, alpha, schedule, dt=None):
 
 
 # 63-65 and 127-129 sit around the float top of the tree: up to 64 leaves no level runs
-# in numpy, 65-128 take one numpy level and 129 two; Python floats take the rest
+# in numpy, 65-128 take one numpy level and 129 two; Python floats take the rest.  The
+# first chunk's leaves are split by columns at size // 2 between the threads: n = 1 leaves
+# the main thread no column, and n = 3 gives it both real steps and the worker one step
+# and the padding.
 @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 127, 128, 129, quench._CHUNK - 1,
                                quench._CHUNK, quench._CHUNK + 1, 2 * quench._CHUNK + 1])
 def test_evolve_bits_equal_the_strided_kernel_at_every_chunk_edge(n):
     # tau_q grows with n so that dt * max|H| stays below 0.2; a step of span / (n - 1/2) gives n
     sched = QuenchSchedule.from_field(0.01 * n, b_start=1.5)
     assert _pinned(0.3, 0.8, sched, dt=-sched.t_start / (n - 0.5)).n_steps == n
+    # alpha = 0: cx = cy = h = 0 takes the lam fix-up of _chunk_product
+    with pytest.warns(UserWarning, match="no coupling"):
+        assert _pinned(0.3, 0.0, sched, dt=-sched.t_start / (n - 0.5)).n_steps == n
 
 
 @pytest.mark.parametrize("k,alpha,tau_q", [
@@ -489,6 +506,14 @@ def test_propagator_scratch_is_64_byte_aligned():
         work = quench._aligned_scratch(8, cols)
         assert work.shape == (8, cols) and work.flags.c_contiguous
         assert work.ctypes.data % 64 == 0
+    # the shared scratch: two sets of six rows of a full chunk, every row on a 64-byte boundary
+    work = quench._scratch()
+    assert work is quench._scratch() and work.shape == (12, quench._CHUNK)
+    assert work.flags.c_contiguous and all(row.ctypes.data % 64 == 0 for row in work)
+
+
+def _leaf_args(schedule, c0, cx, cy, dt):
+    return schedule.t_start, schedule.tau_q, c0, math.hypot(cx, cy), dt
 
 
 @pytest.mark.parametrize("m", [quench._CHUNK, 1000, 7])  # a full chunk, and padded ones
@@ -497,17 +522,46 @@ def test_chunk_product_bits_do_not_depend_on_the_scratch_offset(m):
     n, dt = quench.ramp_steps(k, alpha, schedule)  # about 3e5 steps: n - m >= 0
     cx = 2.0 * alpha * math.sin(k)
     cy = -cx * dt * dt / (3.0 * schedule.tau_q)
+    field = _leaf_args(schedule, math.cos(k), cx, cy, dt)
     size = 1 << (m - 1).bit_length()
-    flat = np.empty(8 * size + 16)
+    order = quench._bit_reversal()[::quench._CHUNK // size]
+    flat = np.empty(12 * size + 16)
     base = (-flat.ctypes.data % 64) // 8
     got = set()
     for offset in (0, 16, 32, 48):
-        work = flat[base + offset // 8:][:8 * size].reshape(8, size)
+        work = flat[base + offset // 8:][:12 * size].reshape(12, size)
         assert work.ctypes.data % 64 == offset
-        for lo in (0, n - m):
-            q = quench._chunk_product(schedule, math.cos(k), cx, cy, dt, lo, m, work)
-            got.add((lo, q.tobytes()))
-    assert len(got) == 2  # one quaternion per chunk start, whatever the offset
+        # both sets of leaf rows, and the leaves written whole or split by columns
+        for rows, cut in ((work, 0), (work[::-1], 0), (work, size // 2), (work[::-1], 1)):
+            for lo in (0, n - m):
+                quench._leaves(rows, order, lo, slice(cut, None), *field)
+                quench._leaves(rows, order, lo, slice(0, cut), *field)
+                q = quench._chunk_product(rows, order, cx, cy, field[3], m)
+                got.add((lo, np.array(q).tobytes()))
+    assert len(got) == 2  # one quaternion per chunk start, whatever the offset, set or split
+
+
+def test_the_leaves_of_one_set_and_the_tree_of_the_other_touch_disjoint_rows():
+    # what the two threads run at once, here one after the other: the worker's leaves
+    # of one set before the tree of the other, then that tree, then the leaves checked
+    size, m, cx, cy = 256, 200, 0.3, 0.0
+    order = quench._bit_reversal()[::quench._CHUNK // size]
+    mine_field, other_field = (-5.0, 1.0, 0.5, 0.3, 0.01), (-6.0, 2.0, 0.4, 0.3, 0.02)
+
+    def alone(field):
+        rows = np.full((12, size), np.nan)
+        quench._leaves(rows, order, 0, slice(None), *field)
+        return rows
+
+    want = quench._chunk_product(alone(mine_field), order, cx, cy, 0.3, m)
+    for s in (0, 1):
+        work = np.full((12, size), np.nan)
+        mine, other = (work, work[::-1])[s], (work, work[::-1])[1 - s]
+        quench._leaves(mine, order, 0, slice(None), *mine_field)
+        quench._leaves(other, order, 0, slice(None), *other_field)
+        assert quench._chunk_product(mine, order, cx, cy, 0.3, m) == want
+        for i in (0, 6, 8, 10):  # the rows _leaves writes
+            assert other[i].tobytes() == alone(other_field)[i].tobytes()
 
 
 def test_float_top_products_are_quat_mul_bit_for_bit():
@@ -528,6 +582,235 @@ def test_bit_reversal_table_is_read_only():
     assert not order.flags.writeable
     with pytest.raises(ValueError):
         order[0] = 1
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 63, 1000, quench._CHUNK - 1, quench._CHUNK])
+def test_every_chunk_reads_a_read_only_view_of_the_bit_reversal_table(m):
+    work = quench._scratch()
+    rows, order, got_m = quench._chunk_rows((work, work[::-1]), 0, m)
+    size = 1 << (m - 1).bit_length()
+    assert got_m == m and rows.shape == (12, size) and np.shares_memory(rows, work)
+    assert np.shares_memory(order, quench._bit_reversal())  # no copy per chunk
+    assert not order.flags.writeable
+    with pytest.raises(ValueError):
+        order[0] = 1
+    shift = quench._CHUNK.bit_length() - size.bit_length()
+    assert np.array_equal(order, quench._bit_reversal()[:size] >> shift)
+    assert sorted(order.tolist()) == list(range(size))
+
+
+# ------------------------------------------------------------- the leaf worker
+
+def _on_worker():
+    return threading.current_thread() is not threading.main_thread()
+
+
+def _three_chunks():
+    """(k, alpha, schedule, dt) of a ramp of 2 _CHUNK + 1 steps: three chunks, the last padded."""
+    n = 2 * quench._CHUNK + 1
+    sched = QuenchSchedule.from_field(0.01 * n, b_start=1.5)
+    return 0.3, 0.8, sched, -sched.t_start / (n - 0.5)
+
+
+@pytest.mark.parametrize("n,starts", [
+    (1, [0]), (quench._CHUNK, [0]), (quench._CHUNK + 1, [0, quench._CHUNK]),
+    (2 * quench._CHUNK, [0, quench._CHUNK]),
+])
+def test_the_worker_gets_the_first_chunks_upper_half_then_one_job_per_chunk(monkeypatch, n,
+                                                                            starts):
+    leaves, jobs = quench._leaves, []
+
+    def kernel(rows, order, lo, cols, *field):
+        if _on_worker():
+            jobs.append((lo, cols.indices(rows.shape[1]), rows.shape[1]))
+        leaves(rows, order, lo, cols, *field)
+
+    monkeypatch.setattr(quench, "_leaves", kernel)
+    sched = QuenchSchedule.from_field(0.01 * n, b_start=1.5)
+    evolve_mode(0.3, 0.8, sched, dt=-sched.t_start / (n - 0.5))
+    size = 1 << (min(n, quench._CHUNK) - 1).bit_length()
+    assert [lo for lo, _, _ in jobs] == starts
+    assert jobs[0][1:] == ((size // 2, size, 1), size)  # the main thread took columns :size // 2
+    assert all(cols == (0, width, 1) for _, cols, width in jobs[1:])
+
+
+@pytest.mark.parametrize("failing_job", [1, 2, 3])  # the first chunk's upper half, then chunks 2, 3
+def test_a_leaf_worker_error_reaches_the_caller_and_the_next_call_is_exact(monkeypatch,
+                                                                          failing_job):
+    leaves, jobs = quench._leaves, []
+
+    def kernel(*args):
+        if _on_worker():
+            jobs.append(args[2])
+            if len(jobs) == failing_job:
+                raise FloatingPointError("leaf kernel failed")
+        leaves(*args)
+
+    monkeypatch.setattr(quench, "_leaves", kernel)
+    k, alpha, sched, dt = _three_chunks()
+    with pytest.raises(FloatingPointError, match="leaf kernel failed"):
+        evolve_mode(k, alpha, sched, dt=dt)
+    assert jobs == [0, quench._CHUNK, 2 * quench._CHUNK][:failing_job]  # none after the error
+    monkeypatch.setattr(quench, "_leaves", leaves)
+    _pinned(k, alpha, sched, dt)
+
+
+@pytest.mark.parametrize("fails", [None, "leaves", "tree"])
+def test_evolve_mode_never_returns_or_raises_with_a_leaf_job_in_flight(monkeypatch, fails):
+    # the host-speed probe runs between calls and the tracer's span stack assumes one
+    # thread: both need every job done when evolve_mode returns or raises
+    leaves, product, running = quench._leaves, quench._chunk_product, []
+
+    def kernel(*args):
+        if not _on_worker():
+            if fails == "leaves":  # the main thread's half of the first chunk
+                raise RuntimeError("main side failed")
+            return leaves(*args)
+        running.append(args[2])
+        time.sleep(0.05)  # long enough that the main thread gets there first
+        leaves(*args)
+        running.remove(args[2])
+
+    def tree(*args):
+        if fails == "tree":  # the first tree, while the second chunk's leaves are in flight
+            raise RuntimeError("main side failed")
+        return product(*args)
+
+    monkeypatch.setattr(quench, "_leaves", kernel)
+    monkeypatch.setattr(quench, "_chunk_product", tree)
+    k, alpha, sched, dt = _three_chunks()
+    if fails is None:
+        res = evolve_mode(k, alpha, sched, dt=dt)
+    else:
+        with pytest.raises(RuntimeError, match="main side failed"):
+            evolve_mode(k, alpha, sched, dt=dt)
+    assert running == []
+    monkeypatch.setattr(quench, "_leaves", leaves)
+    monkeypatch.setattr(quench, "_chunk_product", product)
+    if fails is None:
+        assert res == _pinned(k, alpha, sched, dt)
+
+
+def test_a_signal_while_draining_is_raised_once_the_leaf_job_is_done(monkeypatch):
+    class Alarm(BaseException):
+        pass
+
+    def on_alarm(signum, frame):
+        raise Alarm
+
+    leaves, finished = quench._leaves, []
+
+    def kernel(*args):
+        if not _on_worker():  # the worker's job is in flight: the drain starts at once
+            signal.setitimer(signal.ITIMER_REAL, 0.05)  # and the alarm arrives while it waits
+            raise RuntimeError("main side failed")
+        time.sleep(0.3)
+        leaves(*args)
+        finished.append(args[2])
+
+    monkeypatch.setattr(quench, "_leaves", kernel)
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    try:
+        with pytest.raises(Alarm) as caught:
+            evolve_mode(0.3, 0.8, QuenchSchedule.from_field(1.0))
+        assert finished == [0]
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert isinstance(caught.value.__context__, RuntimeError)
+    monkeypatch.setattr(quench, "_leaves", leaves)
+    _pinned(0.3, 0.8, QuenchSchedule.from_field(1.0))
+
+
+def test_concurrent_callers_share_the_worker_and_scratch_and_get_the_serial_bits():
+    # four callers on two cores, switching threads every microsecond: _LOCK keeps them apart
+    k, alpha, sched, dt = _three_chunks()
+    cases = [(k, alpha, sched, dt), (math.pi / 50, 0.97, QuenchSchedule.from_field(100.0), None),
+             (0.3, 0.5, QuenchSchedule.from_field(2.0), None), (1.0, 1.2, sched, dt)]
+    want = [evolve_mode(*case[:3], dt=case[3]) for case in cases]
+    got = {}
+
+    def caller(i):
+        got[i] = [evolve_mode(*cases[i][:3], dt=cases[i][3]) for _ in range(3)]
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(cases))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(previous)
+    assert got == {i: [w] * 3 for i, w in enumerate(want)}
+
+
+def test_quench_evolve_calls_every_traced_binding_on_the_main_thread_only(monkeypatch, tmp_path,
+                                                                          capsys):
+    from xyquench import cli
+
+    tracer = runpy.run_path(str(ROOT / "perfbench" / "tracer.py"))
+    threads = {}
+
+    def recording(binding, fn):
+        @functools.wraps(fn)
+        def recorded(*args, **kwargs):
+            threads.setdefault(binding, set()).add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return recorded
+
+    for bindings in tracer["SPANS"].values():
+        for binding in bindings:
+            owner, attr = tracer["_resolve"](binding)
+            monkeypatch.setattr(owner, attr, recording(binding, getattr(owner, attr)))
+    monkeypatch.setattr(quench, "_leaves", recording("quench:_leaves", quench._leaves))
+    assert cli.main(["quench", "--evolve", "--out", str(tmp_path / "quench.csv")]) == 0
+    capsys.readouterr()
+    main = threading.get_ident()
+    assert threads.pop("quench:_leaves") - {main}  # the worker did run leaves
+    assert {"cli:main", "sweeps:evolve_mode", "cli:kink_count"} <= threads.keys()
+    assert {b: t for b, t in threads.items() if t != {main}} == {}
+
+
+_FRESH = """
+import sys, threading, time
+from xyquench import cli
+out = sys.argv[1]
+for argv in (["quench", "--summary", out + "/s.csv", "--out", out + "/q.csv"],
+             ["fig1", "--out", out + "/f.csv"]):
+    assert cli.main(argv) == 0
+print("AFTER", threading.active_count(), "concurrent.futures" in sys.modules)
+assert cli.main(["quench", "--evolve", "--tauq", "100", "--out", out + "/e.csv"]) == 0
+print("EVOLVED", threading.active_count(), [t.daemon for t in threading.enumerate()])
+print("END", time.time())
+"""
+
+
+def test_only_evolve_starts_a_thread_and_the_interpreter_still_exits_at_once(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    res = subprocess.run([sys.executable, "-c", _FRESH, str(tmp_path)], capture_output=True,
+                         text=True, env=env, timeout=120)
+    exited = time.time()
+    assert res.returncode == 0, res.stderr
+    lines = dict(line.split(None, 1) for line in res.stdout.splitlines()
+                 if line.startswith(("AFTER ", "EVOLVED ", "END ")))
+    assert lines["AFTER"] == "1 False"  # quench --summary and fig1: no thread, no pool module
+    assert lines["EVOLVED"] == "2 [False, True]"  # the main thread and the daemon worker
+    assert exited - float(lines["END"]) < 10.0  # the daemon worker does not hold the exit
+
+
+def test_a_forked_child_starts_its_own_leaf_worker():
+    k, alpha, sched, dt = _three_chunks()
+    want = evolve_mode(k, alpha, sched, dt=dt)  # the parent's worker exists now
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork with a thread running
+        pid = os.fork()
+    if pid == 0:  # the child: without a worker of its own it would wait for ever
+        signal.alarm(60)
+        os._exit(0 if evolve_mode(k, alpha, sched, dt=dt) == want else 1)
+    assert os.waitpid(pid, 0)[1] == 0
 
 
 @pytest.mark.parametrize("s", [0.0, 0.3, -0.3])

@@ -14,8 +14,8 @@ Each mutant changes one token of src/xyquench/<module>.py:
 - a boolean:  and <-> or,  True <-> False,  not deleted
 
 Tokens inside strings, comments and docstrings are left alone, and a
-mutant that does not compile is dropped.  The sweep copies src/, tests/
-and pyproject.toml to a temporary directory, never touching the
+mutant that does not compile is dropped.  The sweep copies src/, tests/,
+perfbench/ and pyproject.toml to a temporary directory, never touching the
 checkout, checks that the module's test file (TEST_FILES) passes there
 unmutated, and then runs it once per mutant with ``pytest -x``.  A mutant is killed
 when pytest fails, crashes or runs past the timeout (set from the
@@ -34,6 +34,7 @@ import json
 import os
 import resource
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -124,19 +125,29 @@ def _limit_memory():
 
 
 def run_tests(work: Path, test_file: str, timeout: float) -> tuple:
-    """(passed, seconds, timed_out) of one pytest -x run of test_file in the copy."""
+    """(passed, seconds, timed_out) of one pytest -x run of test_file in the copy.
+
+    pytest runs in a session and process group of its own, so a Ctrl-C at
+    the terminal reaches only this script; whatever ends the run (the
+    timeout, or the SystemExit that SIGTERM or SIGINT raises here) kills
+    the whole group before this returns.
+    """
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env.update(PYTHONDONTWRITEBYTECODE="1", OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     t0 = time.perf_counter()
-    try:
-        res = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+    child = subprocess.Popen([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                               test_file], cwd=work, env=env, stdout=subprocess.DEVNULL,
-                             stderr=subprocess.DEVNULL, timeout=timeout,
-                             preexec_fn=_limit_memory)
-        passed, timed_out = res.returncode == 0, False
+                             stderr=subprocess.DEVNULL, preexec_fn=_limit_memory,
+                             start_new_session=True)
+    try:
+        passed, timed_out = child.wait(timeout) == 0, False
     except subprocess.TimeoutExpired:
         passed, timed_out = False, True
+    finally:
+        if child.returncode is None:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
     return passed, time.perf_counter() - t0, timed_out
 
 
@@ -172,7 +183,14 @@ def sweep(module: str, work: Path, equivalent: set, verbose: bool) -> dict:
     return counts
 
 
+def _exit_on_signal(signum, frame):
+    """End the sweep by SystemExit on SIGTERM or SIGINT, so the pytest group and the copy go too."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, _exit_on_signal)
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--module", action="append", choices=MODULES,
                         help="module to mutate (repeatable; default: all seven)")
@@ -185,9 +203,8 @@ def main(argv=None) -> int:
     unexplained = 0
     with tempfile.TemporaryDirectory(prefix="xyquench-mutate-") as tmp:
         work = Path(tmp)
-        shutil.copytree(ROOT / "src", work / "src", ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copytree(ROOT / "tests", work / "tests",
-                        ignore=shutil.ignore_patterns("__pycache__"))
+        for sub in ("src", "tests", "perfbench"):  # the tests read perfbench's span bindings
+            shutil.copytree(ROOT / sub, work / sub, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy2(ROOT / "pyproject.toml", work)
         print(f"{'module':10} {'mutants':>7} {'killed':>7} {'survived':>8} "
               f"{'equivalent':>10} {'unexplained':>11}")
