@@ -37,6 +37,7 @@ _CHUNK = 1 << 15  # steps multiplied per numpy chunk; memory does not grow with 
 # tree levels of at most this many products are multiplied in Python floats: one
 # product costs about 0.35 us there, and a numpy level about 16 us at any width up to 64
 _FLOAT_TOP = 32
+_IDENTITY = np.array([[1.0], [0.0], [0.0], [0.0]])  # the padding leaf (w, x, y, z)
 
 
 @dataclass(frozen=True)
@@ -295,9 +296,7 @@ def _chunk_product(rows, order, cx, cy, h, m):
     np.divide(q[3], lam, out=q[3])
     np.multiply(q[1:], sin_a, out=q[1:])
     if m < size:
-        pad = order >= m
-        q[0, pad] = 1.0
-        q[1:, pad] = 0.0
+        np.copyto(q, _IDENTITY, where=order >= m)
     half = size // 2
     a, b, tmp = q, rows[7:11, :half], rows[7:11, half:]
     while size > 2 * _FLOAT_TOP:

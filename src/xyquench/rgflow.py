@@ -85,7 +85,11 @@ def rg_flow(
     The fixed step keeps trajectories reproducible bit for bit.  If alpha
     exceeds alpha_cap the run stops early with status "strong_coupling"
     (the perturbative equations have left their domain); otherwise the
-    status is "completed".
+    status is "completed".  A step is a pure function of (alpha, K) at
+    this h, so once a step returns its own state bit for bit (the sign of
+    alpha included, as -0.0 == 0.0), every later step returns it too: the
+    remaining rows repeat that state without being integrated.  On the
+    alpha = 0 line this happens at step 1 or 2.
     """
     n = max(1, int(round(step_estimate(l_max, dl))))
     h = l_max / n
@@ -96,7 +100,7 @@ def rg_flow(
     # _rhs written out four times, with 0.5 * h and h / 6.0 hoisted: Python
     # evaluates 0.5 * h * da1 as (0.5 * h) * da1, so the bits stay those of _rhs
     half, sixth = 0.5 * h, h / 6.0
-    for _ in range(n):
+    for i in range(n, 0, -1):  # i steps left
         da1, dk1 = (2.0 - 1.0 / k) * a, a * a / 4.0
         a2, k2 = a + half * da1, k + half * dk1
         da2, dk2 = (2.0 - 1.0 / k2) * a2, a2 * a2 / 4.0
@@ -104,16 +108,21 @@ def rg_flow(
         da3, dk3 = (2.0 - 1.0 / k3) * a3, a3 * a3 / 4.0
         a4, k4 = a + h * da3, k + h * dk3
         da4, dk4 = (2.0 - 1.0 / k4) * a4, a4 * a4 / 4.0
-        a = a + sixth * (da1 + 2.0 * da2 + 2.0 * da3 + da4)
-        k = k + sixth * (dk1 + 2.0 * dk2 + 2.0 * dk3 + dk4)
+        a_next = a + sixth * (da1 + 2.0 * da2 + 2.0 * da3 + da4)
+        k_next = k + sixth * (dk1 + 2.0 * dk2 + 2.0 * dk3 + dk4)
         # RGState's alpha check, without building one per step; K never decreases
-        if not a >= 0.0:
-            raise ValueError(f"alpha must be >= 0, got {a}")
-        alphas.append(a)
-        ks.append(k)
-        if a > alpha_cap:
+        if not a_next >= 0.0:
+            raise ValueError(f"alpha must be >= 0, got {a_next}")
+        alphas.append(a_next)
+        ks.append(k_next)
+        if a_next > alpha_cap:
             status = STRONG_COUPLING
             break
+        if a_next == a and k_next == k and math.copysign(1.0, a_next) == math.copysign(1.0, a):
+            alphas += [a_next] * (i - 1)  # a fixed point: the other steps repeat it
+            ks += [k_next] * (i - 1)
+            break
+        a, k = a_next, k_next
     l = np.arange(len(alphas)) * h
     return RGTrajectory(l=l, alpha=np.array(alphas), K=np.array(ks), status=status)
 

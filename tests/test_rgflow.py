@@ -1,5 +1,7 @@
 import dataclasses
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -148,6 +150,10 @@ def _rk4_from_rhs(initial, l_max, dl, alpha_cap):
     (-0.0, 0.3, 1e-3, COMPLETED),
     (-0.0, 0.8, 1e-3, COMPLETED),
     (0.1, 1.0, 1e-5, COMPLETED),  # a small step: 10^5 of them
+    # fixed points off the line: the smallest subnormal stays put from step 1, and
+    # 1e-320 decays until step 1176 returns 1.853e-321 again
+    (5e-324, 0.8, 1e-3, COMPLETED),
+    (1e-320, 0.3, 1e-3, COMPLETED),
 ])
 def test_inlined_flow_is_rk4_of_rhs_bit_for_bit(alpha, K, dl, status):
     l_max = 5.0 if dl >= 1e-3 else 1.0
@@ -157,6 +163,48 @@ def test_inlined_flow_is_rk4_of_rhs_bit_for_bit(alpha, K, dl, status):
     # hex tells -0.0 from +0.0
     for got, ref in ((traj.l, l), (traj.alpha, alphas), (traj.K, ks)):
         assert list(map(float.hex, got.tolist())) == list(map(float.hex, ref))
+
+
+def _integrated_steps(initial, **kw):
+    """rg_flow's trajectory and the number of RK4 steps it integrated, counted by a tracer."""
+    lines, first = inspect.getsourcelines(rg_flow)
+    body = first + next(i for i, ln in enumerate(lines) if "da1, dk1 =" in ln)
+    steps = [0]
+
+    def local(frame, event, arg):
+        steps[0] += event == "line" and frame.f_lineno == body
+        return local
+
+    outer = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is rg_flow.__code__ else None)
+    try:
+        traj = rg_flow(initial, **kw)
+    finally:
+        sys.settrace(outer)
+    return traj, steps[0]
+
+
+@pytest.mark.parametrize("alpha,K,steps", [
+    (0.0, 0.3, 1), (0.0, 0.8, 1), (-0.0, 0.8, 1),
+    (-0.0, 0.3, 2),  # step 1 turns -0.0 into 0.0, which equals it but is not its bits
+    (5e-324, 0.8, 1), (1e-320, 0.3, 1176),
+    (0.1, 1.0, 5000), (0.1, 0.3, 5000),  # moving flows run every step
+])
+def test_the_flow_stops_integrating_at_the_first_step_that_returns_its_state(alpha, K, steps):
+    traj, integrated = _integrated_steps(RGState(alpha, K), l_max=5.0, dl=1e-3)
+    assert integrated == steps
+    assert traj.status == COMPLETED and traj.alpha.size == traj.K.size == 5001
+    # the rows after the fixed point repeat it, sign included
+    rest = {(a.hex(), k.hex()) for a, k in zip(traj.alpha[steps:].tolist(), traj.K[steps:].tolist())}
+    assert len(rest) == 1
+
+
+def test_a_fixed_state_above_the_cap_still_stops_the_flow_as_strong_coupling():
+    # 5e-324 is fixed at K = 0.8, and above a zero cap: the first step ends the flow
+    traj, integrated = _integrated_steps(RGState(5e-324, 0.8), l_max=5.0, alpha_cap=0.0)
+    assert (traj.status, integrated, traj.alpha.tolist()) == (STRONG_COUPLING, 1, [5e-324] * 2)
+    assert _rk4_from_rhs(RGState(5e-324, 0.8), 5.0, 1e-3, 0.0)[1:] == (
+        [5e-324] * 2, [0.8] * 2, STRONG_COUPLING)
 
 
 def test_alpha_cap_is_exclusive():

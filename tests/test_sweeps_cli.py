@@ -2,7 +2,10 @@ import csv
 import hashlib
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -140,6 +143,36 @@ def test_csv_text_matches_per_cell_reference_at_default_size(cmd):
         assert (len(got), differ[:3]) == (len(want), [])
 
 
+# one alphabet per label kind, small enough that a list of them repeats, in runs and apart
+_LABELS = {"int": (st.sampled_from([0, -3, 7, 2**63 - 1]), np.int64),
+           "bool": (st.booleans(), bool),
+           "str": (st.sampled_from(["ok", "fail", "odd_sector", ""]), str)}
+
+
+@pytest.mark.parametrize("kind", sorted(_LABELS))
+@given(data=st.data())
+@example(data=None)
+def test_label_columns_match_the_per_cell_reference(kind, data):
+    label, dtype = _LABELS[kind]
+    if data is None:  # a value back after another run, and masked cells inside and between runs
+        values = {"int": [7, 7, 0, 7, 7, -3, 0], "bool": [True, True, False, True, True, False,
+                  False], "str": ["ok", "ok", "fail", "ok", "ok", "", "fail"]}[kind]
+        mask = [False, True, False, False, True, False, False]
+    else:
+        cells = data.draw(st.lists(st.tuples(label, st.booleans()), max_size=40))
+        values, mask = [v for v, _ in cells], [m for _, m in cells]
+    grid = SweepGrid({"x": np.ma.masked_array(np.array(values, dtype=dtype),
+                                              mask=np.array(mask, dtype=bool))})
+    assert grid.csv_text() == _reference_csv(grid)
+
+
+def test_columns_of_every_kind_with_no_rows_write_the_header_only():
+    grid = SweepGrid({"n": np.empty(0, dtype=int), "flag": np.empty(0, dtype=bool),
+                      "status": np.array([], dtype=str), "x": np.empty(0),
+                      "masked": np.ma.masked_all(0, dtype=int)})
+    assert grid.csv_text() == _reference_csv(grid) == "n,flag,status,x,masked\n"
+
+
 # ------------------------------------------------- exact vectorized .17g cells
 
 def _cells(values) -> list:
@@ -195,6 +228,50 @@ def test_fixed17_is_exact_wherever_log10_finds_the_decade():
     # one layout per run of (decade, sign): unsorted input takes more runs, not other bytes
     order = np.random.default_rng(0).permutation(values.size)
     assert np.array_equal(sweeps._fixed17(values[order])[0], text[order])
+
+
+def _trailing_zero_values() -> np.ndarray:
+    """Window values whose 17 significant digits end in t zeros: three per t in 1..16 and decade.
+
+    Each is the double nearest a decimal of 17 - t digits, the last one not 0,
+    kept where its 17 digits are that decimal's with t zeros appended.
+    """
+    rng, found = np.random.default_rng(5), []
+    for t in range(1, 17):
+        for e in range(-4, 15):
+            hits = []
+            for d in rng.integers(10**(16 - t), 10**(17 - t), 200).tolist():
+                v = float(f"{d}e{e - 16 + t}")
+                if d % 10 and f"{v:.16e}".partition("e")[0].replace(".", "") == f"{d}" + "0" * t:
+                    hits.append(v)
+            assert len(hits) >= 3, (t, e)
+            found += hits[:3]
+    return np.array(found)
+
+
+def test_fixed17_drops_the_trailing_zeros_at_every_position():
+    # the zeros that end the 17 digits reach into each group of four, and past it
+    values = np.concatenate([_trailing_zero_values(), -_trailing_zero_values()])
+    text, exact = sweeps._fixed17(values)
+    assert exact.all()
+    assert text.tolist() == [f"{v:.17g}".encode() for v in values.tolist()]
+    assert _cells(np.concatenate([values, _FILLER]))[:values.size] == [
+        f"{v:.17g}" for v in values.tolist()]
+
+
+def test_digit_groups_are_the_fstring_table_read_only_and_built_on_first_use():
+    want = [f"{i:04}" for i in range(10**4)] + [f"{i:04}".rstrip("0").ljust(4, "\0")
+                                                  for i in range(10**4)]
+    assert sweeps._quads().tobytes() == "".join(want).encode()
+    with pytest.raises(ValueError):
+        sweeps._quads()[0] = 0
+    code = ("import xyquench; from xyquench.sweeps import _quads; "
+            "assert _quads.cache_info().currsize == 0")
+    # the child finds the package where this process found it, installed or not
+    src = os.path.dirname(os.path.dirname(sweeps.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": path})
 
 
 @pytest.mark.parametrize("distinct", [511, 512, 513, 20000])
