@@ -1,14 +1,14 @@
 """Deterministic sweep grids and their CSV serialization.
 
 A grid is an ordered dict of named numpy columns of equal length.  Cells
-where the quantity is genuinely undefined are masked with numpy.ma
-(gapless points stay empty rather than interpolated, as do modes that
-were not evolved and oracle fields that do not apply to a row).  Each
-distinct value of a column is formatted once, by its dtype: floats as
-'{:.17g}' (17 significant digits, so that parsing the text recovers them
-exactly), ints and strings with str, bools as true/false, masked cells
-as "".  A column of ints, bools or strings hands np.unique only the
-first cell of each run of equal cells.  In a float column of at least
+where the quantity is genuinely undefined are empty, flagged in a bool
+mask of their column (gapless points stay empty rather than interpolated,
+as do modes that were not evolved and oracle fields that do not apply to
+a row).  Each distinct value of a column is formatted once, by its dtype:
+floats as '{:.17g}' (17 significant digits, so that parsing the text
+recovers them exactly), ints and strings with str, bools as true/false,
+empty cells as "".  A column of ints, bools or strings hands np.unique
+only the first cell of each run of equal cells.  In a float column of at least
 512 distinct values, those with 1e-4 <= |x| < 1e15 get the same bytes
 from exact integer arithmetic in numpy (_fixed17): x = m / 2^s with s in
 [3, 66], and the shift s - q of its digit product lies in [1, 46].
@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,7 +119,7 @@ def _fixed17(x):
         b, d = buf[start:stop], digits[start:stop]
         b[:, :sign] = ord("-")
         if e >= 0:  # ddd.ddd, keeping the integer part's zeros; no fraction, no point
-            b[:, sign:sign + e + 1] = np.maximum(d[:, :e + 1], ord("0"))
+            b[:, sign:sign + e + 1] = d[:, :e + 1] | ord("0")
             b[:, sign + e + 1] = (d[:, e + 1] > 0) * ord(".")
             b[:, sign + e + 2:sign + 18] = d[:, e + 1:]
         else:  # 0.000ddd
@@ -128,10 +128,10 @@ def _fixed17(x):
     return text, exact
 
 
-def _column_cells(col) -> np.ndarray:
-    """Each cell's text as an S array, masked cells empty; each distinct value formatted once."""
-    shown = ~np.ma.getmaskarray(col)
-    data = np.ma.getdata(col)[shown]
+def _column_cells(col, empty) -> np.ndarray:
+    """Each cell's text as an S array, "" where `empty` is true; distinct values formatted once."""
+    shown = np.ones(col.size, dtype=bool) if empty is None else ~empty
+    data = col[shown]
     kind = data.dtype.kind
     if kind != "f":  # ints and strings as str prints them; np.unique sees each run's first cell
         first = np.ones(data.size, dtype=bool)
@@ -160,14 +160,19 @@ def _column_cells(col) -> np.ndarray:
 
 @dataclass(eq=False)
 class SweepGrid:
-    """Named 1-d columns of equal length, in CSV order; masked cells are undefined."""
+    """Named 1-d columns of equal length, in CSV order; `empty` maps a column to a bool
+    array, true at its undefined cells: written "" and never checked, whatever they hold."""
 
     columns: dict
+    empty: dict = field(default_factory=dict)
 
     def __post_init__(self):
         lengths = {name: len(col) for name, col in self.columns.items()}
         if len(set(lengths.values())) > 1:
             raise InvariantViolation(f"columns of unequal length: {lengths}")
+        for name, mask in self.empty.items():
+            if getattr(mask, "dtype", None) != bool or mask.shape != (lengths.get(name),):
+                raise InvariantViolation(f"empty[{name!r}] is not a bool mask of a column's cells")
 
     def __len__(self) -> int:
         return len(next(iter(self.columns.values())))
@@ -175,8 +180,8 @@ class SweepGrid:
     def csv_text(self) -> str:
         # a row is each cell's bytes, NUL-padded to its column's width, then a comma
         # (a newline at the end); dropping the NULs leaves the CSV text
-        cells = [c.view(np.uint8).reshape(c.size, c.itemsize)
-                 for c in map(_column_cells, self.columns.values())]
+        cells = [c.view(np.uint8).reshape(c.size, c.itemsize) for c in
+                 (_column_cells(col, self.empty.get(name)) for name, col in self.columns.items())]
         at = np.cumsum([0] + [c.shape[1] + 1 for c in cells]).tolist()
         text, n = [(",".join(self.columns) + "\n").encode("ascii")], len(cells[0]) if cells else 0
         # in blocks, to bound the memory; the cells overwrite all but the separators, so
@@ -196,11 +201,10 @@ class SweepGrid:
 
 
 def validate_bounds(grid: SweepGrid, bounds: dict) -> None:
-    """Abort if an emitted value is NaN or leaves its allowed interval; masked cells are skipped."""
+    """Abort if an emitted value is NaN or leaves its allowed interval; empty cells are skipped."""
     for col, (lo, hi) in bounds.items():
-        values = grid.columns[col]
-        data = np.ma.getdata(values)
-        bad = ~((lo <= data) & (data <= hi)) & ~np.ma.getmaskarray(values)
+        data = grid.columns[col]
+        bad = ~((lo <= data) & (data <= hi)) & ~grid.empty.get(col, np.False_)
         if bad.any():
             i = int(np.argmax(bad))
             raise InvariantViolation(
@@ -209,16 +213,16 @@ def validate_bounds(grid: SweepGrid, bounds: dict) -> None:
 
 
 def _gamma_cells(k: float, b_values: np.ndarray, alpha):
-    """Gamma_k over a field array (broadcast against alpha); gapless points masked."""
+    """(Gamma_k, gapless) over a field array, broadcast against alpha; gapless cells empty."""
     c, _, lam, gapped = gap_kernel(k, b_values, alpha)
     with np.errstate(invalid="ignore"):
-        return np.ma.masked_array(np.pi * (1.0 - c / lam), mask=~gapped)
+        return np.pi * (1.0 - c / lam), ~gapped
 
 
 def _deriv_cells(k: float, b_values: np.ndarray, alpha):
-    """d(Gamma_k)/dB over a field array (broadcast against alpha); gapless points masked."""
+    """(d(Gamma_k)/dB, gapless) over a field array, broadcast against alpha; gapless cells empty."""
     _, s, lam, gapped = gap_kernel(k, b_values, alpha)
-    return np.ma.masked_array(phase_slope(s, lam), mask=~gapped)
+    return phase_slope(s, lam), ~gapped
 
 
 def _refuse_cells(cells: int, remedy: str = "use fewer samples", axes=()) -> None:
@@ -247,13 +251,15 @@ def fig1_grid(k, alphas, tau_qs, tmin=-3.0, tmax=0.0, samples=600) -> SweepGrid:
             raise ValueError(f"tau_q must be > 0, got {tau_q}")
     a = np.asarray(alphas, dtype=float)
     taus = np.asarray(tau_qs, dtype=float)
-    gamma = _gamma_cells(k, np.abs(x), a[:, None])  # (alpha, t)
+    # the (alpha, t) values and gapless cells, repeated for each tau_q
+    gamma, gapless = (c.repeat(taus.size, axis=0).ravel()
+                      for c in _gamma_cells(k, np.abs(x), a[:, None]))
     return SweepGrid({
         "t_over_tauq": np.tile(x, a.size * taus.size),
         "tau_q": np.tile(np.repeat(taus, x.size), a.size),
         "alpha": np.repeat(a, taus.size * x.size),
-        "gamma_k": gamma.repeat(taus.size, axis=0).ravel(),
-    })
+        "gamma_k": gamma,
+    }, {"gamma_k": gapless})
 
 
 def fig2_grids(k, alpha_min=0.0, alpha_max=1.0, alpha_samples=200, tmin=-3.0, tmax=0.0,
@@ -270,10 +276,8 @@ def fig2_grids(k, alpha_min=0.0, alpha_max=1.0, alpha_samples=200, tmin=-3.0, tm
     alphas = np.linspace(alpha_min, alpha_max, alpha_samples)
     axes = {"alpha": np.repeat(alphas, x.size), "t_over_tauq": np.tile(x, alphas.size)}
     b, a = np.abs(x), alphas[:, None]  # one (alpha, t) broadcast per surface
-    return (
-        SweepGrid({**axes, "value": _gamma_cells(k, b, a).ravel()}),
-        SweepGrid({**axes, "value": _deriv_cells(k, b, a).ravel()}),
-    )
+    return tuple(SweepGrid({**axes, "value": value.ravel()}, {"value": gapless.ravel()})
+                 for value, gapless in (_gamma_cells(k, b, a), _deriv_cells(k, b, a)))
 
 
 def quench_grids(
@@ -292,7 +296,7 @@ def quench_grids(
     unchanged at every alpha; with evolve=True the evolve_modes smallest
     momentum pairs get a real-time column, the only one that reads alpha.
     A pair whose crossing B = cos k the ramp window does not cover is not
-    evolved: its cells stay masked, and one UserWarning names every such k.
+    evolved: its cells stay empty, and one UserWarning names every such k.
     Before any pair runs, the step rule quench.ramp_steps refuses with
     ValueError a covered pair, then a table, over quench._MAX_STEPS steps.
     """
@@ -330,12 +334,14 @@ def quench_grids(
         "k": np.tile(k_all, taus.size),
         "p_k": np.array([rep.p_k for rep in reps], dtype=float).ravel(),
     }
+    empty = {}
     if evolve:
-        # one value per +/-k pair; the modes past evolve_modes or uncovered stay masked
-        half = np.ma.masked_all((taus.size, k_pos.size))
+        # one value per +/-k pair; the modes past evolve_modes or uncovered stay empty
+        half, done = np.zeros((taus.size, k_pos.size)), np.zeros((taus.size, k_pos.size), bool)
         for i, j, kk, schedule in covered:
-            half[i, j] = evolve_mode(kk, alpha, schedule, dt=dt).probability
-        modes["p_evolved"] = np.ma.hstack((half[:, ::-1], half)).ravel()
+            half[i, j], done[i, j] = evolve_mode(kk, alpha, schedule, dt=dt).probability, True
+        modes["p_evolved"] = np.hstack((half[:, ::-1], half)).ravel()
+        empty["p_evolved"] = ~np.hstack((done[:, ::-1], done)).ravel()
     summary = {
         "tau_q": taus,
         "kink_count": np.array([r.kink_count for r in reps], dtype=float),
@@ -343,7 +349,7 @@ def quench_grids(
         "safety_factor": np.full(taus.size, safety_factor, dtype=float),
         "adiabatic": np.array([r.adiabatic for r in reps], dtype=bool),
     }
-    return SweepGrid(modes), SweepGrid(summary)
+    return SweepGrid(modes, empty), SweepGrid(summary)
 
 
 def rg_grid(initials, l_max=5.0, dl=1e-3, alpha_cap=1e3) -> SweepGrid:
@@ -404,11 +410,11 @@ def oracle_report(
     worst level difference over both parity blocks, from one broadcast
     build_hamiltonian and one eigvalsh per block.  Their phi is the third
     seeded draw of each case, reported as a coordinate and not used.  A
-    column a block lacks is masked on its rows, as are numeric and abs_diff
+    column a block lacks is empty on its rows, as are numeric and abs_diff
     of a degenerate loop.  A fixed seed gives a byte-identical report.
     `nsites` picks the loop cases by size; a size with no loop case, a
     negative size or a report over the row budget raises ValueError before
-    anything is drawn.  Failing rows are (case, abs_diff, tol), None if masked.
+    anything is drawn.  Failing rows are (case, abs_diff, tol), None if empty.
     """
     for name, size in (("grid", grid_size), ("spectrum_cases", spectrum_cases)):
         if not size >= 0:
@@ -440,7 +446,7 @@ def oracle_report(
                  numeric=numeric, abs_diff=diff, tol=np.full(diff.size, mode_tol),
                  status=np.where(diff <= mode_tol, "ok", "fail"))
 
-    # a degenerate loop has no phase, so its numeric and abs_diff are masked
+    # a degenerate loop has no phase, so its numeric and abs_diff are empty
     analytic = np.array([total_phase(ChainSpec(n_sites=n, alpha=av), bv) % TWO_PI
                          for n, av, bv in loop_cases], dtype=float)
     res = [berry_phase_loop(n, av, bv, steps=steps) for n, av, bv in loop_cases]
@@ -454,30 +460,31 @@ def oracle_report(
     loops = dict(case=np.char.mod("loop_%02d", np.arange(analytic.size)),
                  n_sites=np.array([c[0] for c in loop_cases], dtype=int),
                  alpha=[c[1] for c in loop_cases], field=[c[2] for c in loop_cases],
-                 analytic=analytic, numeric=np.ma.masked_array(numeric, mask=degenerate),
-                 abs_diff=np.ma.masked_array(diff, mask=degenerate),
+                 analytic=analytic, numeric=numeric, abs_diff=diff,
                  tol=np.full(analytic.size, loop_tol),
                  status=np.select([degenerate, parity < 0.0, diff <= loop_tol],
                                   ["degenerate", "odd_sector", "ok"], "fail"))
 
     # phi is drawn and reported but not used: every level of H(0) has a closed form
     av, bv, phi = 1.5 * spec_draws[:, 0], 2.0 * spec_draws[:, 1], math.pi * spec_draws[:, 2]
-    drift = np.zeros(av.size)
-    for levels, ref in zip(parity_block_levels(build_hamiltonian(6, av, bv)),
-                           free_fermion_levels(6, av, bv)):
-        drift = np.maximum(drift, np.max(np.abs(levels - ref), axis=-1))
+    blocks = zip(parity_block_levels(build_hamiltonian(6, av, bv)), free_fermion_levels(6, av, bv))
+    drift = np.abs(np.hstack([levels - ref for levels, ref in blocks])).max(axis=1)
     spectra = dict(case=np.char.mod("spectrum_%02d", np.arange(drift.size)),
                    n_sites=np.full(drift.size, 6), alpha=av, field=bv, phi=phi,
                    analytic=np.zeros(drift.size), numeric=drift, abs_diff=drift,
                    tol=np.full(drift.size, spectrum_tol),
                    status=np.where(drift <= spectrum_tol, "ok", "fail"))
 
-    # a column that a family does not have is masked on its rows
-    columns = {name: np.ma.concatenate([
-        np.ma.masked_array(fam[name]) if name in fam
-        else np.ma.masked_all(len(fam["case"]), dtype=int) for fam in (modes, loops, spectra)])
-        for name in ("case", "n_sites", "k", "alpha", "field", "phi", "analytic",
-                     "numeric", "abs_diff", "tol", "status")}
+    # a column that a family does not have is empty on its rows
+    families = ((modes, {}), (loops, dict(numeric=degenerate, abs_diff=degenerate)), (spectra, {}))
+    columns, empty = {}, {}
+    for name in ("case", "n_sites", "k", "alpha", "field", "phi", "analytic", "numeric",
+                 "abs_diff", "tol", "status"):
+        columns[name] = np.concatenate([fam.get(name, np.zeros(len(fam["case"]), dtype=int))
+                                        for fam, _ in families])
+        empty[name] = np.concatenate([gaps.get(name, np.full(len(fam["case"]), name not in fam))
+                                      for fam, gaps in families])
     failing = np.isin(columns["status"], ("fail", "degenerate"))
-    return SweepGrid(columns), list(zip(*(columns[name][failing].tolist()
-                                          for name in ("case", "abs_diff", "tol"))))
+    cells = (np.where(empty[name], None, columns[name])[failing].tolist()
+             for name in ("case", "abs_diff", "tol"))
+    return SweepGrid(columns, empty), list(zip(*cells))

@@ -33,8 +33,12 @@ _build_hamiltonian = sweeps.build_hamiltonian
 
 
 def _rows(grid) -> list:
-    """Row tuples of a grid, None where a cell is masked."""
-    return list(zip(*(col.tolist() for col in grid.columns.values())))
+    """Row tuples of a grid, None where a cell is empty."""
+    cols = []
+    for name, col in grid.columns.items():
+        empty = grid.empty.get(name, np.zeros(len(col), dtype=bool)).tolist()
+        cols.append([None if e else v for v, e in zip(col.tolist(), empty)])
+    return list(zip(*cols))
 
 
 # -------------------------------------------------------------------- CSV core
@@ -64,10 +68,10 @@ csv_cells = st.tuples(
 def test_csv_text_parses_back_exactly(cells):
     floats, masked, ints, flags = zip(*cells) if cells else ((), (), (), ())
     grid = SweepGrid({
-        "x": np.ma.masked_array(np.array(floats, dtype=float), mask=np.array(masked, dtype=bool)),
+        "x": np.array(floats, dtype=float),
         "n": np.array(ints, dtype=np.int64),
         "flag": np.array(flags, dtype=bool),
-    })
+    }, {"x": np.array(masked, dtype=bool)})
     lines = grid.csv_text().split("\n")
     assert lines[0] == "x,n,flag" and lines[-1] == ""
     rows = [ln.split(",") for ln in lines[1:-1]]
@@ -102,7 +106,7 @@ def _reference_csv(grid) -> str:
 
 # builder -> (its grids at a small size, the cell kinds they must exercise)
 _SMALL_GRIDS = {
-    # the last t lands exactly on B = cos k: a masked alpha = 0 cell
+    # the last t lands exactly on B = cos k: an empty alpha = 0 cell
     "fig1": (lambda: [fig1_grid(k=0.8, alphas=[0.0, 0.5], tau_qs=[1.0, 2.0], tmin=-2.0,
                                 tmax=-math.cos(0.8), samples=5)], {None, float}),
     "fig2": (lambda: list(fig2_grids(k=0.0, tmin=-2.0, samples=5, alpha_samples=4)), {None, float}),
@@ -115,10 +119,11 @@ _SMALL_GRIDS = {
     # n_sites, k and phi do not apply to every family
     "oracle": (lambda: [oracle_report(seed=3, steps=300, grid_size=2, spectrum_cases=2)[0]],
                {None, int, float, str}),
-    # -0.0 and 0.0 compare equal but print as -0 and 0; repeats and a masked 0.0 besides
-    "signed_zero": (lambda: [SweepGrid({"x": np.ma.masked_array(
-        [0.0, -0.0, 0.1, -0.0, 0.0, 0.1, np.nan, -np.inf],
-        mask=[False, False, False, False, True, False, False, False])})], {None, float}),
+    # -0.0 and 0.0 compare equal but print as -0 and 0; repeats and an empty 0.0 besides
+    "signed_zero": (lambda: [SweepGrid(
+        {"x": np.array([0.0, -0.0, 0.1, -0.0, 0.0, 0.1, np.nan, -np.inf])},
+        {"x": np.array([False, False, False, False, True, False, False, False])})],
+        {None, float}),
 }
 
 
@@ -154,22 +159,21 @@ _LABELS = {"int": (st.sampled_from([0, -3, 7, 2**63 - 1]), np.int64),
 @example(data=None)
 def test_label_columns_match_the_per_cell_reference(kind, data):
     label, dtype = _LABELS[kind]
-    if data is None:  # a value back after another run, and masked cells inside and between runs
+    if data is None:  # a value back after another run, and empty cells inside and between runs
         values = {"int": [7, 7, 0, 7, 7, -3, 0], "bool": [True, True, False, True, True, False,
                   False], "str": ["ok", "ok", "fail", "ok", "ok", "", "fail"]}[kind]
         mask = [False, True, False, False, True, False, False]
     else:
         cells = data.draw(st.lists(st.tuples(label, st.booleans()), max_size=40))
         values, mask = [v for v, _ in cells], [m for _, m in cells]
-    grid = SweepGrid({"x": np.ma.masked_array(np.array(values, dtype=dtype),
-                                              mask=np.array(mask, dtype=bool))})
+    grid = SweepGrid({"x": np.array(values, dtype=dtype)}, {"x": np.array(mask, dtype=bool)})
     assert grid.csv_text() == _reference_csv(grid)
 
 
 def test_columns_of_every_kind_with_no_rows_write_the_header_only():
     grid = SweepGrid({"n": np.empty(0, dtype=int), "flag": np.empty(0, dtype=bool),
                       "status": np.array([], dtype=str), "x": np.empty(0),
-                      "masked": np.ma.masked_all(0, dtype=int)})
+                      "masked": np.empty(0, dtype=int)}, {"masked": np.empty(0, dtype=bool)})
     assert grid.csv_text() == _reference_csv(grid) == "n,flag,status,x,masked\n"
 
 
@@ -278,14 +282,13 @@ def test_digit_groups_are_the_fstring_table_read_only_and_built_on_first_use():
 def test_columns_from_512_distinct_values_take_the_vectorized_path(monkeypatch, distinct):
     sizes, fixed17 = [], sweeps._fixed17
     monkeypatch.setattr(sweeps, "_fixed17", lambda x: sizes.append(x.size) or fixed17(x))
-    # a repeat, a masked cell, the window's ends and their outer neighbours, and -0.0
+    # a repeat, an empty cell, the window's ends and their outer neighbours, and -0.0
     # besides 0.0: the count is of the distinct bit patterns shown; 1e-4 and 1e-3 are in
     # the window, while 1e15 and the double below 1e-4 are not
     below, inside = np.nextafter(1e-4, 0.0), distinct - 4
     values = np.concatenate([np.arange(1, distinct - 5) / 3.0,
                              [1.0, 1e-4, 1e-3, below, 1e15, 0.0, -0.0, 2e20]])
-    column = np.ma.masked_array(values, mask=values == 2e20)
-    text = SweepGrid({"x": column}).csv_text().split("\n")[1:-1]
+    text = SweepGrid({"x": values}, {"x": values == 2e20}).csv_text().split("\n")[1:-1]
     assert text == [f"{v:.17g}" for v in values[:-1].tolist()] + [""]
     # every window value goes to numpy, in blocks of at most 8192
     assert sizes == ([] if distinct < 512 else [min(8192, inside - i)
@@ -320,12 +323,28 @@ def test_grid_refuses_columns_of_unequal_length():
     assert len(SweepGrid({"a": np.empty(0), "b": np.empty(0, dtype=int)})) == 0
 
 
+@pytest.mark.parametrize("empty", [
+    {"b": np.array([False, True])},  # names no column
+    {"a": np.array([0, 1])},  # not bool
+    {"a": [False, True]},  # not an array
+    {"a": np.array([True])},  # short
+    {"a": np.array([[False, True]])},  # not 1-d
+], ids=["unknown", "int", "list", "short", "2d"])
+def test_grid_refuses_an_empty_mask_that_is_not_one_bool_per_cell(empty):
+    # csv_text and validate_bounds index the column with the mask: a wrong one would
+    # shift, broadcast or drop cells
+    with pytest.raises(InvariantViolation, match=r"^empty\['[ab]'\] is not a bool mask"):
+        SweepGrid({"a": np.array([1.0, 2.0])}, empty)
+    assert SweepGrid({"a": np.array([1.0, 2.0])}, {"a": np.array([False, True])}).csv_text() \
+        == "a\n1\n\n"
+
+
 def test_validate_bounds_raises():
     grid = SweepGrid({"gamma": np.array([1.0, 7.0])})
     with pytest.raises(InvariantViolation, match=r"row 1: value 7\.0 outside"):
         validate_bounds(grid, {"gamma": (0.0, TWO_PI)})
-    masked = np.ma.masked_array([1.0, np.nan], mask=[False, True])
-    validate_bounds(SweepGrid({"gamma": masked}), {"gamma": (0.0, TWO_PI)})
+    masked = SweepGrid({"gamma": np.array([1.0, np.nan])}, {"gamma": np.array([False, True])})
+    validate_bounds(masked, {"gamma": (0.0, TWO_PI)})
 
 
 def test_validate_bounds_rejects_unmasked_nan():
@@ -335,9 +354,10 @@ def test_validate_bounds_rejects_unmasked_nan():
 
 
 def test_validate_bounds_skips_masked_cells():
-    # a masked NaN and a masked out-of-range cell are not emitted, so not checked
-    cells = np.ma.masked_array([np.nan, 1.0, 99.0], mask=[True, False, True])
-    validate_bounds(SweepGrid({"gamma": cells}), {"gamma": (0.0, TWO_PI)})
+    # an empty NaN and an empty out-of-range cell are not emitted, so not checked
+    cells = SweepGrid({"gamma": np.array([np.nan, 1.0, 99.0])},
+                      {"gamma": np.array([True, False, True])})
+    validate_bounds(cells, {"gamma": (0.0, TWO_PI)})
 
 
 # ------------------------------------------------------------------- fig grids
@@ -452,14 +472,25 @@ def test_quench_grid_masks_pairs_whose_crossing_the_ramp_misses():
     with pytest.warns(UserWarning, match=r"p_evolved left empty at k = \+/-2\.19911"):
         modes, _ = quench_grids(n_sites=10, tau_qs=(1.0, 2.0), evolve=True, evolve_modes=4)
     k = modes.columns["k"]
-    masked = np.ma.getmaskarray(modes.columns["p_evolved"])
+    masked = modes.empty["p_evolved"]
     evolved = np.isclose(np.abs(k) % (2 * math.pi / 10), math.pi / 10) & (np.abs(k) < 2.0)
     assert np.array_equal(masked, ~evolved)
 
 
 def test_quench_grid_evolves_no_mode_at_evolve_modes_zero():
     modes, _ = quench_grids(n_sites=10, tau_qs=(1.0,), evolve=True, evolve_modes=0)
-    assert np.ma.getmaskarray(modes.columns["p_evolved"]).all()
+    assert modes.empty["p_evolved"].all()
+
+
+def test_quench_grid_writes_a_nan_probability_of_a_covered_pair_as_nan(monkeypatch):
+    # NaN is never the mark of an empty cell: the pairs that were evolved are the
+    # cells that are not empty, whatever value they got
+    monkeypatch.setattr(sweeps, "evolve_mode", lambda *args, **kwargs: quench.EvolveResult(
+        probability=math.nan, norm_drift=0.0, n_steps=1, crossing_covered=True))
+    modes, _ = quench_grids(n_sites=10, tau_qs=(1.0,), evolve=True, evolve_modes=2)
+    cells = [row.split(",")[3] for row in modes.csv_text().splitlines()[1:]]
+    evolved = np.abs(modes.columns["k"]) < 1.0  # the pairs k = pi/10 and 3 pi/10
+    assert cells == ["nan" if e else "" for e in evolved.tolist()] and evolved.sum() == 4
 
 
 def test_quench_grid_refuses_a_ramp_that_starts_at_zero_field():
@@ -525,13 +556,13 @@ def test_oracle_report_deterministic():
 def test_oracle_report_seeded_draws_span_their_ranges():
     grid, _ = oracle_report(seed=0, steps=100, grid_size=20, nsites=(4,), spectrum_cases=20)
     c = grid.columns
-    cases = c["case"].data.astype(str)
+    cases = c["case"].astype(str)
     mode, spec = np.char.startswith(cases, "mode_"), np.char.startswith(cases, "spectrum_")
-    fields, alphas = c["field"].data[mode], c["alpha"].data[mode]
+    fields, alphas = c["field"][mode], c["alpha"][mode]
     assert -1.5 <= fields.min() < 0.0 < fields.max() < 1.5
     assert 0.05 <= alphas.min() and alphas.max() < 2.0
     for name, top in (("alpha", 1.5), ("field", 2.0), ("phi", math.pi)):
-        v = c[name].data[spec]
+        v = c[name][spec]
         assert 0.0 <= v.min() and v.max() < top and v.max() > 0.5 * top, name
 
 
@@ -624,6 +655,23 @@ def test_oracle_eigvalsh_calls_do_not_grow_with_the_spectrum_cases(monkeypatch, 
 
 
 # ------------------------------------------------------------------------- CLI
+
+def test_no_command_loads_numpy_ma(tmp_path):
+    # empty cells are plain bool masks; numpy.ma costs a cold run about 8 ms and 1 MB
+    runs = [["fig1", "--samples", "20"], ["fig2", "--samples", "5", "--alpha-samples", "5"],
+            ["quench", "--nsites", "10", "--tauq", "1", "--evolve", "--summary", "s.csv"],
+            ["rg", "--lmax", "0.1", "--classify"], ["noncontract", "--nsites", "10"],
+            ["oracle", "--steps", "200", "--grid", "2", "--spectrum-cases", "2"]]
+    code = ("import sys; from xyquench import cli; "
+            f"assert all(cli.main(argv) == 0 for argv in {runs!r}); "
+            "assert 'numpy.ma' not in sys.modules")
+    # the child finds the package where this process found it, installed or not
+    src = os.path.dirname(os.path.dirname(sweeps.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    child = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                           text=True, env={**os.environ, "PYTHONPATH": path})
+    assert child.returncode == 0, child.stderr
+    assert len(list(tmp_path.iterdir())) == 8
 
 def test_cli_fig1_deterministic(tmp_path):
     out1 = tmp_path / "a.csv"
