@@ -13,8 +13,6 @@ cos(theta_k) = (cos k - B)/Lambda_k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -31,18 +29,62 @@ class DegeneratePointError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class ChainSpec:
-    """Chain geometry and couplings: N spins and anisotropy alpha."""
+class Record:
+    """Base of the package's small records: fields, repr, equality and a frozen instance.
 
-    n_sites: int
-    alpha: float
+    A subclass's fields are the parameters of its __init__, which checks
+    its arguments and stores them with self.__dict__.update, in field
+    order.  __init_subclass__ reads the fields once into __match_args__,
+    so a record class generates no code when it is defined.  The repr is
+    Name(field=value!r, ...), equality and hash go by the tuple of field
+    values (by identity with eq=False), and unless frozen=False, setting
+    or deleting any attribute raises AttributeError naming it.
+    """
 
-    def __post_init__(self):
-        if self.n_sites < 2 or self.n_sites % 2 != 0:
-            raise ValueError(f"n_sites must be a positive even integer, got {self.n_sites}")
-        if not self.alpha >= 0.0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+    def __init_subclass__(cls, eq: bool = True, frozen: bool = True):
+        super().__init_subclass__()
+        code = cls.__init__.__code__
+        cls.__match_args__ = code.co_varnames[1:code.co_argcount]
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+        if not frozen:
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ChainSpec(Record):
+    """Chain geometry and couplings: N spins and anisotropy alpha, a frozen value.
+
+    ValueError for an n_sites that is not an even number >= 2, then for an
+    alpha that is not >= 0 (NaN too).
+    """
+
+    def __init__(self, n_sites: int, alpha: float):
+        if n_sites < 2 or n_sites % 2 != 0:
+            raise ValueError(f"n_sites must be a positive even integer, got {n_sites}")
+        if not alpha >= 0.0:
+            raise ValueError(f"alpha must be >= 0, got {alpha}")
+        self.__dict__.update(n_sites=n_sites, alpha=alpha)
 
 
 def refuse_over_budget(count, budget, subject: str, unit: str, remedy: str) -> None:

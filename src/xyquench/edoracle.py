@@ -38,11 +38,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import gap_kernel, refuse_over_budget, require_gapped
+from .chain import Record, gap_kernel, refuse_over_budget, require_gapped
 
 MAX_SITES = 10  # an N = 10 loop takes about 0.07 s, an N = 12 one 2.7 s and 436 MB
 
@@ -50,14 +49,15 @@ _RESIDUAL_TOL = 1e-8
 _DEGENERACY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class LoopResult:
-    """Discretized holonomy around the phi loop; overlaps_min >= cos(pi N / (2 steps))."""
+class LoopResult(Record):
+    """Discretized holonomy around the phi loop; overlaps_min >= cos(pi N / (2 steps)).
 
-    phase: float
-    overlaps_min: float
-    degenerate: bool
-    parity: float
+    A frozen value; `valid` is derived from `degenerate`, not a field.
+    """
+
+    def __init__(self, phase: float, overlaps_min: float, degenerate: bool, parity: float):
+        self.__dict__.update(phase=phase, overlaps_min=overlaps_min, degenerate=degenerate,
+                             parity=parity)
 
     @property
     def valid(self) -> bool:

@@ -14,20 +14,20 @@ is the criticality probe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .chain import ChainSpec, bogoliubov_angle, momentum_grid
+from .chain import ChainSpec, Record, bogoliubov_angle, momentum_grid
 
 
-@dataclass(frozen=True)
-class PhaseSummary:
-    """Chain phase at the start of the quench, at criticality, and in the final state."""
+class PhaseSummary(Record):
+    """Chain phase at the start of the quench, at criticality, and in the final state.
 
-    gamma_initial: float
-    gamma_critical: float
-    gamma_final: float
+    A frozen value, compared and hashed by its three phases.
+    """
+
+    def __init__(self, gamma_initial: float, gamma_critical: float, gamma_final: float):
+        self.__dict__.update(gamma_initial=gamma_initial, gamma_critical=gamma_critical,
+                             gamma_final=gamma_final)
 
 
 def mode_phase(k, B, alpha):

@@ -15,14 +15,12 @@ from __future__ import annotations
 import functools
 import math
 import os
-import queue
 import threading
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, momentum_grid, refuse_over_budget
+from .chain import ChainSpec, Record, momentum_grid, refuse_over_budget
 
 # Default dt * max|H|, a quarter of the midpoint rule's old 0.05 steps: on the
 # error table of tests/test_quench.py the Magnus-4 probability is no further
@@ -40,18 +38,19 @@ _FLOAT_TOP = 32
 _IDENTITY = np.array([[1.0], [0.0], [0.0], [0.0]])  # the padding leaf (w, x, y, z)
 
 
-@dataclass(frozen=True)
-class QuenchSchedule:
-    """Linear ramp B(t) = -t/tau_q on t in [t_start, 0]: it always ends at B = 0."""
+class QuenchSchedule(Record):
+    """Linear ramp B(t) = -t/tau_q on t in [t_start, 0]: it always ends at B = 0.
 
-    tau_q: float
-    t_start: float
+    A frozen value; ValueError for a tau_q that is not > 0, then for a
+    t_start that is not < 0 (NaN too).
+    """
 
-    def __post_init__(self):
-        if not self.tau_q > 0.0:
-            raise ValueError(f"tau_q must be > 0, got {self.tau_q}")
-        if not self.t_start < 0.0:
-            raise ValueError(f"need t_start < 0, got t_start={self.t_start}")
+    def __init__(self, tau_q: float, t_start: float):
+        if not tau_q > 0.0:
+            raise ValueError(f"tau_q must be > 0, got {tau_q}")
+        if not t_start < 0.0:
+            raise ValueError(f"need t_start < 0, got t_start={t_start}")
+        self.__dict__.update(tau_q=tau_q, t_start=t_start)
 
     @classmethod
     def from_field(cls, tau_q: float, b_start: float = 5.0) -> "QuenchSchedule":
@@ -63,24 +62,24 @@ class QuenchSchedule:
         return 0.0 < math.cos(k) < -self.t_start / self.tau_q
 
 
-@dataclass(frozen=True, eq=False)
-class KinkReport:
-    """Excitation probabilities p_k over the signed grid -k_max .. k_max, and their sum."""
+class KinkReport(Record, eq=False):
+    """Excitation probabilities p_k over the signed grid -k_max .. k_max, and their sum.
 
-    p_k: np.ndarray
-    kink_count: float
-    threshold: float
-    adiabatic: bool
+    It holds an array, which has no boolean ==, so a report equals only itself.
+    """
+
+    def __init__(self, p_k: np.ndarray, kink_count: float, threshold: float, adiabatic: bool):
+        self.__dict__.update(p_k=p_k, kink_count=kink_count, threshold=threshold,
+                             adiabatic=adiabatic)
 
 
-@dataclass(frozen=True)
-class EvolveResult:
-    """Outcome of one real-time pair evolution."""
+class EvolveResult(Record):
+    """Outcome of one real-time pair evolution, a frozen value (see evolve_mode)."""
 
-    probability: float
-    norm_drift: float
-    n_steps: int
-    crossing_covered: bool
+    def __init__(self, probability: float, norm_drift: float, n_steps: int,
+                 crossing_covered: bool):
+        self.__dict__.update(probability=probability, norm_drift=norm_drift, n_steps=n_steps,
+                             crossing_covered=crossing_covered)
 
 
 def lz_probability(k, tau_q):
@@ -349,21 +348,27 @@ class _LeafWorker:
 
     numpy releases the GIL inside the long hypot, cos and sin loops, so
     the leaves of the next chunk overlap the tree of this one.  The worker
-    calls nothing that perfbench binds.  An exception in a job is raised
-    again by the wait that collects it, and the worker lives on.
+    calls nothing that perfbench binds.  A job is handed over in one slot:
+    submit fills it and releases _posted, a lock the idle worker blocks on
+    in C, and the worker sets _done when the job is over.  An exception in
+    a job is raised again by the wait that collects it, and the worker
+    lives on.
     """
 
     def __init__(self):
-        self._jobs = queue.SimpleQueue()
+        self._job = None
+        self._posted = threading.Lock()
+        self._posted.acquire()
         self._done = threading.Event()
         self._done.set()
         self._error = None
         threading.Thread(target=self._serve, name="xyquench-leaves", daemon=True).start()
 
     def _serve(self):
-        for args in iter(self._jobs.get, None):
+        while True:
+            self._posted.acquire()
             try:
-                _leaves(*args)
+                _leaves(*self._job)
             except BaseException as exc:
                 self._error = exc
             self._done.set()
@@ -371,7 +376,8 @@ class _LeafWorker:
     def submit(self, *args):
         """Start a job; the one before it must have been waited for."""
         self._done.clear()
-        self._jobs.put(args)
+        self._job = args
+        self._posted.release()
 
     def wait(self):
         """Block until the job is done; raise what it raised."""

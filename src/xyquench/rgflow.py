@@ -15,11 +15,10 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import refuse_over_budget
+from .chain import Record, refuse_over_budget
 
 COMPLETED = "completed"
 STRONG_COUPLING = "strong_coupling"
@@ -32,28 +31,29 @@ class PhaseLabel(enum.Enum):
     FERROMAGNETIC = "ferromagnetic"
 
 
-@dataclass(frozen=True)
-class RGState:
-    """Running couplings (alpha, K); every flow starts at scale l = 0."""
+class RGState(Record):
+    """Running couplings (alpha, K); every flow starts at scale l = 0.
 
-    alpha: float
-    K: float
+    A frozen value; ValueError for an alpha that is not >= 0, then for a K
+    that is not > 0 (NaN too).
+    """
 
-    def __post_init__(self):
-        if not self.alpha >= 0.0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if not self.K > 0.0:
-            raise ValueError(f"K must be > 0, got {self.K}")
+    def __init__(self, alpha: float, K: float):
+        if not alpha >= 0.0:
+            raise ValueError(f"alpha must be >= 0, got {alpha}")
+        if not K > 0.0:
+            raise ValueError(f"K must be > 0, got {K}")
+        self.__dict__.update(alpha=alpha, K=K)
 
 
-@dataclass(frozen=True, eq=False)
-class RGTrajectory:
-    """A flow as float64 columns, one row per RK4 step, the initial state first."""
+class RGTrajectory(Record, eq=False):
+    """A flow as float64 columns, one row per RK4 step, the initial state first.
 
-    l: np.ndarray
-    alpha: np.ndarray
-    K: np.ndarray
-    status: str
+    Its columns are arrays, which have no boolean ==, so a trajectory equals only itself.
+    """
+
+    def __init__(self, l: np.ndarray, alpha: np.ndarray, K: np.ndarray, status: str):
+        self.__dict__.update(l=l, alpha=alpha, K=K, status=status)
 
     @functools.cached_property
     def states(self) -> tuple:

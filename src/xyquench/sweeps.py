@@ -23,11 +23,10 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainSpec, gap_kernel, momentum_grid, refuse_over_budget
+from .chain import ChainSpec, Record, gap_kernel, momentum_grid, refuse_over_budget
 from .edoracle import (berry_phase_loop, build_hamiltonian, free_fermion_levels,
                        mode_berry_numeric, parity_block_levels)
 from .geophase import mode_phase, noncontractibility_scan, phase_slope, total_phase
@@ -158,21 +157,23 @@ def _column_cells(col, empty) -> np.ndarray:
     return cells
 
 
-@dataclass(eq=False)
-class SweepGrid:
+class SweepGrid(Record, eq=False, frozen=False):
     """Named 1-d columns of equal length, in CSV order; `empty` maps a column to a bool
-    array, true at its undefined cells: written "" and never checked, whatever they hold."""
+    array, true at its undefined cells: written "" and never checked, whatever they hold.
 
-    columns: dict
-    empty: dict = field(default_factory=dict)
+    A grid holds arrays, so it equals only itself; `empty` defaults to a new {} per grid.
+    """
 
-    def __post_init__(self):
-        lengths = {name: len(col) for name, col in self.columns.items()}
+    def __init__(self, columns: dict, empty: dict | None = None):
+        if empty is None:
+            empty = {}
+        lengths = {name: len(col) for name, col in columns.items()}
         if len(set(lengths.values())) > 1:
             raise InvariantViolation(f"columns of unequal length: {lengths}")
-        for name, mask in self.empty.items():
+        for name, mask in empty.items():
             if getattr(mask, "dtype", None) != bool or mask.shape != (lengths.get(name),):
                 raise InvariantViolation(f"empty[{name!r}] is not a bool mask of a column's cells")
+        self.columns, self.empty = columns, empty
 
     def __len__(self) -> int:
         return len(next(iter(self.columns.values())))

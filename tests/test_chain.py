@@ -1,5 +1,6 @@
-import dataclasses
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,6 +8,15 @@ import pytest
 from xyquench import (
     ChainSpec,
     DegeneratePointError,
+    EvolveResult,
+    InvariantViolation,
+    KinkReport,
+    LoopResult,
+    PhaseSummary,
+    QuenchSchedule,
+    RGState,
+    RGTrajectory,
+    SweepGrid,
     bogoliubov_angle,
     momentum_grid,
 )
@@ -56,8 +66,9 @@ def test_spec_rejects_negative_alpha():
 
 def test_spec_accepts_the_xx_chain_and_is_frozen():
     spec = ChainSpec(4, 0.0)  # alpha = 0, the XX chain, is the edge of the allowed range
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="^cannot assign to field 'alpha'$") as caught:
         spec.alpha = 1.0
+    assert caught.type is AttributeError
 
 
 def test_dispersion_examples():
@@ -148,3 +159,121 @@ def test_refuse_over_budget_names_an_int_past_the_float_range(count, shown):
         refuse_over_budget(count, 100, "the grid has", "cells", "use fewer samples")
     assert str(exc.value) == (f"the grid has {shown} cells, above the budget of 1e+02; "
                               "use fewer samples")
+
+
+# -------------------------------------------------------------------- records
+
+# (class, fields, arguments, repr, by value, frozen); the reprs are those the
+# dataclasses that the records replaced printed
+_RECORDS = [
+    (ChainSpec, ("n_sites", "alpha"), lambda: (4, 1.0),
+     "ChainSpec(n_sites=4, alpha=1.0)", True, True),
+    (PhaseSummary, ("gamma_initial", "gamma_critical", "gamma_final"), lambda: (1.0, 2.5, 3.0),
+     "PhaseSummary(gamma_initial=1.0, gamma_critical=2.5, gamma_final=3.0)", True, True),
+    (LoopResult, ("phase", "overlaps_min", "degenerate", "parity"),
+     lambda: (0.5, 0.99, False, -1.0),
+     "LoopResult(phase=0.5, overlaps_min=0.99, degenerate=False, parity=-1.0)", True, True),
+    (QuenchSchedule, ("tau_q", "t_start"), lambda: (2.0, -10.0),
+     "QuenchSchedule(tau_q=2.0, t_start=-10.0)", True, True),
+    (KinkReport, ("p_k", "kink_count", "threshold", "adiabatic"),
+     lambda: (np.array([0.5, 0.25]), 0.75, 0.1, True),
+     "KinkReport(p_k=array([0.5 , 0.25]), kink_count=0.75, threshold=0.1, adiabatic=True)",
+     False, True),
+    (EvolveResult, ("probability", "norm_drift", "n_steps", "crossing_covered"),
+     lambda: (0.125, 1e-15, 7, True),
+     "EvolveResult(probability=0.125, norm_drift=1e-15, n_steps=7, crossing_covered=True)",
+     True, True),
+    (RGState, ("alpha", "K"), lambda: (0.1, 1.5), "RGState(alpha=0.1, K=1.5)", True, True),
+    (RGTrajectory, ("l", "alpha", "K", "status"),
+     lambda: (np.array([0.0, 0.5]), np.array([0.1, 0.2]), np.array([1.0, 1.1]), "completed"),
+     "RGTrajectory(l=array([0. , 0.5]), alpha=array([0.1, 0.2]), K=array([1. , 1.1]), "
+     "status='completed')", False, True),
+    (SweepGrid, ("columns", "empty"),
+     lambda: ({"a": np.array([1.0, 2.0])}, {"a": np.array([True, False])}),
+     "SweepGrid(columns={'a': array([1., 2.])}, empty={'a': array([ True, False])})",
+     False, False),
+]
+
+
+@pytest.mark.parametrize("cls,fields,make,text,by_value,frozen", _RECORDS,
+                         ids=[row[0].__name__ for row in _RECORDS])
+def test_records_keep_the_repr_equality_construction_and_frozenness_of_dataclasses(
+        cls, fields, make, text, by_value, frozen):
+    args = make()
+    rec, twin = cls(*args), cls(**dict(zip(fields, make())))
+    assert cls.__match_args__ == fields
+    assert repr(rec) == repr(twin) == text
+    assert [getattr(rec, name) is arg for name, arg in zip(fields, args)] == [True] * len(args)
+    assert rec == rec and hash(rec) == hash(rec)
+    if by_value:
+        assert rec == twin and hash(rec) == hash(twin) == hash(args)
+        assert rec != cls(*args[:-1], args[-1] + 1) and rec != args
+    else:
+        assert rec != twin and hash(rec) == object.__hash__(rec)
+    short = args[:-1] if cls is not SweepGrid else ()  # a grid's empty has a default
+    with pytest.raises(TypeError, match=f"missing 1 required positional argument: "
+                                        f"'{fields[len(short)]}'$"):
+        cls(*short)
+    with pytest.raises(TypeError, match="got an unexpected keyword argument 'bogus'"):
+        cls(*args, bogus=1)
+    for name in fields:
+        if frozen:
+            for change, message in ((lambda: setattr(rec, name, 0), "cannot assign to field"),
+                                    (lambda: delattr(rec, name), "cannot delete field")):
+                with pytest.raises(AttributeError, match=f"^{message} '{name}'$") as caught:
+                    change()
+                assert caught.type is AttributeError
+        assert getattr(rec, name) is getattr(copy.copy(rec), name)
+    back = pickle.loads(pickle.dumps(rec))
+    assert type(back) is cls and repr(back) == text and (back == rec) is by_value
+    if frozen:
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{fields[0]}'$"):
+            setattr(back, fields[0], 0)
+    else:
+        back.columns = {}
+        assert back.columns == {}
+
+
+@pytest.mark.parametrize("cls,args,error,message", [
+    (ChainSpec, (3, 1.0), ValueError, "n_sites must be a positive even integer, got 3"),
+    (ChainSpec, (0, -1.0), ValueError, "n_sites must be a positive even integer, got 0"),
+    (ChainSpec, (4, -1.0), ValueError, "alpha must be >= 0, got -1.0"),
+    (ChainSpec, (4, math.nan), ValueError, "alpha must be >= 0, got nan"),
+    (QuenchSchedule, (0.0, 1.0), ValueError, "tau_q must be > 0, got 0.0"),
+    (QuenchSchedule, (math.nan, -10.0), ValueError, "tau_q must be > 0, got nan"),
+    (QuenchSchedule, (1.0, 0.0), ValueError, "need t_start < 0, got t_start=0.0"),
+    (RGState, (-0.1, 0.0), ValueError, "alpha must be >= 0, got -0.1"),
+    (RGState, (0.1, 0.0), ValueError, "K must be > 0, got 0.0"),
+    (RGState, (0.1, math.nan), ValueError, "K must be > 0, got nan"),
+    (SweepGrid, ({"a": np.zeros(2), "b": np.zeros(3)}, {"c": 1}), InvariantViolation,
+     "columns of unequal length: {'a': 2, 'b': 3}"),
+    (SweepGrid, ({"a": np.zeros(2)}, {"a": np.zeros(2)}), InvariantViolation,
+     "empty['a'] is not a bool mask of a column's cells"),
+    (SweepGrid, ({"a": np.zeros(2)}, {"b": np.zeros(2, bool)}), InvariantViolation,
+     "empty['b'] is not a bool mask of a column's cells"),
+    (SweepGrid, ({"a": np.zeros(2)}, {"a": [True, False]}), InvariantViolation,
+     "empty['a'] is not a bool mask of a column's cells"),
+    (SweepGrid, ({"a": np.zeros(2)}, {"a": np.zeros(3, bool)}), InvariantViolation,
+     "empty['a'] is not a bool mask of a column's cells"),
+])
+def test_records_refuse_what_the_dataclass_checks_refused(cls, args, error, message):
+    # the checks run in the order the dataclasses' __post_init__ ran them
+    with pytest.raises(error) as caught:
+        cls(*args)
+    assert caught.type is error and str(caught.value) == message
+
+
+def test_a_sweep_grid_gets_a_new_empty_map_of_its_own_and_takes_attributes():
+    a, b = SweepGrid({"x": np.zeros(2)}), SweepGrid({"x": np.zeros(2)})
+    assert a.empty == {} and a.empty is not b.empty
+    a.empty["x"] = np.zeros(2, bool)
+    assert b.empty == {} and repr(b) == "SweepGrid(columns={'x': array([0., 0.])}, empty={})"
+    del a.empty
+    assert not hasattr(a, "empty")
+
+
+def test_trajectory_states_are_built_once_from_the_columns():
+    traj = RGTrajectory(np.array([0.0, 0.5]), np.array([0.1, 0.2]), np.array([1.0, 1.1]), "x")
+    states = traj.states
+    assert states == (RGState(0.1, 1.0), RGState(0.2, 1.1)) and traj.states is states
+    assert [type(s.alpha) for s in states] == [float, float]  # Python floats, not numpy scalars

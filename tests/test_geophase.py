@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -327,10 +326,10 @@ def test_phase_summary_final_drop_matches():
     # the summary holds the three phases; the caller knows whether it dropped k0
     assert ps.gamma_final == final_phase(spec, drop_k0=True)
     assert phase_summary(spec, b_initial=5.0).gamma_final == final_phase(spec)
-    assert [f.name for f in dataclasses.fields(ps)] == [
-        "gamma_initial", "gamma_critical", "gamma_final"]
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert ps.__match_args__ == ("gamma_initial", "gamma_critical", "gamma_final")
+    with pytest.raises(AttributeError, match="^cannot assign to field 'gamma_final'$") as caught:
         ps.gamma_final = 0.0
+    assert caught.type is AttributeError
 
 
 # -------------------------------------------------- noncontractibility_scan

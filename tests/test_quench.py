@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 import os
@@ -29,6 +28,26 @@ from xyquench import quench
 from xyquench.quench import _quat_mul
 
 ROOT = Path(__file__).resolve().parents[1]
+HAND_OFF_S = 10.0  # a three-chunk evolve takes milliseconds; a stuck hand-off fails in this time
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _leaf_worker_hands_off():
+    """Fail every test here within HAND_OFF_S, not hang, when the leaf hand-off blocks or spins.
+
+    The tests below wait on the worker without a timeout.  This first call
+    runs on a daemon helper thread, joined with a timeout; if it is stuck
+    (and holds _LOCK), every test of the module errors at once, and the
+    helper does not hold the interpreter's exit.
+    """
+    k, alpha, sched, dt = _three_chunks()
+    done = []
+    helper = threading.Thread(target=lambda: done.append(evolve_mode(k, alpha, sched, dt=dt)),
+                              daemon=True)
+    helper.start()
+    helper.join(HAND_OFF_S)
+    assert not helper.is_alive(), f"evolve_mode still runs after {HAND_OFF_S} s"
+    assert [res.n_steps for res in done] == [2 * quench._CHUNK + 1]
 
 
 # ------------------------------------------------------------------ schedule
@@ -53,8 +72,9 @@ def test_results_are_frozen_values():
     res = evolve_mode(math.pi / 4, 1.0, sched)
     a, b = kink_count(ChainSpec(4, 1.0), 1.0), kink_count(ChainSpec(4, 1.0), 1.0)
     for obj, name in ((sched, "tau_q"), (res, "probability"), (a, "kink_count")):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$") as caught:
             setattr(obj, name, 0.0)
+        assert caught.type is AttributeError
     # a report holds an array, so it compares by identity and hashes
     assert a != b and a == a and hash(a) != hash(b)
 
@@ -740,7 +760,7 @@ def test_concurrent_callers_share_the_worker_and_scratch_and_get_the_serial_bits
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join(timeout=120)
+            thread.join(timeout=3 * HAND_OFF_S)
             assert not thread.is_alive()
     finally:
         sys.setswitchinterval(previous)
@@ -791,7 +811,7 @@ print("END", time.time())
 def test_only_evolve_starts_a_thread_and_the_interpreter_still_exits_at_once(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     res = subprocess.run([sys.executable, "-c", _FRESH, str(tmp_path)], capture_output=True,
-                         text=True, env=env, timeout=120)
+                         text=True, env=env, timeout=3 * HAND_OFF_S)
     exited = time.time()
     assert res.returncode == 0, res.stderr
     lines = dict(line.split(None, 1) for line in res.stdout.splitlines()
@@ -808,7 +828,7 @@ def test_a_forked_child_starts_its_own_leaf_worker():
         warnings.simplefilter("ignore", DeprecationWarning)  # fork with a thread running
         pid = os.fork()
     if pid == 0:  # the child: without a worker of its own it would wait for ever
-        signal.alarm(60)
+        signal.alarm(int(HAND_OFF_S))
         os._exit(0 if evolve_mode(k, alpha, sched, dt=dt) == want else 1)
     assert os.waitpid(pid, 0)[1] == 0
 
