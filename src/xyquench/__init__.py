@@ -46,42 +46,3 @@ from .rgflow import (
 from .sweeps import InvariantViolation, SweepGrid
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ChainSpec",
-    "DegeneratePointError",
-    "bogoliubov_angle",
-    "momentum_grid",
-    "LoopResult",
-    "MAX_SITES",
-    "berry_phase_loop",
-    "build_hamiltonian",
-    "free_fermion_levels",
-    "ground_state",
-    "mode_berry_numeric",
-    "PhaseSummary",
-    "critical_phase",
-    "final_phase",
-    "mode_phase",
-    "noncontractibility_scan",
-    "phase_summary",
-    "total_phase",
-    "EvolveResult",
-    "KinkReport",
-    "QuenchSchedule",
-    "adiabatic_threshold",
-    "evolve_mode",
-    "kink_count",
-    "lz_probability",
-    "COMPLETED",
-    "PhaseLabel",
-    "RGState",
-    "RGTrajectory",
-    "STRONG_COUPLING",
-    "classify_phase",
-    "mass_gap",
-    "rg_flow",
-    "InvariantViolation",
-    "SweepGrid",
-    "__version__",
-]

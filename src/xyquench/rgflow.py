@@ -61,10 +61,6 @@ class RGTrajectory(Record, eq=False):
         return tuple(RGState(alpha=a, K=k) for a, k in zip(self.alpha.tolist(), self.K.tolist()))
 
 
-def _rhs(alpha: float, K: float) -> tuple[float, float]:
-    return (2.0 - 1.0 / K) * alpha, alpha * alpha / 4.0
-
-
 def step_estimate(l_max: float, dl: float) -> float:
     """The RK4 steps l_max / dl of one flow from l = 0; ValueError over the budget."""
     if not dl > 0.0:
@@ -97,8 +93,9 @@ def rg_flow(
     a, k = initial.alpha, initial.K
     alphas, ks = [a], [k]
     status = COMPLETED
-    # _rhs written out four times, with 0.5 * h and h / 6.0 hoisted: Python
-    # evaluates 0.5 * h * da1 as (0.5 * h) * da1, so the bits stay those of _rhs
+    # the right-hand side ((2 - 1/K) alpha, alpha^2 / 4) written out four times, with
+    # 0.5 * h and h / 6.0 hoisted: Python evaluates 0.5 * h * da1 as (0.5 * h) * da1,
+    # so the bits stay those of RK4 calling a function of (alpha, K)
     half, sixth = 0.5 * h, h / 6.0
     for i in range(n, 0, -1):  # i steps left
         da1, dk1 = (2.0 - 1.0 / k) * a, a * a / 4.0

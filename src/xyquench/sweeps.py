@@ -15,7 +15,11 @@ from exact integer arithmetic in numpy (_fixed17): x = m / 2^s with s in
 Python formats the rest, among them the values below 1e-4, which '.17g'
 writes in scientific notation.  Rows are joined as bytes, in blocks of
 4096 that reuse one buffer, whose commas and newlines are written once.
-Identical inputs give byte-identical files.
+No stage outlives the one that reads it: the cell arrays and the buffer
+go before the blocks are joined, the blocks before the bytes are decoded,
+and write_csv hands the text to the file 1 MiB at a time, so writing a
+table peaks at about 2.5 times its file size.  Identical inputs give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -35,13 +39,14 @@ from . import quench, rgflow
 from .rgflow import rg_flow, RGState
 
 TWO_PI = 2.0 * math.pi
-# rows, or closed-form momenta, per table; 10^6 fig2 rows take about 1 s and 0.35 GB
+# rows, or closed-form momenta, per table; 10^6 fig2 rows take about 1.1 s and 0.26 GB
 _MAX_CELLS = 10**6
 
 # distinct values from which a float column takes _fixed17: below, Python's
 # formatter (about 0.5 us a value) beats _fixed17's fixed cost (about 0.13 ms)
 _VECTOR_MIN = 512
 _POW5 = np.array([5**q for q in range(21)], dtype=np.uint64)  # 5^20 < 2^47
+_WRITE_CHARS = 1 << 20  # characters per write of a table's text
 
 
 @functools.cache
@@ -129,8 +134,8 @@ def _fixed17(x):
 
 def _column_cells(col, empty) -> np.ndarray:
     """Each cell's text as an S array, "" where `empty` is true; distinct values formatted once."""
-    shown = np.ones(col.size, dtype=bool) if empty is None else ~empty
-    data = col[shown]
+    shown = None if empty is None or not empty.any() else ~empty
+    data = col if shown is None else col[shown]
     kind = data.dtype.kind
     if kind != "f":  # ints and strings as str prints them; np.unique sees each run's first cell
         first = np.ones(data.size, dtype=bool)
@@ -141,7 +146,8 @@ def _column_cells(col, empty) -> np.ndarray:
         fmt = {"b": lambda v: "true" if v else "false"}.get(kind, str)
         text = np.array([fmt(v) for v in keys.tolist()], dtype="S")
     else:  # keyed on the bits: -0.0 and 0.0 print differently
-        keys, index = np.unique(data.astype(np.float64).view(np.int64), return_inverse=True)
+        keys, index = np.unique(data.astype(np.float64, copy=False).view(np.int64),
+                                return_inverse=True)
         values = keys.view(np.float64)
         text = np.zeros(values.size, "S24")
         slow = np.ones(values.size, dtype=bool)
@@ -152,6 +158,8 @@ def _column_cells(col, empty) -> np.ndarray:
                 text[part], exact = _fixed17(values[part])
                 slow[part] = ~exact
         text[slow] = ["{:.17g}".format(v) for v in values[slow].tolist()]
+    if shown is None:
+        return text[index.reshape(-1)]
     cells = np.zeros(shown.size, text.dtype)
     cells[shown] = text[index.reshape(-1)]
     return cells
@@ -179,6 +187,12 @@ class SweepGrid(Record, eq=False, frozen=False):
         return len(next(iter(self.columns.values())))
 
     def csv_text(self) -> str:
+        # the cells and the block buffer go with _blocks' frame, before the join, and
+        # the blocks before the decode: no stage outlives the one that reads it
+        return b"".join(self._blocks()).decode("ascii")
+
+    def _blocks(self) -> list:
+        """The header line and the rows, 4096 to a block, as ASCII bytes."""
         # a row is each cell's bytes, NUL-padded to its column's width, then a comma
         # (a newline at the end); dropping the NULs leaves the CSV text
         cells = [c.view(np.uint8).reshape(c.size, c.itemsize) for c in
@@ -194,11 +208,14 @@ class SweepGrid(Record, eq=False, frozen=False):
             for c, a in zip(cells, at):
                 rows[:, a:a + c.shape[1]] = c[i:i + 4096]
             text.append(rows.tobytes().translate(None, b"\0"))
-        return b"".join(text).decode("ascii")
+        return text
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(self.csv_text())
+            text = self.csv_text()
+            # TextIOWrapper encodes each write whole: one write would copy the whole table
+            for i in range(0, len(text), _WRITE_CHARS):
+                fh.write(text[i:i + _WRITE_CHARS])
 
 
 def validate_bounds(grid: SweepGrid, bounds: dict) -> None:

@@ -31,9 +31,9 @@ from xyquench import (
     total_phase,
 )
 from xyquench.cli import main
-from xyquench.rgflow import _rhs
 from xyquench.sweeps import fig1_grid, fig2_grids
 
+from test_rgflow import _rhs
 from test_sweeps_cli import _rows
 
 TWO_PI = 2.0 * math.pi

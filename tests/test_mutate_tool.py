@@ -1,10 +1,11 @@
-"""tools/mutate.py leaves nothing behind when a sweep is interrupted.
+"""tools/mutate.py leaves nothing behind when a sweep is interrupted, and
+ends a test run soon after pytest has printed its summary.
 
-The sweep runs on a throwaway tree whose only test file sleeps, so the
-signal always arrives while pytest runs on the copy.
+Each sweep runs on a throwaway tree with one module and one test file.
 """
 
 import os
+import runpy
 import shutil
 import signal
 import subprocess
@@ -25,16 +26,32 @@ time.sleep(30)
 """
 
 
-@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
-def test_an_interrupted_sweep_ends_its_pytest_and_removes_its_copy(tmp_path, signum):
-    tree = tmp_path / "tree"
+# the test passes but leaves a non-daemon thread that blocks for a minute, so pytest
+# prints its summary and then cannot exit
+LINGERING_TEST = """
+import threading
+
+def test_leaves_a_thread_running():
+    threading.Thread(target=threading.Event().wait, args=(60,)).start()
+"""
+
+
+def _tree(root: Path, test_source: str) -> Path:
+    """A checkout with mutate.py, one module (chain) and its test file."""
+    tree = root / "tree"
     for sub in ("tools", "src/xyquench", "tests", "perfbench"):
         (tree / sub).mkdir(parents=True)
     shutil.copy2(ROOT / "tools" / "mutate.py", tree / "tools")
     (tree / "tools" / "equivalent_mutants.json").write_text("[]")
     (tree / "src" / "xyquench" / "chain.py").write_text("X = 1 + 1\n")
-    (tree / "tests" / "test_chain.py").write_text(SLEEPING_TEST)
+    (tree / "tests" / "test_chain.py").write_text(test_source)
     (tree / "pyproject.toml").write_text("")
+    return tree
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
+def test_an_interrupted_sweep_ends_its_pytest_and_removes_its_copy(tmp_path, signum):
+    tree = _tree(tmp_path, SLEEPING_TEST)
     tmp, pid_file = tmp_path / "tmp", tmp_path / "child.pid"
     tmp.mkdir()
     env = {**os.environ, "TMPDIR": str(tmp), "MUTATE_CHILD_PID": str(pid_file)}
@@ -57,3 +74,32 @@ def test_an_interrupted_sweep_ends_its_pytest_and_removes_its_copy(tmp_path, sig
     with pytest.raises(ProcessLookupError):  # ended and reaped, not orphaned
         os.kill(child, 0)
     assert list(tmp.iterdir()) == []
+
+
+def test_a_run_that_passes_but_cannot_exit_ends_soon_after_its_summary(tmp_path):
+    # the thread outlives the 45 s bound, so the unmutated run counts as timed out, as a
+    # run blocked for good does at the 600 s timeout
+    tree = _tree(tmp_path, LINGERING_TEST)
+    t0 = time.monotonic()
+    with subprocess.Popen([sys.executable, str(tree / "tools" / "mutate.py"), "--module", "chain"],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True) as sweep:
+        try:
+            err = sweep.communicate(timeout=45)[1]
+        except subprocess.TimeoutExpired:
+            sweep.kill()
+            raise
+    assert time.monotonic() - t0 < 45
+    assert sweep.returncode == 1
+    assert err.strip() == "chain: tests/test_chain.py fails before any mutation"
+
+
+@pytest.mark.parametrize("test_source,passed", [
+    ("def test_passes():\n    pass\n", True),
+    ("def test_fails():\n    assert False\n", False),
+], ids=["passes", "fails"])
+def test_a_run_that_exits_after_its_summary_keeps_its_verdict(tmp_path, test_source, passed):
+    tree = _tree(tmp_path, test_source)
+    run_tests = runpy.run_path(str(tree / "tools" / "mutate.py"), run_name="mutate")["run_tests"]
+    got_passed, seconds, timed_out = run_tests(tree, "tests/test_chain.py", timeout=120.0)
+    assert (got_passed, timed_out) == (passed, False)
+    assert seconds < 45

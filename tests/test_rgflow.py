@@ -15,7 +15,11 @@ from xyquench import (
     rg_flow,
 )
 from xyquench import rgflow
-from xyquench.rgflow import _rhs
+
+
+def _rhs(alpha: float, K: float) -> tuple[float, float]:
+    """The flow's right-hand side, (d alpha/dl, dK/dl), which rg_flow writes out inline."""
+    return (2.0 - 1.0 / K) * alpha, alpha * alpha / 4.0
 
 
 def flow_derivative(state):

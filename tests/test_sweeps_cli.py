@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -124,6 +125,18 @@ _SMALL_GRIDS = {
         {"x": np.array([0.0, -0.0, 0.1, -0.0, 0.0, 0.1, np.nan, -np.inf])},
         {"x": np.array([False, False, False, False, True, False, False, False])})],
         {None, float}),
+    # masks given but all false: each column is formatted as it stands, a strided one too
+    "no_empty_cell": (lambda: [SweepGrid(
+        {"x": np.array([0.5, 2.0, -0.0, 2.0, 0.5, 2.0, 1e-300, 2.0, 0.0, 2.0, np.inf, 2.0])[::2],
+         "n": np.array([3, 3, -1, 7, 3, 0]), "flag": np.array([True, True, False] * 2),
+         "s": np.array(["ok", "ok", "fail", "ok", "degenerate", "ok"])},
+        {name: np.zeros(6, dtype=bool) for name in ("x", "n", "flag", "s")})],
+        {float, int, bool, str}),
+    "all_empty": (lambda: [SweepGrid(
+        {"x": np.array([0.5, -0.0, np.nan]), "n": np.array([1, 2, 3]),
+         "s": np.array(["ok", "fail", "ok"])},
+        {name: np.ones(3, dtype=bool) for name in ("x", "n", "s")})],
+        {None}),
 }
 
 
@@ -299,6 +312,22 @@ def test_columns_from_512_distinct_values_take_the_vectorized_path(monkeypatch, 
 def test_vectorized_cells_are_python_17g_for_any_bit_pattern(bits):
     values = np.concatenate([np.array(bits, dtype=np.uint64).view(np.float64), _FILLER])
     assert _cells(values) == [f"{v:.17g}" for v in values.tolist()]
+
+
+def test_write_csv_holds_under_three_times_the_file_it_writes(tmp_path):
+    # no stage of the writer keeps what the next one has read: cells, blocks, joined
+    # bytes, text and its encoded copy, all held to the end, came to 4.4 times the file
+    grid, path = fig2_grids(k=math.pi / 2)[0], tmp_path / "fig2_gamma.csv"
+    grid.write_csv(path)  # first-use tables are built outside the measure
+    tracemalloc.start()
+    try:
+        grid.write_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(grid) == 40_000
+    assert path.read_text(encoding="ascii") == grid.csv_text()
+    assert peak <= 3 * path.stat().st_size
 
 
 def test_csv_seventeen_digit_floats():

@@ -19,7 +19,10 @@ perfbench/ and pyproject.toml to a temporary directory, never touching the
 checkout, checks that the module's test file (TEST_FILES) passes there
 unmutated, and then runs it once per mutant with ``pytest -x``.  A mutant is killed
 when pytest fails, crashes or runs past the timeout (set from the
-unmutated run), and survives when every test passes.
+unmutated run), and survives when every test passes.  A run that has
+printed pytest's summary line gets EXIT_GRACE seconds more to exit; one
+still running then (a thread it cannot join, say) is ended and counts as
+a timeout, whatever its summary said.
 
 Survivors that are listed in tools/equivalent_mutants.json, each with the
 reason no test can kill it, count as explained.  The script prints the
@@ -32,7 +35,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import resource
+import selectors
 import shutil
 import signal
 import subprocess
@@ -58,6 +63,9 @@ TEST_FILES = {
 }
 MODULES = tuple(TEST_FILES)
 MEMORY_LIMIT = 3 << 30  # bytes of address space per test run; a mutant may allocate wildly
+EXIT_GRACE = 5.0  # seconds a run has to exit once pytest has printed its summary
+# pytest's last line, as -q prints it: "1 failed, 3 passed in 0.52s", "no tests ran in 0.01s"
+SUMMARY = re.compile(rb"^=* ?(?:no tests ran|\d+ \w+(?:, \d+ \w+)*) in [\d.]+s\b.*$", re.M)
 
 OPERATORS = {
     "<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==",
@@ -127,27 +135,42 @@ def _limit_memory():
 def run_tests(work: Path, test_file: str, timeout: float) -> tuple:
     """(passed, seconds, timed_out) of one pytest -x run of test_file in the copy.
 
-    pytest runs in a session and process group of its own, so a Ctrl-C at
-    the terminal reaches only this script; whatever ends the run (the
-    timeout, or the SystemExit that SIGTERM or SIGINT raises here) kills
+    The run's output is read until pytest prints its summary line; from
+    there it has EXIT_GRACE seconds to exit, within the timeout.  pytest
+    runs in a session and process group of its own, so a Ctrl-C at the
+    terminal reaches only this script; whatever ends the run (the timeout,
+    the grace, or the SystemExit that SIGTERM or SIGINT raises here) kills
     the whole group before this returns.
     """
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    env.update(PYTHONDONTWRITEBYTECODE="1", OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
+    env.update(PYTHONDONTWRITEBYTECODE="1", PYTHONUNBUFFERED="1", OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     t0 = time.perf_counter()
-    child = subprocess.Popen([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                              test_file], cwd=work, env=env, stdout=subprocess.DEVNULL,
-                             stderr=subprocess.DEVNULL, preexec_fn=_limit_memory,
-                             start_new_session=True)
+    deadline = t0 + timeout
+    child = subprocess.Popen([sys.executable, "-m", "pytest", "-x", "-q", "--color=no",
+                              "-p", "no:cacheprovider", test_file], cwd=work, env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                             preexec_fn=_limit_memory, start_new_session=True)
     try:
-        passed, timed_out = child.wait(timeout) == 0, False
+        with selectors.DefaultSelector() as sel:
+            sel.register(child.stdout, selectors.EVENT_READ)
+            line = b""  # the output since the last complete line
+            while (left := deadline - time.perf_counter()) > 0 and sel.select(left):
+                chunk = os.read(child.stdout.fileno(), 1 << 16)
+                if not chunk:
+                    break  # the output is closed: pytest is exiting
+                done, _, line = (line + chunk).rpartition(b"\n")
+                if SUMMARY.search(done):
+                    deadline = min(deadline, time.perf_counter() + EXIT_GRACE)
+                    break
+        passed, timed_out = child.wait(max(deadline - time.perf_counter(), 0.0)) == 0, False
     except subprocess.TimeoutExpired:
         passed, timed_out = False, True
     finally:
         if child.returncode is None:
             os.killpg(child.pid, signal.SIGKILL)
             child.wait()
+        child.stdout.close()
     return passed, time.perf_counter() - t0, timed_out
 
 
