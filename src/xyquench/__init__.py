@@ -35,9 +35,11 @@ from .quench import (
 )
 from .rgflow import (
     COMPLETED,
-    PhaseLabel,
+    FERROMAGNETIC,
+    LUTTINGER_LIQUID,
     RGState,
     RGTrajectory,
+    STAGGERED_ORDER,
     STRONG_COUPLING,
     classify_phase,
     mass_gap,

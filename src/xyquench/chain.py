@@ -37,18 +37,16 @@ class Record:
     order.  __init_subclass__ reads the fields once into __match_args__,
     so a record class generates no code when it is defined.  The repr is
     Name(field=value!r, ...), equality and hash go by the tuple of field
-    values (by identity with eq=False), and unless frozen=False, setting
-    or deleting any attribute raises AttributeError naming it.
+    values (by identity with eq=False), and setting or deleting any
+    attribute raises AttributeError naming it.
     """
 
-    def __init_subclass__(cls, eq: bool = True, frozen: bool = True):
+    def __init_subclass__(cls, eq: bool = True):
         super().__init_subclass__()
         code = cls.__init__.__code__
         cls.__match_args__ = code.co_varnames[1:code.co_argcount]
         if not eq:
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
-        if not frozen:
-            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)

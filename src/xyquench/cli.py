@@ -220,7 +220,7 @@ def _run_rg(o):
         for a0, k0 in initials:
             label = classify_phase(K=k0, alpha=a0, B=o["field"], cutoff=o["cutoff"], band=o["band"])
             lines.append(json.dumps({
-                "alpha": a0, "K": k0, "field": o["field"], "phase": label and label.value,
+                "alpha": a0, "K": k0, "field": o["field"], "phase": label,
             }, sort_keys=True))
     return [(grid, {})], lines, 0
 

@@ -12,7 +12,6 @@ restores the Luttinger liquid and a larger one polarizes the chain.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 
@@ -22,13 +21,10 @@ from .chain import Record, refuse_over_budget
 
 COMPLETED = "completed"
 STRONG_COUPLING = "strong_coupling"
+LUTTINGER_LIQUID = "luttinger_liquid"
+STAGGERED_ORDER = "staggered_order"
+FERROMAGNETIC = "ferromagnetic"
 _MAX_STEPS = 10**6  # RK4 steps per trajectory, 89 MB at peak (tracemalloc); refused before the loop
-
-
-class PhaseLabel(enum.Enum):
-    LUTTINGER_LIQUID = "luttinger_liquid"
-    STAGGERED_ORDER = "staggered_order"
-    FERROMAGNETIC = "ferromagnetic"
 
 
 class RGState(Record):
@@ -146,12 +142,13 @@ def mass_gap(alpha: float, K: float, cutoff: float) -> float:
 
 def classify_phase(
     K: float, alpha: float, B: float, cutoff: float, band: float = 0.5
-) -> PhaseLabel | None:
+) -> str | None:
     """Static phase of the chain under a quench-induced field B; None at alpha = 0 with K > 1/2.
 
-    K <= 1/2: the coupling is irrelevant; the Luttinger liquid survives
-    until the field exceeds the single-particle band edge B = 1, after
-    which the chain polarizes.  K > 1/2: the gapped staggered phase holds
+    The phase is one of the strings LUTTINGER_LIQUID, STAGGERED_ORDER and
+    FERROMAGNETIC.  K <= 1/2: the coupling is irrelevant; the Luttinger
+    liquid survives until the field exceeds the single-particle band edge
+    B = 1, after which the chain polarizes.  K > 1/2: the gapped staggered phase holds
     for B well below the gap M, the field wins for B well above it, and a
     field of the order of M (relative band `band`) restores the Luttinger
     liquid.  The comparison is ln B against ln((1 +- band) M): ln M is
@@ -164,14 +161,14 @@ def classify_phase(
     if not B >= 0.0:
         raise ValueError(f"quench field must be >= 0, got {B}")
     if K <= 0.5:
-        return PhaseLabel.FERROMAGNETIC if B > 1.0 else PhaseLabel.LUTTINGER_LIQUID
+        return FERROMAGNETIC if B > 1.0 else LUTTINGER_LIQUID
     if alpha == 0.0:
         return None
     exponent = _gap_exponent(alpha, K, cutoff)
     log_m = math.log(cutoff) + (math.log(alpha) - math.log(2.0)) * exponent
     log_b = math.log(B) if B > 0.0 else -math.inf
     if log_b > math.log1p(band) + log_m:
-        return PhaseLabel.FERROMAGNETIC
+        return FERROMAGNETIC
     if log_b < math.log1p(-band) + log_m:
-        return PhaseLabel.STAGGERED_ORDER
-    return PhaseLabel.LUTTINGER_LIQUID
+        return STAGGERED_ORDER
+    return LUTTINGER_LIQUID

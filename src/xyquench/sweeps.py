@@ -6,12 +6,14 @@ mask of their column (gapless points stay empty rather than interpolated,
 as do modes that were not evolved and oracle fields that do not apply to
 a row).  Each distinct value of a column is formatted once, by its dtype:
 floats as '{:.17g}' (17 significant digits, so that parsing the text
-recovers them exactly), ints and strings with str, bools as true/false,
-empty cells as "".  A column of ints, bools or strings hands np.unique
-only the first cell of each run of equal cells.  In a float column of at least
-512 distinct values, those with 1e-4 <= |x| < 1e15 get the same bytes
-from exact integer arithmetic in numpy (_fixed17): x = m / 2^s with s in
-[3, 66], and the shift s - q of its digit product lies in [1, 46].
+recovers them exactly), ints and strings with str, bools as true/false.
+Empty cells are formatted with the rest and then blanked to "", so the
+values they hold count among their column's distinct values.  A column
+of ints, bools or strings hands np.unique only the first cell of each
+run of equal cells.  In a float column of at least 512 distinct values,
+those with 1e-4 <= |x| < 1e15 get the same bytes from exact integer
+arithmetic in numpy (_fixed17): x = m / 2^s with s in [3, 66], and the
+shift s - q of its digit product lies in [1, 46].
 Python formats the rest, among them the values below 1e-4, which '.17g'
 writes in scientific notation.  Rows are joined as bytes, in blocks of
 4096 that reuse one buffer, whose commas and newlines are written once.
@@ -134,19 +136,17 @@ def _fixed17(x):
 
 def _column_cells(col, empty) -> np.ndarray:
     """Each cell's text as an S array, "" where `empty` is true; distinct values formatted once."""
-    shown = None if empty is None or not empty.any() else ~empty
-    data = col if shown is None else col[shown]
-    kind = data.dtype.kind
+    kind = col.dtype.kind
     if kind != "f":  # ints and strings as str prints them; np.unique sees each run's first cell
-        first = np.ones(data.size, dtype=bool)
-        first[1:] = data[1:] != data[:-1]
+        first = np.ones(col.size, dtype=bool)
+        first[1:] = col[1:] != col[:-1]
         starts = np.flatnonzero(first)
-        keys, index = np.unique(data[starts], return_inverse=True)
-        index = np.repeat(index, np.diff(starts, append=data.size))
+        keys, index = np.unique(col[starts], return_inverse=True)
+        index = np.repeat(index, np.diff(starts, append=col.size))
         fmt = {"b": lambda v: "true" if v else "false"}.get(kind, str)
         text = np.array([fmt(v) for v in keys.tolist()], dtype="S")
     else:  # keyed on the bits: -0.0 and 0.0 print differently
-        keys, index = np.unique(data.astype(np.float64, copy=False).view(np.int64),
+        keys, index = np.unique(col.astype(np.float64, copy=False).view(np.int64),
                                 return_inverse=True)
         values = keys.view(np.float64)
         text = np.zeros(values.size, "S24")
@@ -158,18 +158,18 @@ def _column_cells(col, empty) -> np.ndarray:
                 text[part], exact = _fixed17(values[part])
                 slow[part] = ~exact
         text[slow] = ["{:.17g}".format(v) for v in values[slow].tolist()]
-    if shown is None:
-        return text[index.reshape(-1)]
-    cells = np.zeros(shown.size, text.dtype)
-    cells[shown] = text[index.reshape(-1)]
+    cells = text[index.reshape(-1)]
+    if empty is not None:
+        cells[empty] = b""
     return cells
 
 
-class SweepGrid(Record, eq=False, frozen=False):
+class SweepGrid(Record, eq=False):
     """Named 1-d columns of equal length, in CSV order; `empty` maps a column to a bool
     array, true at its undefined cells: written "" and never checked, whatever they hold.
 
     A grid holds arrays, so it equals only itself; `empty` defaults to a new {} per grid.
+    Like every record it is frozen, so the two fields that __init__ checks stay bound.
     """
 
     def __init__(self, columns: dict, empty: dict | None = None):
@@ -181,7 +181,7 @@ class SweepGrid(Record, eq=False, frozen=False):
         for name, mask in empty.items():
             if getattr(mask, "dtype", None) != bool or mask.shape != (lengths.get(name),):
                 raise InvariantViolation(f"empty[{name!r}] is not a bool mask of a column's cells")
-        self.columns, self.empty = columns, empty
+        self.__dict__.update(columns=columns, empty=empty)
 
     def __len__(self) -> int:
         return len(next(iter(self.columns.values())))
@@ -406,6 +406,17 @@ def noncontract_grid(field=0.5, alphas=(10.0, 1.0, 0.1, 0.01, 1e-3, 1e-4), sizes
 _LOOP_CASES = ((4, 0.5, 0.0), (4, 1.0, 0.5), (6, 1.0, 0.5), (6, 0.8, 0.3))
 
 
+def _family(case_fmt, diff, tol, *labels, **columns):
+    """One oracle family: case, `columns`, abs_diff, tol and status, by row.
+
+    The status is the name of the first (name, mask) label that holds, else
+    ok or fail by diff <= tol.
+    """
+    names, masks = zip(*labels, ("ok", diff <= tol))
+    return dict(case=np.char.mod(case_fmt, np.arange(diff.size)), **columns, abs_diff=diff,
+                tol=np.full(diff.size, tol), status=np.select(masks, names, "fail"))
+
+
 def oracle_report(
     seed=0,
     steps=10000,
@@ -419,7 +430,7 @@ def oracle_report(
 ):
     """Analytic-vs-numeric equivalence suite; returns (report grid, failing rows).
 
-    The grid stacks three blocks, each built column by column: per-mode
+    The grid stacks three families, each built by _family: per-mode
     loops against pi*(1 - cos theta_k) on a seeded (field, alpha) grid, in
     one call; one berry_phase_loop per many-body case against the chain
     phase sum modulo 2pi, its status the first that holds of degenerate,
@@ -459,10 +470,8 @@ def oracle_report(
     analytic = mode_phase(k, fields, alphas)
     numeric = mode_berry_numeric(k, fields, alphas, steps=steps)
     diff = np.abs(analytic - numeric)
-    modes = dict(case=np.char.mod("mode_%04d", np.arange(diff.size)),
-                 k=np.full(diff.size, float(k)), alpha=alphas, field=fields, analytic=analytic,
-                 numeric=numeric, abs_diff=diff, tol=np.full(diff.size, mode_tol),
-                 status=np.where(diff <= mode_tol, "ok", "fail"))
+    modes = _family("mode_%04d", diff, mode_tol, k=np.full(diff.size, float(k)), alpha=alphas,
+                    field=fields, analytic=analytic, numeric=numeric)
 
     # a degenerate loop has no phase, so its numeric and abs_diff are empty
     analytic = np.array([total_phase(ChainSpec(n_sites=n, alpha=av), bv) % TWO_PI
@@ -475,23 +484,18 @@ def oracle_report(
     # the representative of the phase nearest analytic, so that
     # abs_diff = |numeric - analytic| on either side of the 0/2pi cut
     numeric = phase + TWO_PI * np.round((analytic - phase) / TWO_PI)
-    loops = dict(case=np.char.mod("loop_%02d", np.arange(analytic.size)),
-                 n_sites=np.array([c[0] for c in loop_cases], dtype=int),
-                 alpha=[c[1] for c in loop_cases], field=[c[2] for c in loop_cases],
-                 analytic=analytic, numeric=numeric, abs_diff=diff,
-                 tol=np.full(analytic.size, loop_tol),
-                 status=np.select([degenerate, parity < 0.0, diff <= loop_tol],
-                                  ["degenerate", "odd_sector", "ok"], "fail"))
+    loops = _family("loop_%02d", diff, loop_tol, ("degenerate", degenerate),
+                    ("odd_sector", parity < 0.0),
+                    n_sites=np.array([c[0] for c in loop_cases], dtype=int),
+                    alpha=[c[1] for c in loop_cases], field=[c[2] for c in loop_cases],
+                    analytic=analytic, numeric=numeric)
 
     # phi is drawn and reported but not used: every level of H(0) has a closed form
     av, bv, phi = 1.5 * spec_draws[:, 0], 2.0 * spec_draws[:, 1], math.pi * spec_draws[:, 2]
     blocks = zip(parity_block_levels(build_hamiltonian(6, av, bv)), free_fermion_levels(6, av, bv))
     drift = np.abs(np.hstack([levels - ref for levels, ref in blocks])).max(axis=1)
-    spectra = dict(case=np.char.mod("spectrum_%02d", np.arange(drift.size)),
-                   n_sites=np.full(drift.size, 6), alpha=av, field=bv, phi=phi,
-                   analytic=np.zeros(drift.size), numeric=drift, abs_diff=drift,
-                   tol=np.full(drift.size, spectrum_tol),
-                   status=np.where(drift <= spectrum_tol, "ok", "fail"))
+    spectra = _family("spectrum_%02d", drift, spectrum_tol, n_sites=np.full(drift.size, 6),
+                      alpha=av, field=bv, phi=phi, analytic=np.zeros(drift.size), numeric=drift)
 
     # a column that a family does not have is empty on its rows
     families = ((modes, {}), (loops, dict(numeric=degenerate, abs_diff=degenerate)), (spectra, {}))

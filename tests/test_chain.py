@@ -163,42 +163,42 @@ def test_refuse_over_budget_names_an_int_past_the_float_range(count, shown):
 
 # -------------------------------------------------------------------- records
 
-# (class, fields, arguments, repr, by value, frozen); the reprs are those the
-# dataclasses that the records replaced printed
+# (class, fields, arguments, repr, by value); the reprs are those the dataclasses
+# that the records replaced printed, and every record is frozen
 _RECORDS = [
     (ChainSpec, ("n_sites", "alpha"), lambda: (4, 1.0),
-     "ChainSpec(n_sites=4, alpha=1.0)", True, True),
+     "ChainSpec(n_sites=4, alpha=1.0)", True),
     (PhaseSummary, ("gamma_initial", "gamma_critical", "gamma_final"), lambda: (1.0, 2.5, 3.0),
-     "PhaseSummary(gamma_initial=1.0, gamma_critical=2.5, gamma_final=3.0)", True, True),
+     "PhaseSummary(gamma_initial=1.0, gamma_critical=2.5, gamma_final=3.0)", True),
     (LoopResult, ("phase", "overlaps_min", "degenerate", "parity"),
      lambda: (0.5, 0.99, False, -1.0),
-     "LoopResult(phase=0.5, overlaps_min=0.99, degenerate=False, parity=-1.0)", True, True),
+     "LoopResult(phase=0.5, overlaps_min=0.99, degenerate=False, parity=-1.0)", True),
     (QuenchSchedule, ("tau_q", "t_start"), lambda: (2.0, -10.0),
-     "QuenchSchedule(tau_q=2.0, t_start=-10.0)", True, True),
+     "QuenchSchedule(tau_q=2.0, t_start=-10.0)", True),
     (KinkReport, ("p_k", "kink_count", "threshold", "adiabatic"),
      lambda: (np.array([0.5, 0.25]), 0.75, 0.1, True),
      "KinkReport(p_k=array([0.5 , 0.25]), kink_count=0.75, threshold=0.1, adiabatic=True)",
-     False, True),
+     False),
     (EvolveResult, ("probability", "norm_drift", "n_steps", "crossing_covered"),
      lambda: (0.125, 1e-15, 7, True),
      "EvolveResult(probability=0.125, norm_drift=1e-15, n_steps=7, crossing_covered=True)",
-     True, True),
-    (RGState, ("alpha", "K"), lambda: (0.1, 1.5), "RGState(alpha=0.1, K=1.5)", True, True),
+     True),
+    (RGState, ("alpha", "K"), lambda: (0.1, 1.5), "RGState(alpha=0.1, K=1.5)", True),
     (RGTrajectory, ("l", "alpha", "K", "status"),
      lambda: (np.array([0.0, 0.5]), np.array([0.1, 0.2]), np.array([1.0, 1.1]), "completed"),
      "RGTrajectory(l=array([0. , 0.5]), alpha=array([0.1, 0.2]), K=array([1. , 1.1]), "
-     "status='completed')", False, True),
+     "status='completed')", False),
     (SweepGrid, ("columns", "empty"),
      lambda: ({"a": np.array([1.0, 2.0])}, {"a": np.array([True, False])}),
      "SweepGrid(columns={'a': array([1., 2.])}, empty={'a': array([ True, False])})",
-     False, False),
+     False),
 ]
 
 
-@pytest.mark.parametrize("cls,fields,make,text,by_value,frozen", _RECORDS,
+@pytest.mark.parametrize("cls,fields,make,text,by_value", _RECORDS,
                          ids=[row[0].__name__ for row in _RECORDS])
 def test_records_keep_the_repr_equality_construction_and_frozenness_of_dataclasses(
-        cls, fields, make, text, by_value, frozen):
+        cls, fields, make, text, by_value):
     args = make()
     rec, twin = cls(*args), cls(**dict(zip(fields, make())))
     assert cls.__match_args__ == fields
@@ -217,21 +217,16 @@ def test_records_keep_the_repr_equality_construction_and_frozenness_of_dataclass
     with pytest.raises(TypeError, match="got an unexpected keyword argument 'bogus'"):
         cls(*args, bogus=1)
     for name in fields:
-        if frozen:
-            for change, message in ((lambda: setattr(rec, name, 0), "cannot assign to field"),
-                                    (lambda: delattr(rec, name), "cannot delete field")):
-                with pytest.raises(AttributeError, match=f"^{message} '{name}'$") as caught:
-                    change()
-                assert caught.type is AttributeError
+        for change, message in ((lambda: setattr(rec, name, 0), "cannot assign to field"),
+                                (lambda: delattr(rec, name), "cannot delete field")):
+            with pytest.raises(AttributeError, match=f"^{message} '{name}'$") as caught:
+                change()
+            assert caught.type is AttributeError
         assert getattr(rec, name) is getattr(copy.copy(rec), name)
     back = pickle.loads(pickle.dumps(rec))
     assert type(back) is cls and repr(back) == text and (back == rec) is by_value
-    if frozen:
-        with pytest.raises(AttributeError, match=f"^cannot assign to field '{fields[0]}'$"):
-            setattr(back, fields[0], 0)
-    else:
-        back.columns = {}
-        assert back.columns == {}
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{fields[0]}'$"):
+        setattr(back, fields[0], 0)
 
 
 @pytest.mark.parametrize("cls,args,error,message", [
@@ -263,13 +258,28 @@ def test_records_refuse_what_the_dataclass_checks_refused(cls, args, error, mess
     assert caught.type is error and str(caught.value) == message
 
 
-def test_a_sweep_grid_gets_a_new_empty_map_of_its_own_and_takes_attributes():
+def test_a_sweep_grid_gets_a_new_empty_map_of_its_own_and_refuses_attributes():
     a, b = SweepGrid({"x": np.zeros(2)}), SweepGrid({"x": np.zeros(2)})
     assert a.empty == {} and a.empty is not b.empty
     a.empty["x"] = np.zeros(2, bool)
     assert b.empty == {} and repr(b) == "SweepGrid(columns={'x': array([0., 0.])}, empty={})"
-    del a.empty
-    assert not hasattr(a, "empty")
+    with pytest.raises(AttributeError, match="^cannot delete field 'empty'$"):
+        del a.empty
+    assert a.empty.keys() == {"x"}
+
+
+@pytest.mark.parametrize("name", ["columns", "empty"])
+def test_a_sweep_grid_keeps_the_fields_its_init_checked(name):
+    # a rebound field would skip __init__'s length and mask checks
+    grid = SweepGrid({"x": np.zeros(2)}, {"x": np.array([True, False])})
+    fields = grid.columns, grid.empty
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+        setattr(grid, name, {"x": np.zeros(3, bool)})
+    with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+        delattr(grid, name)
+    with pytest.raises(AttributeError, match="^cannot assign to field 'extra'$"):
+        grid.extra = 1
+    assert (grid.columns, grid.empty) == fields and grid.csv_text() == "x\n\n0\n"
 
 
 def test_trajectory_states_are_built_once_from_the_columns():

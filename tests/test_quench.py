@@ -809,16 +809,40 @@ print("END", time.time())
 
 
 def test_only_evolve_starts_a_thread_and_the_interpreter_still_exits_at_once(tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    res = subprocess.run([sys.executable, "-c", _FRESH, str(tmp_path)], capture_output=True,
-                         text=True, env=env, timeout=3 * HAND_OFF_S)
-    exited = time.time()
-    assert res.returncode == 0, res.stderr
-    lines = dict(line.split(None, 1) for line in res.stdout.splitlines()
-                 if line.startswith(("AFTER ", "EVOLVED ", "END ")))
-    assert lines["AFTER"] == "1 False"  # quench --summary and fig1: no thread, no pool module
-    assert lines["EVOLVED"] == "2 [False, True]"  # the main thread and the daemon worker
-    assert exited - float(lines["END"]) < 10.0  # the daemon worker does not hold the exit
+    # unbuffered, so that each line arrives as the child prints it
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONUNBUFFERED": "1"}
+    err = tmp_path / "stderr.txt"
+    with open(err, "w") as fh:
+        child = subprocess.Popen([sys.executable, "-c", _FRESH, str(tmp_path)], text=True,
+                                 env=env, stdout=subprocess.PIPE, stderr=fh)
+    # a child stuck before END is killed, which ends its output; past END it has
+    # HAND_OFF_S to exit, so a worker that holds the exit fails in that time
+    watchdog = threading.Timer(3 * HAND_OFF_S, child.kill)
+    watchdog.start()
+    try:
+        lines = {}
+        for line in child.stdout:  # END is the child's last line
+            key, _, rest = line.rstrip("\n").partition(" ")
+            lines[key] = rest
+            if key == "END":
+                break
+        watchdog.cancel()
+        assert {"AFTER", "EVOLVED", "END"} <= lines.keys(), err.read_text()
+        assert lines["AFTER"] == "1 False"  # quench --summary and fig1: no thread, no pool module
+        assert lines["EVOLVED"] == "2 [False, True]"  # the main thread and the daemon worker
+        try:
+            code = child.wait(HAND_OFF_S)
+        except subprocess.TimeoutExpired:
+            pytest.fail(f"the interpreter still runs {HAND_OFF_S} s after END")
+        exited = time.time()
+        assert code == 0, err.read_text()
+        assert exited - float(lines["END"]) < 10.0  # the daemon worker does not hold the exit
+    finally:
+        watchdog.cancel()
+        if child.returncode is None:
+            child.kill()
+            child.wait()
+        child.stdout.close()
 
 
 def test_a_forked_child_starts_its_own_leaf_worker():

@@ -7,8 +7,10 @@ import pytest
 
 from xyquench import (
     COMPLETED,
-    PhaseLabel,
+    FERROMAGNETIC,
+    LUTTINGER_LIQUID,
     RGState,
+    STAGGERED_ORDER,
     STRONG_COUPLING,
     classify_phase,
     mass_gap,
@@ -276,7 +278,7 @@ def test_mass_gap_overflow_is_an_infinite_gap():
     # 1.5 ** (1 / (2 - 1/K)) overflows a float just above K = 1/2
     assert mass_gap(3.0, 0.5000001, 1.0) == math.inf
     for B in (0.0, 1.0, 1e300):
-        assert classify_phase(0.5000001, 3.0, B, 1.0) is PhaseLabel.STAGGERED_ORDER
+        assert classify_phase(0.5000001, 3.0, B, 1.0) == STAGGERED_ORDER
 
 
 def test_mass_gap_rejects_irrelevant_regime():
@@ -293,29 +295,35 @@ def test_mass_gap_rejects_irrelevant_regime():
 # ------------------------------------------------------------ classify_phase
 
 def test_classify_examples():
-    assert classify_phase(1.0, 1.0, 0.0, 1.0) is PhaseLabel.STAGGERED_ORDER
-    assert classify_phase(1.0, 1.0, 10.0, 1.0) is PhaseLabel.FERROMAGNETIC
-    assert classify_phase(1.0, 1.0, 0.5, 1.0, band=0.2) is PhaseLabel.LUTTINGER_LIQUID
+    assert classify_phase(1.0, 1.0, 0.0, 1.0) == STAGGERED_ORDER
+    assert classify_phase(1.0, 1.0, 10.0, 1.0) == FERROMAGNETIC
+    assert classify_phase(1.0, 1.0, 0.5, 1.0, band=0.2) == LUTTINGER_LIQUID
 
 
 def test_classify_band_boundaries():
     # M = 0.5 at (alpha=1, K=1, cutoff=1); band 0.2 puts LL on [0.4, 0.6]
-    assert classify_phase(1.0, 1.0, 0.6, 1.0, band=0.2) is PhaseLabel.LUTTINGER_LIQUID
-    assert classify_phase(1.0, 1.0, 0.61, 1.0, band=0.2) is PhaseLabel.FERROMAGNETIC
-    assert classify_phase(1.0, 1.0, 0.4, 1.0, band=0.2) is PhaseLabel.LUTTINGER_LIQUID
-    assert classify_phase(1.0, 1.0, 0.39, 1.0, band=0.2) is PhaseLabel.STAGGERED_ORDER
+    assert classify_phase(1.0, 1.0, 0.6, 1.0, band=0.2) == LUTTINGER_LIQUID
+    assert classify_phase(1.0, 1.0, 0.61, 1.0, band=0.2) == FERROMAGNETIC
+    assert classify_phase(1.0, 1.0, 0.4, 1.0, band=0.2) == LUTTINGER_LIQUID
+    assert classify_phase(1.0, 1.0, 0.39, 1.0, band=0.2) == STAGGERED_ORDER
 
 
 def test_classify_small_k_branch():
-    assert classify_phase(0.4, 1.0, 0.5, 1.0) is PhaseLabel.LUTTINGER_LIQUID
-    assert classify_phase(0.4, 1.0, 1.5, 1.0) is PhaseLabel.FERROMAGNETIC
+    assert classify_phase(0.4, 1.0, 0.5, 1.0) == LUTTINGER_LIQUID
+    assert classify_phase(0.4, 1.0, 1.5, 1.0) == FERROMAGNETIC
     # the edge is the band edge B = 1, exclusive
-    assert classify_phase(0.4, 1.0, 1.0, 1.0) is PhaseLabel.LUTTINGER_LIQUID
-    assert classify_phase(0.4, 1.0, math.nextafter(1.0, 2.0), 1.0) is PhaseLabel.FERROMAGNETIC
+    assert classify_phase(0.4, 1.0, 1.0, 1.0) == LUTTINGER_LIQUID
+    assert classify_phase(0.4, 1.0, math.nextafter(1.0, 2.0), 1.0) == FERROMAGNETIC
 
 
-_RANK = {PhaseLabel.STAGGERED_ORDER: 0, PhaseLabel.LUTTINGER_LIQUID: 1,
-         PhaseLabel.FERROMAGNETIC: 2}
+_RANK = {STAGGERED_ORDER: 0, LUTTINGER_LIQUID: 1, FERROMAGNETIC: 2}
+
+
+def test_phase_labels_are_the_plain_strings_the_cli_prints():
+    labels = (LUTTINGER_LIQUID, STAGGERED_ORDER, FERROMAGNETIC)
+    assert [type(label) for label in labels] == [str, str, str]
+    assert labels == ("luttinger_liquid", "staggered_order", "ferromagnetic")
+    assert {classify_phase(1.0, 1.0, B, 1.0, band=0.2) for B in (0.0, 0.5, 10.0)} == set(labels)
 
 
 @pytest.mark.parametrize("alpha,edge", [(1.0, 0.0), (3.0, math.inf)])
@@ -342,8 +350,8 @@ def test_classify_the_alpha_zero_fixed_line_has_no_label():
         for alpha in (0.0, -0.0):
             assert classify_phase(K, alpha, 0.3, 1.0) is None
             assert classify_phase(K, alpha, 0.3, -1.0) is None
-    assert classify_phase(0.5, 0.0, 0.3, 1.0) is PhaseLabel.LUTTINGER_LIQUID
-    assert classify_phase(1.0, 5e-324, 0.0, 1.0) is PhaseLabel.STAGGERED_ORDER
+    assert classify_phase(0.5, 0.0, 0.3, 1.0) == LUTTINGER_LIQUID
+    assert classify_phase(1.0, 5e-324, 0.0, 1.0) == STAGGERED_ORDER
     # band and field are checked first, on the fixed line too
     with pytest.raises(ValueError, match="band must lie in"):
         classify_phase(1.0, 0.0, 0.3, 1.0, band=2.0)
@@ -354,8 +362,8 @@ def test_classify_the_alpha_zero_fixed_line_has_no_label():
 def test_classify_underflowing_gap_at_zero_field_is_staggered():
     # (1/2)^2500 underflows to 0.0, yet the gap is positive
     assert mass_gap(1.0, 0.5001, 1.0) == 0.0
-    assert classify_phase(0.5001, 1.0, 0.0, 1.0) is PhaseLabel.STAGGERED_ORDER
-    assert classify_phase(0.5001, 1.0, 1e-300, 1.0) is PhaseLabel.FERROMAGNETIC  # ln M ~ -1733
+    assert classify_phase(0.5001, 1.0, 0.0, 1.0) == STAGGERED_ORDER
+    assert classify_phase(0.5001, 1.0, 1e-300, 1.0) == FERROMAGNETIC  # ln M ~ -1733
 
 
 def test_classify_scale_consistency():
@@ -375,14 +383,14 @@ def test_classify_band_edges_are_liquid():
     assert math.log(0.5) == math.log1p(-0.5) and math.log(1.5) == math.log1p(0.5)
     label = {B: classify_phase(1.0, 2.0, B, 1.0, band=0.5)
              for B in (math.nextafter(0.5, 0.0), 0.5, 1.5, math.nextafter(1.5, 2.0))}
-    assert list(label.values()) == [PhaseLabel.STAGGERED_ORDER, PhaseLabel.LUTTINGER_LIQUID,
-                                    PhaseLabel.LUTTINGER_LIQUID, PhaseLabel.FERROMAGNETIC]
+    assert list(label.values()) == [STAGGERED_ORDER, LUTTINGER_LIQUID,
+                                    LUTTINGER_LIQUID, FERROMAGNETIC]
 
 
 def test_classify_at_k_one_half_takes_the_irrelevant_branch():
     # K = 1/2 exactly: no gap, so the band edge B = 1 alone decides
-    assert classify_phase(0.5, 1.0, 0.5, 1.0) is PhaseLabel.LUTTINGER_LIQUID
-    assert classify_phase(0.5, 1.0, 1.5, 1.0) is PhaseLabel.FERROMAGNETIC
+    assert classify_phase(0.5, 1.0, 0.5, 1.0) == LUTTINGER_LIQUID
+    assert classify_phase(0.5, 1.0, 1.5, 1.0) == FERROMAGNETIC
 
 
 @pytest.mark.parametrize("band", [0.0, 1.0])

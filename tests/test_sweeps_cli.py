@@ -132,6 +132,15 @@ _SMALL_GRIDS = {
          "s": np.array(["ok", "ok", "fail", "ok", "degenerate", "ok"])},
         {name: np.zeros(6, dtype=bool) for name in ("x", "n", "flag", "s")})],
         {float, int, bool, str}),
+    # empty cells hold values no shown cell has; they are formatted, then blanked, so the
+    # three empty floats lift 510 shown ones to the 512 distinct of the vectorized path
+    "empty_cells_hold_other_values": (lambda: [SweepGrid(
+        {"x": np.concatenate([np.arange(1, 511) / 7.0, [np.nan, -np.inf, 2e20]]),
+         "n": np.concatenate([np.arange(510) % 4, [10**12, 7, -5]]),
+         "s": np.array(["ok", "fail"] * 255 + ["a label longer than any shown", "ok", "x"])},
+        {"x": np.arange(513) >= 510, "n": np.isin(np.arange(513), (510, 512)),
+         "s": np.isin(np.arange(513), (510, 512))})],
+        {None, float, int, str}),
     "all_empty": (lambda: [SweepGrid(
         {"x": np.array([0.5, -0.0, np.nan]), "n": np.array([1, 2, 3]),
          "s": np.array(["ok", "fail", "ok"])},
@@ -296,11 +305,13 @@ def test_columns_from_512_distinct_values_take_the_vectorized_path(monkeypatch, 
     sizes, fixed17 = [], sweeps._fixed17
     monkeypatch.setattr(sweeps, "_fixed17", lambda x: sizes.append(x.size) or fixed17(x))
     # a repeat, an empty cell, the window's ends and their outer neighbours, and -0.0
-    # besides 0.0: the count is of the distinct bit patterns shown; 1e-4 and 1e-3 are in
-    # the window, while 1e15 and the double below 1e-4 are not
-    below, inside = np.nextafter(1e-4, 0.0), distinct - 4
-    values = np.concatenate([np.arange(1, distinct - 5) / 3.0,
+    # besides 0.0: the count is of the distinct bit patterns, the empty cell's 2e20 among
+    # them; 1e-4 and 1e-3 are in the window, while 1e15, 2e20 and the double below 1e-4
+    # are not
+    below, inside = np.nextafter(1e-4, 0.0), distinct - 5
+    values = np.concatenate([np.arange(1, distinct - 6) / 3.0,
                              [1.0, 1e-4, 1e-3, below, 1e15, 0.0, -0.0, 2e20]])
+    assert np.unique(values.view(np.int64)).size == distinct
     text = SweepGrid({"x": values}, {"x": values == 2e20}).csv_text().split("\n")[1:-1]
     assert text == [f"{v:.17g}" for v in values[:-1].tolist()] + [""]
     # every window value goes to numpy, in blocks of at most 8192
