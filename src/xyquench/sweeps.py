@@ -7,26 +7,32 @@ as do modes that were not evolved and oracle fields that do not apply to
 a row).  Each distinct value of a column is formatted once, by its dtype:
 floats as '{:.17g}' (17 significant digits, so that parsing the text
 recovers them exactly), ints and strings with str, bools as true/false.
-Empty cells are formatted with the rest and then blanked to "", so the
-values they hold count among their column's distinct values.  A column
+The values empty cells hold are formatted with the rest, so they count
+among their column's distinct values, but the cells are written "".  A column
 of ints, bools or strings hands np.unique only the first cell of each
 run of equal cells.  In a float column of at least 512 distinct values,
 those with 1e-4 <= |x| < 1e15 get the same bytes from exact integer
 arithmetic in numpy (_fixed17): x = m / 2^s with s in [3, 66], and the
 shift s - q of its digit product lies in [1, 46].
 Python formats the rest, among them the values below 1e-4, which '.17g'
-writes in scientific notation.  Rows are joined as bytes, in blocks of
-4096 that reuse one buffer, whose commas and newlines are written once.
-No stage outlives the one that reads it: the cell arrays and the buffer
-go before the blocks are joined, the blocks before the bytes are decoded,
-and write_csv hands the text to the file 1 MiB at a time, so writing a
-table peaks at about 2.5 times its file size.  Identical inputs give
-byte-identical files.
+writes in scientific notation.  A column is held as its distinct texts
+and an intp index into them; empty cells index one b"" more.  Rows are
+built in blocks of 4096: each column's cells are gathered with np.take
+into a buffer of its own, then copied into one row buffer whose commas
+and newlines are written once, and every buffer serves every block.  The
+blocks go into one BytesIO, sized first from the texts' lengths and how
+often the index names each, so the table's bytes are allocated once and
+never regrown by copying.  csv_text returns the ASCII bytes the file
+holds, with no cell array per row, no list of blocks and no str copy;
+write_csv formats them before it opens the file and writes them at once.
+Writing a table peaks at about 2.3 times its file size.  Identical
+inputs give byte-identical files.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import math
 import warnings
 
@@ -41,14 +47,13 @@ from . import quench, rgflow
 from .rgflow import rg_flow, RGState
 
 TWO_PI = 2.0 * math.pi
-# rows, or closed-form momenta, per table; 10^6 fig2 rows take about 1.1 s and 0.26 GB
+# rows, or closed-form momenta, per table; 10^6 fig2 rows take about 1 s and 0.21 GB
 _MAX_CELLS = 10**6
 
 # distinct values from which a float column takes _fixed17: below, Python's
 # formatter (about 0.5 us a value) beats _fixed17's fixed cost (about 0.13 ms)
 _VECTOR_MIN = 512
 _POW5 = np.array([5**q for q in range(21)], dtype=np.uint64)  # 5^20 < 2^47
-_WRITE_CHARS = 1 << 20  # characters per write of a table's text
 
 
 @functools.cache
@@ -134,8 +139,13 @@ def _fixed17(x):
     return text, exact
 
 
-def _column_cells(col, empty) -> np.ndarray:
-    """Each cell's text as an S array, "" where `empty` is true; distinct values formatted once."""
+def _column_cells(col, empty):
+    """(texts, index): the column's distinct texts as an S array, and each cell's entry in it.
+
+    texts are in np.unique's order, each value formatted once; index is np.unique's
+    inverse, an intp per cell.  Where `empty` is given, one b"" ends texts and the
+    empty cells index it; the values they hold still count among the distinct ones.
+    """
     kind = col.dtype.kind
     if kind != "f":  # ints and strings as str prints them; np.unique sees each run's first cell
         first = np.ones(col.size, dtype=bool)
@@ -158,10 +168,20 @@ def _column_cells(col, empty) -> np.ndarray:
                 text[part], exact = _fixed17(values[part])
                 slow[part] = ~exact
         text[slow] = ["{:.17g}".format(v) for v in values[slow].tolist()]
-    cells = text[index.reshape(-1)]
     if empty is not None:
-        cells[empty] = b""
-    return cells
+        index[empty] = text.size
+        text = np.append(text, b"")
+    return text, index
+
+
+def _check_fields(columns: dict, empty: dict) -> None:
+    """Refuse columns of unequal length, or a mask that is not one bool per cell of its column."""
+    lengths = {name: len(col) for name, col in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise InvariantViolation(f"columns of unequal length: {lengths}")
+    for name, mask in empty.items():
+        if getattr(mask, "dtype", None) != bool or mask.shape != (lengths.get(name),):
+            raise InvariantViolation(f"empty[{name!r}] is not a bool mask of a column's cells")
 
 
 class SweepGrid(Record, eq=False):
@@ -175,51 +195,61 @@ class SweepGrid(Record, eq=False):
     def __init__(self, columns: dict, empty: dict | None = None):
         if empty is None:
             empty = {}
-        lengths = {name: len(col) for name, col in columns.items()}
-        if len(set(lengths.values())) > 1:
-            raise InvariantViolation(f"columns of unequal length: {lengths}")
-        for name, mask in empty.items():
-            if getattr(mask, "dtype", None) != bool or mask.shape != (lengths.get(name),):
-                raise InvariantViolation(f"empty[{name!r}] is not a bool mask of a column's cells")
+        _check_fields(columns, empty)
         self.__dict__.update(columns=columns, empty=empty)
 
     def __len__(self) -> int:
         return len(next(iter(self.columns.values())))
 
-    def csv_text(self) -> str:
-        # the cells and the block buffer go with _blocks' frame, before the join, and
-        # the blocks before the decode: no stage outlives the one that reads it
-        return b"".join(self._blocks()).decode("ascii")
+    def csv_text(self) -> bytes:
+        """The table as the ASCII bytes its file holds, written block by block into one
+        BytesIO that is sized first, so that the bytes are allocated once, not regrown."""
+        _check_fields(self.columns, self.empty)  # the dicts may have changed since __init__
+        header = (",".join(self.columns) + "\n").encode("ascii")
+        cells = [_column_cells(col, self.empty.get(name)) for name, col in self.columns.items()]
+        # every cell's text and the comma or newline after it; truncate() keeps the
+        # result exact should a string cell hold a NUL, which the blocks drop
+        size = len(header) + sum(index.size + np.bincount(index, minlength=texts.size)
+                                 @ np.char.str_len(texts) for texts, index in cells)
+        out = io.BytesIO()
+        out.seek(size - 1)
+        out.write(b"\n")
+        out.seek(0)
+        out.write(header)
+        for block in self._blocks(cells):
+            out.write(block)
+        out.truncate()
+        return out.getvalue()
 
-    def _blocks(self) -> list:
-        """The header line and the rows, 4096 to a block, as ASCII bytes."""
+    def _blocks(self, cells):
+        """The rows, 4096 to a block, as ASCII bytes, from each column's (texts, index)."""
+        n = len(self) if cells else 0
         # a row is each cell's bytes, NUL-padded to its column's width, then a comma
         # (a newline at the end); dropping the NULs leaves the CSV text
-        cells = [c.view(np.uint8).reshape(c.size, c.itemsize) for c in
-                 (_column_cells(col, self.empty.get(name)) for name, col in self.columns.items())]
-        at = np.cumsum([0] + [c.shape[1] + 1 for c in cells]).tolist()
-        text, n = [(",".join(self.columns) + "\n").encode("ascii")], len(cells[0]) if cells else 0
-        # in blocks, to bound the memory; the cells overwrite all but the separators, so
-        # one buffer, filled once, serves every block
+        at = np.cumsum([0] + [texts.itemsize + 1 for texts, _ in cells]).tolist()
+        # the cells overwrite all but the separators, so one row buffer, filled once,
+        # and one gather buffer per column serve every block
         block = np.full((min(n, 4096), at[-1]), ord(","), np.uint8)
         block[:, -1:] = ord("\n")
+        gathered = [np.empty(len(block), texts.dtype) for texts, _ in cells]
         for i in range(0, n, 4096):
             rows = block[:n - i]
-            for c, a in zip(cells, at):
-                rows[:, a:a + c.shape[1]] = c[i:i + 4096]
-            text.append(rows.tobytes().translate(None, b"\0"))
-        return text
+            for (texts, index), buf, a in zip(cells, gathered, at):
+                part = np.take(texts, index[i:i + 4096], out=buf[:len(rows)])
+                rows[:, a:a + texts.itemsize] = part.view(np.uint8).reshape(len(rows), -1)
+            yield rows.tobytes().translate(None, b"\0")
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            text = self.csv_text()
-            # TextIOWrapper encodes each write whole: one write would copy the whole table
-            for i in range(0, len(text), _WRITE_CHARS):
-                fh.write(text[i:i + _WRITE_CHARS])
+        """Write csv_text to `path` in one binary write; a table that cannot be formatted
+        raises before the file is opened, so the file keeps what it held."""
+        text = self.csv_text()
+        with open(path, "wb") as fh:
+            fh.write(text)
 
 
 def validate_bounds(grid: SweepGrid, bounds: dict) -> None:
     """Abort if an emitted value is NaN or leaves its allowed interval; empty cells are skipped."""
+    _check_fields(grid.columns, grid.empty)
     for col, (lo, hi) in bounds.items():
         data = grid.columns[col]
         bad = ~((lo <= data) & (data <= hi)) & ~grid.empty.get(col, np.False_)

@@ -279,7 +279,7 @@ def test_a_sweep_grid_keeps_the_fields_its_init_checked(name):
         delattr(grid, name)
     with pytest.raises(AttributeError, match="^cannot assign to field 'extra'$"):
         grid.extra = 1
-    assert (grid.columns, grid.empty) == fields and grid.csv_text() == "x\n\n0\n"
+    assert (grid.columns, grid.empty) == fields and grid.csv_text() == b"x\n\n0\n"
 
 
 def test_trajectory_states_are_built_once_from_the_columns():
